@@ -25,8 +25,8 @@ import numpy as np
 
 from . import __version__
 from .eigen import (NoConvergenceError, NotIrreducibleError,
-                    OscillatingPolicyError, domain_sweep, principal_eigenpair,
-                    solve_semilinear, verification_tol)
+                    OscillatingPolicyError, domain_sweep, solve_semilinear,
+                    verification_tol)
 from .expressions import ExpressionError, load_model
 from .grid import grid_for_resolution
 from .model import (builtin_certificate, check_lyapunov, make_builtin,
@@ -189,7 +189,8 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output-dir", default=".")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker threads (default: RISKSWITCH_WORKERS or 1)")
+                   help="worker threads, at most one per usable CPU "
+                        "(default: RISKSWITCH_WORKERS or 1)")
 
 
 def cmd_solve(args):

@@ -34,6 +34,13 @@ from .operator import assemble, constant_policy
 
 DEFAULT_RESIDUAL_TOL = 1e-10
 NORMALIZATION_TOL = 1e-12
+# Inverse iteration has stalled when its residual has not improved on the
+# best one for this many iterations, the best being at roundoff level.
+STALL_ITERATIONS = 20
+# Roundoff level of the residual, in eps * ||A||_inf: the default tolerance
+# (above the 1e-10 floor), and the level up to which a stalled iteration is
+# accepted.  Measured stalls sit at 0.5-9 eps * ||A||_inf.
+ROUNDOFF_RESIDUAL = 32.0
 
 
 class NotIrreducibleError(RuntimeError):
@@ -84,9 +91,17 @@ def principal_eigenpair(op, tol=None, max_iter=5000, x0=None,
     exactly ``iterations`` steps when that is given).  The residual of even
     an exact eigenpair sits at roundoff level eps * ||A||_inf, which grows
     like 1/h^2 on fine grids, so the default tolerance is
-    ``max(1e-10, 32 * eps * ||A||_inf)``.  Raises
+    ``max(1e-10, 32 * eps * ||A||_inf)``.
+
+    A tighter ``tol`` may lie below the level where the iteration stalls.
+    When the residual has not improved for ``STALL_ITERATIONS`` iterations
+    and the best one is within ``ROUNDOFF_RESIDUAL * eps * ||A||_inf``, the
+    iteration has stalled at roundoff and the best iterate is returned.  A
+    plateau above that level is not a stall: from a warm start the residual
+    can rise and stay up for dozens of iterations before it falls.  Raises
     :class:`NotIrreducibleError` for reducible operators and
-    :class:`NoConvergenceError` when the budget is exhausted.
+    :class:`NoConvergenceError` for a non-finite operator or residual (at
+    once) or an exhausted budget.
     """
     A = op.matrix
     n = A.shape[0]
@@ -97,9 +112,12 @@ def principal_eigenpair(op, tol=None, max_iter=5000, x0=None,
             "the principal eigenvector is not unique/positive" % ncomp
         )
 
+    roundoff = ROUNDOFF_RESIDUAL * np.finfo(float).eps * float(
+        np.abs(A).sum(axis=1).max())
     if tol is None:
-        norm_inf = float(np.abs(A).sum(axis=1).max())
-        tol = max(DEFAULT_RESIDUAL_TOL, 32.0 * np.finfo(float).eps * norm_inf)
+        tol = max(DEFAULT_RESIDUAL_TOL, roundoff)
+    if not np.isfinite(roundoff):
+        raise NoConvergenceError(0, float("nan"), tol)
 
     row_sums = np.asarray(A.sum(axis=1)).reshape(-1)
     shift = 1.0 + float(row_sums.max())
@@ -112,7 +130,8 @@ def principal_eigenpair(op, tol=None, max_iter=5000, x0=None,
         raise ValueError("x0 must be strictly positive")
 
     lam = 0.0
-    res = np.inf
+    res = best = np.inf
+    since_best = 0
     budget = iterations if iterations is not None else max_iter
     it = 0
     for it in range(1, budget + 1):
@@ -121,7 +140,18 @@ def principal_eigenpair(op, tol=None, max_iter=5000, x0=None,
         Ax = A @ x
         lam = float(np.dot(x, Ax) / np.dot(x, x))
         res = float(np.max(np.abs(Ax - lam * x)) / np.max(np.abs(x)))
-        if iterations is None and res <= tol:
+        if iterations is not None:
+            continue
+        if res <= tol:
+            break
+        if not np.isfinite(res):
+            raise NoConvergenceError(it, res, tol)
+        if res < best:
+            best, best_x, best_lam, since_best = res, x, lam, 0
+            continue
+        since_best += 1
+        if since_best >= STALL_ITERATIONS and best <= roundoff:
+            x, lam, res = best_x, best_lam, best
             break
     else:
         if iterations is None:
@@ -141,9 +171,12 @@ def principal_eigenpair(op, tol=None, max_iter=5000, x0=None,
 def verification_tol(op):
     """Near-roundoff residual target for verification-grade solves.
 
-    The iteration stalls at roughly 0.5-0.8 eps * ||A||_inf (measured across
-    grid resolutions); four times that is reliably reachable and keeps
-    eigenvalue comparison noise well below the default tolerance.
+    Four times eps * ||A||_inf keeps eigenvalue comparison noise well below
+    the default tolerance.  Most operators reach it, but not all: the
+    iteration's best residual at a stall ranges from about 0.5 to 9
+    eps * ||A||_inf (measured over the benchmark grids and random policies;
+    e.g. 4.8 for a random policy on bounded2d at radius 4 and 14 nodes per
+    unit), and :func:`principal_eigenpair` accepts such a roundoff stall.
     """
     norm_inf = float(np.abs(op.matrix).sum(axis=1).max())
     return max(1e-12, 4.0 * np.finfo(float).eps * norm_inf)

@@ -95,8 +95,12 @@ class GridSpec:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         lo = self.axis_interior[0]
         idx = np.rint((X - lo) / self.spacing).astype(np.int64)
-        np.clip(idx, 0, self.interior_per_axis - 1, out=idx)
-        return idx @ self.strides
+        np.maximum(idx, 0, out=idx)
+        np.minimum(idx, self.interior_per_axis - 1, out=idx)
+        flat = idx[:, 0] * self.strides[0]
+        for a in range(1, self.dim):
+            flat += idx[:, a] * self.strides[a]
+        return flat
 
     def __repr__(self):
         return "GridSpec(dim=%d, radius=%g, nodes_per_axis=%d)" % (

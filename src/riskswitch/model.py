@@ -157,26 +157,6 @@ def _sample_box(rng, dim, radius, count):
     return rng.uniform(-radius, radius, size=(count, dim))
 
 
-def _coefficient_sup(model, X):
-    """sup over regimes/controls of |b|, ||sigma||_F^2, c, |m| at each sample."""
-    n = X.shape[0]
-    b_sup = np.zeros(n)
-    s_sup = np.zeros(n)
-    c_sup = np.zeros(n)
-    m_sup = np.zeros(n)
-    for k in range(model.num_regimes):
-        sig = model.diffusion(X, k)
-        s_sup = np.maximum(s_sup, np.einsum("nij,nij->n", sig, sig))
-        for xi in model.controls:
-            b = model.drift(X, k, xi)
-            b_sup = np.maximum(b_sup, np.linalg.norm(b, axis=1))
-            c_sup = np.maximum(c_sup, model.cost(X, k, xi))
-    for xi in model.controls:
-        m = model.rates(X, xi)
-        m_sup = np.maximum(m_sup, np.max(np.abs(m), axis=(1, 2)))
-    return b_sup, s_sup, c_sup, m_sup
-
-
 def validate_model(model, box_radius, samples=256, seed=0, ellipticity_floor=1e-10):
     """Sample-based check of the standing hypotheses on a box.
 

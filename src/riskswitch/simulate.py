@@ -10,10 +10,19 @@ states actually visited; breaching it aborts with the offending state.
 Reproducibility contract: paths are organized into fixed blocks of 4096.
 Block ``b`` draws from a Philox generator keyed by the seed with counter
 ``b << 128``, so every block's stream is a pure function of (seed, block
-index) and never of scheduling.  Workers (threads) process whole blocks and
-results are reduced in block order; estimates are therefore bitwise
-identical for any worker count.  Reductions over paths use numpy's pairwise
-summation in path-index order.
+index) and never of scheduling.  Workers (threads, at most one per usable
+CPU) process whole blocks and results are reduced in block order; estimates
+are therefore bitwise identical for any worker count.  Reductions over paths
+use numpy's pairwise summation in path-index order.
+
+The Feynman-Kac check steps block ``b`` of all its starts as one working set
+of running rows.  Each start keeps its own generator for the block, keyed
+exactly as above, and draws for its running rows in row order, so every
+start's numbers, and its results, are those of a run of that start alone.
+
+Each step groups the rows once by (regime, control), evaluates the model per
+group into whole-set coefficient arrays, and runs the Euler, barrier and
+switching arithmetic once over the set.
 
 The risk-sensitive rate estimator is max-shifted log-mean-exp with a
 delta-method standard error.  The exponential functional is heavy-tailed for
@@ -151,10 +160,12 @@ class ControlMap:
     @classmethod
     def from_policy(cls, policy, grid):
         policy = np.asarray(policy, dtype=np.int64)
+        flat = policy.reshape(-1)
+        width = policy.shape[1]
 
         def fn(X, K):
             nodes = grid.nearest_interior_index(X)
-            return policy[np.asarray(K, dtype=np.int64), nodes]
+            return flat[np.asarray(K, dtype=np.int64) * width + nodes]
 
         return cls(fn, description="table")
 
@@ -194,15 +205,19 @@ def _block_sizes(paths):
     return sizes
 
 
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_blocks(fn, n_blocks, workers):
-    if workers == 1 or n_blocks == 1:
+    # threads beyond the usable CPUs only add interpreter-lock hand-offs
+    threads = min(workers, n_blocks, _usable_cpus())
+    if threads == 1:
         return [fn(b) for b in range(n_blocks)]
-    out = [None] * n_blocks
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        futures = {ex.submit(fn, b): b for b in range(n_blocks)}
-        for fut in futures:
-            out[futures[fut]] = fut.result()
-    return out
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        return list(ex.map(fn, range(n_blocks)))
 
 
 def _coerce_start(model, x0):
@@ -214,58 +229,87 @@ def _coerce_start(model, x0):
     return x
 
 
+def _row_norm(x):
+    """Euclidean norm over the last axis (the arithmetic of ``np.linalg.norm``)."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
+def _group_coefficients(model, xs, k, c, step):
+    """Drift, diffusion, cost and leave rates (row k of the rate matrix) of
+    one (regime, control) group, after the step-size guard on its rows."""
+    xi = float(model.controls[c])
+    g = xs.shape[0]
+    b = np.asarray(model.drift(xs, k, xi), dtype=float).reshape(g, -1)
+    sig = np.asarray(model.diffusion(xs, k), dtype=float)
+    cost = np.asarray(model.cost(xs, k, xi), dtype=float).reshape(-1)
+    m = np.asarray(model.rates(xs, xi), dtype=float)
+    leave = -m[:, k, k]
+    worst = int(np.argmax(leave))
+    if step * leave[worst] > MAX_LEAVE_PROBABILITY + 1e-12:
+        raise StepSizeError(step, float(leave[worst]), xs[worst], k)
+    return b, sig, cost, m[:, k, :]
+
+
 def _step_once(model, cmap, X, K, S, step, sqh, Z, U, cost_shift, barrier=None):
     """One Euler + switching step over all rows of (X, K), in place.
 
-    Accumulates ``step * (cost - cost_shift)`` into S at the pre-step state
-    (left-endpoint rectangle rule).  When ``barrier = (r_inner, box_radius)``
-    is given, also returns barrier-corrected thresholds: the per-path inner
-    hitting radius (shifted outward by the radial noise scale) and a flag for
-    staying inside the shifted box.
+    Rows are grouped once by (regime, control); each group's coefficients fill
+    whole-set arrays, and the Euler, barrier and switching arithmetic then
+    runs once over the set.  Accumulates ``step * (cost - cost_shift)`` into S
+    at the pre-step state (left-endpoint rectangle rule).  When
+    ``barrier = (r_inner, box_radius)`` is given, also returns
+    barrier-corrected thresholds: the per-path inner hitting radius (shifted
+    outward by the radial noise scale) and a flag for staying inside the
+    shifted box.
     """
-    n = X.shape[0]
-    ci = cmap.control_indices(X, K)
-    new_X = np.empty_like(X)
-    new_K = np.empty_like(K)
+    n, d = X.shape
+    nc = model.num_controls
+    N = model.num_regimes
+    key = K * nc + cmap.control_indices(X, K)
+    present = np.flatnonzero(np.bincount(key)).tolist()
+    if len(present) == 1:
+        k, c = divmod(present[0], nc)
+        b, sig, cost, rate = _group_coefficients(model, X, k, c, step)
+        rate = rate.T
+    else:
+        b = np.empty((n, d))
+        sig = np.empty((n, d, d))
+        cost = np.empty(n)
+        rate = np.empty((N, n))
+        for kc in present:
+            rows = np.flatnonzero(key == kc)
+            k, c = divmod(kc, nc)
+            b[rows], sig[rows], cost[rows], rk = _group_coefficients(
+                model, X[rows], k, c, step)
+            for j in range(N):
+                rate[j][rows] = rk[:, j]
+    S += step * (cost - cost_shift)
+    xn = X + step * b + sqh * np.einsum("pij,pj->pi", sig, Z)
     inner_thr = outer_ok = None
     if barrier is not None:
         r_inner, box_radius = barrier
-        inner_thr = np.empty(n)
-        outer_ok = np.empty(n, dtype=bool)
-    for k in np.unique(K):
-        in_regime = K == k
-        for c in np.unique(ci[in_regime]):
-            g = np.nonzero(in_regime & (ci == c))[0]
-            xi = float(model.controls[c])
-            xs = X[g]
-            b = np.asarray(model.drift(xs, int(k), xi), dtype=float).reshape(g.size, -1)
-            sig = np.asarray(model.diffusion(xs, int(k)), dtype=float)
-            cost = np.asarray(model.cost(xs, int(k), xi), dtype=float).reshape(-1)
-            m = np.asarray(model.rates(xs, xi), dtype=float)
-            leave = -m[:, k, k]
-            worst = int(np.argmax(leave))
-            if step * leave[worst] > MAX_LEAVE_PROBABILITY + 1e-12:
-                raise StepSizeError(step, float(leave[worst]), xs[worst], int(k))
-            S[g] += step * (cost - cost_shift)
-            xn = xs + step * b + sqh * np.einsum("pij,pj->pi", sig, Z[g])
-            new_X[g] = xn
-            if barrier is not None:
-                rad = np.linalg.norm(xs, axis=1, keepdims=True)
-                rdir = xs / rad
-                s_rad = np.linalg.norm(np.einsum("pi,pij->pj", rdir, sig), axis=1)
-                inner_thr[g] = r_inner + BGK_BETA * sqh * s_rad
-                s_row = np.linalg.norm(sig, axis=2)
-                outer_ok[g] = np.all(
-                    np.abs(xn) < box_radius - BGK_BETA * sqh * s_row, axis=1
-                )
-            prob = step * m[:, k, :]
-            prob[:, k] = 0.0
-            prob[:, k] = 1.0 - prob.sum(axis=1)
-            cum = np.cumsum(prob, axis=1)
-            nk = (U[g, None] > cum).sum(axis=1)
-            new_K[g] = np.minimum(nk, model.num_regimes - 1)
-    X[:] = new_X
-    K[:] = new_K
+        rdir = X / _row_norm(X)[:, None]
+        s_rad = _row_norm(np.einsum("pi,pij->pj", rdir, sig))
+        inner_thr = r_inner + BGK_BETA * sqh * s_rad
+        outer_ok = np.all(
+            np.abs(xn) < box_radius - BGK_BETA * sqh * _row_norm(sig), axis=1
+        )
+    # Next regime: the number of cumulative one-step probabilities below U.
+    # From regime k the chain moves to j with probability step * rates[k, j]
+    # and stays with one minus their sum; sums run column by column.
+    here = [K == j for j in range(N)]
+    move = [np.where(here[j], 0.0, step * rate[j]) for j in range(N)]
+    leave = move[0]
+    for p in move[1:]:
+        leave = leave + p
+    stay = 1.0 - leave
+    cum = np.where(here[0], stay, move[0])
+    nk = (U > cum).astype(np.int64)
+    for j in range(1, N):
+        cum = cum + np.where(here[j], stay, move[j])
+        nk += U > cum
+    X[:] = xn
+    K[:] = np.minimum(nk, N - 1)
     return inner_thr, outer_ok
 
 
@@ -285,7 +329,7 @@ def _horizon_block(model, cmap, config, block, n_paths, x0, k0, snap_steps):
         U = rng.random(n_paths)
         _step_once(model, cmap, X, K, S, config.step, sqh, Z, U, 0.0)
         if snaps is not None and (t + 1) in snap_at:
-            snaps[snap_at[t + 1]] = np.linalg.norm(X, axis=1)
+            snaps[snap_at[t + 1]] = _row_norm(X)
     return S, snaps, X, K
 
 
@@ -404,13 +448,8 @@ def estimate_risk_sensitive_rate(model, policy, config, lambda_ref=None,
     def block_sums(b, n):
         S, _, X, K = _horizon_block(model, cmap, config, b, n, x0, k0, ())
         if interps is not None:
-            term = np.empty_like(S)
-            for k in range(model.num_regimes):
-                sel = K == k
-                if sel.any():
-                    term[sel] = interps[k](X[sel])
             with np.errstate(divide="ignore"):
-                S = S + np.log(term) - log_psi0
+                S = S + np.log(_psi_values(interps, X, K)) - log_psi0
         return S
 
     sizes = _block_sizes(config.paths)
@@ -459,48 +498,68 @@ def _psi_interpolators(grid, eigenfunction):
     return interps
 
 
-def _fk_block(model, cmap, config, block, n_paths, x0, k0, lam, interps,
+def _psi_values(interps, X, K):
+    """Interpolated psi(X_i, K_i) row by row."""
+    vals = np.zeros(X.shape[0])
+    for k, interp in enumerate(interps):
+        sel = K == k
+        if sel.any():
+            vals[sel] = interp(X[sel])
+    return vals
+
+
+def _fk_block(model, cmap, config, block, n_paths, starts, lam, interps,
               r_inner, box_radius, cap_steps):
-    rng = _block_generator(config.seed, block)
+    """Payoff and status, each (starts, paths), of block ``block`` of every start.
+
+    The running rows of all starts form one working set, ordered by (start,
+    path), that is stepped once per step.  Each start draws from its own
+    generator keyed (seed, block), normals then uniforms for its running rows
+    in row order, so every path sees the numbers it would see in a run of its
+    start alone.  The set is compacted only on steps where a path stopped.
+    """
+    n_starts = len(starts)
     d = model.dim
-    X = np.repeat(x0[None, :], n_paths, axis=0)
-    K = np.full(n_paths, k0, dtype=np.int64)
-    A = np.zeros(n_paths)
-    payoff = np.zeros(n_paths)
-    # status: 0 = running, 1 = hit inner ball, 2 = left box, 3 = capped
-    status = np.zeros(n_paths, dtype=np.int8)
-    alive = np.arange(n_paths)
+    rngs = [_block_generator(config.seed, block) for _ in range(n_starts)]
+    X = np.repeat(np.stack([x for x, _ in starts]), n_paths, axis=0)
+    K = np.repeat(np.array([k for _, k in starts], dtype=np.int64), n_paths)
+    A = np.zeros(n_starts * n_paths)
+    row = np.arange(n_starts * n_paths)  # start * n_paths + path
+    running = [n_paths] * n_starts
+    # status: 0 = running, 1 = hit inner ball, 2 = left box, 3 = capped;
+    # a hit row keeps its hitting state and exponent for the payoff
+    status = np.zeros(n_starts * n_paths, dtype=np.int8)
+    hit_X = np.zeros((n_starts * n_paths, d))
+    hit_K = np.zeros(n_starts * n_paths, dtype=np.int64)
+    hit_A = np.zeros(n_starts * n_paths)
     sqh = math.sqrt(config.step)
     for _ in range(cap_steps):
-        if alive.size == 0:
+        if row.size == 0:
             break
-        Z = rng.standard_normal((alive.size, d))
-        U = rng.random(alive.size)
-        Xa = X[alive]
-        Ka = K[alive]
-        Sa = A[alive]
+        draws = [(rng.standard_normal((c, d)), rng.random(c))
+                 for rng, c in zip(rngs, running) if c]
+        Z = np.concatenate([z for z, _ in draws])
+        U = np.concatenate([u for _, u in draws])
         inner_thr, outer_ok = _step_once(
-            model, cmap, Xa, Ka, Sa, config.step, sqh, Z, U, lam,
+            model, cmap, X, K, A, config.step, sqh, Z, U, lam,
             barrier=(r_inner, box_radius),
         )
-        X[alive] = Xa
-        K[alive] = Ka
-        A[alive] = Sa
-        hit = np.linalg.norm(Xa, axis=1) <= inner_thr
-        escaped = ~hit & ~outer_ok
-        if hit.any():
-            gh = alive[hit]
-            vals = np.zeros(gh.size)
-            for k in range(model.num_regimes):
-                sel = K[gh] == k
-                if sel.any():
-                    vals[sel] = interps[k](X[gh][sel])
-            payoff[gh] = np.exp(A[gh]) * np.maximum(vals, 0.0)
-            status[gh] = 1
-        status[alive[escaped]] = 2
-        alive = alive[~(hit | escaped)]
-    status[alive] = 3
-    return payoff, status
+        hit = _row_norm(X) <= inner_thr
+        stop = hit | ~outer_ok
+        if not stop.any():
+            continue
+        done = row[hit]
+        hit_X[done], hit_K[done], hit_A[done] = X[hit], K[hit], A[hit]
+        status[row[stop]] = np.where(hit[stop], 1, 2)
+        keep = ~stop
+        X, K, A, row = X[keep], K[keep], A[keep], row[keep]
+        running = np.bincount(row // n_paths, minlength=n_starts).tolist()
+    status[row] = 3
+    hits = np.flatnonzero(status == 1)
+    payoff = np.zeros(n_starts * n_paths)
+    payoff[hits] = np.exp(hit_A[hits]) * np.maximum(
+        _psi_values(interps, hit_X[hits], hit_K[hits]), 0.0)
+    return payoff.reshape(n_starts, n_paths), status.reshape(n_starts, n_paths)
 
 
 @dataclasses.dataclass
@@ -559,31 +618,30 @@ def feynman_kac_annulus(model, policy, eigenpair, grid, r_inner, start_points,
     psi = np.asarray(eigenpair.eigenfunction, dtype=float)
     interps = _psi_interpolators(grid, psi)
     cap_steps = int(round(1000.0 * config.horizon / config.step))
-    n_workers = resolve_workers(workers)
-    results = []
-    total_capped = 0
-    for start in start_points:
-        x, k = start
+    starts = []
+    for x, k in start_points:
         x = _coerce_start(model, x)
-        k = int(k)
         r0 = float(np.linalg.norm(x))
         if not (r_inner < r0 and np.all(np.abs(x) < grid.radius)):
             raise ValueError("start %s is not inside the annulus" % x)
-        sizes = _block_sizes(config.paths)
-        parts = _map_blocks(
-            lambda b: _fk_block(model, cmap, config, b, sizes[b], x, k, lam,
-                                interps, r_inner, grid.radius, cap_steps),
-            len(sizes), n_workers,
-        )
-        payoff = np.concatenate([p[0] for p in parts])
-        status = np.concatenate([p[1] for p in parts])
+        starts.append((x, int(k)))
+    if not starts:
+        raise ValueError("need at least one start")
+    sizes = _block_sizes(config.paths)
+    parts = _map_blocks(
+        lambda b: _fk_block(model, cmap, config, b, sizes[b], starts, lam,
+                            interps, r_inner, grid.radius, cap_steps),
+        len(sizes), resolve_workers(workers),
+    )
+    payoffs = np.concatenate([p[0] for p in parts], axis=1)
+    statuses = np.concatenate([p[1] for p in parts], axis=1)
+    results = []
+    for (x, k), payoff, status in zip(starts, payoffs, statuses):
         est = float(np.mean(payoff))
         se = float(np.std(payoff, ddof=1)) / math.sqrt(config.paths) \
             if config.paths > 1 else math.inf
         target = float(interps[k](x[None, :])[0])
         z = (est - target) / se if se > 0 else math.inf * np.sign(est - target)
-        n_capped = int(np.sum(status == 3))
-        total_capped += n_capped
         estimate = CostEstimate(
             value=est, std_error=se, paths=config.paths,
             functional=Functional.FEYNMAN_KAC_ANNULUS,
@@ -600,7 +658,7 @@ def feynman_kac_annulus(model, policy, eigenpair, grid, r_inner, start_points,
     return FeynmanKacReport(
         results=results, eigenvalue=lam, max_abs_z=float(max_z),
         passed=bool(max_z <= 3.0),
-        capped_fraction=total_capped / (config.paths * len(results)),
+        capped_fraction=int(np.sum(statuses == 3)) / statuses.size,
     )
 
 

@@ -3,7 +3,7 @@
 Everything here goes through a different route than the package: dense LAPACK
 spectra instead of sparse inverse iteration, closed forms instead of grids,
 scalar ODEs instead of sampled paths, direct recursions instead of the vector
-simulator.  Tests compare package output against these, never against the
+simulator, a per-group Euler step instead of the fused step kernel.  Tests compare package output against these, never against the
 package itself.
 """
 
@@ -12,6 +12,8 @@ import scipy.linalg
 from scipy.integrate import solve_ivp
 
 import riskswitch as rs
+from riskswitch.simulate import (BGK_BETA, MAX_LEAVE_PROBABILITY,
+                                 StepSizeError)
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +110,65 @@ def occupation_average(step, n_steps, r01, r10, start=0):
 def bm_hit_probability(x, r_inner, r_outer):
     """P(driftless scalar diffusion from x hits r_inner before r_outer)."""
     return (r_outer - x) / (r_outer - r_inner)
+
+
+# ---------------------------------------------------------------------------
+# per-group Euler + switching step (reference for the fused step kernel)
+
+def step_once_per_group(model, cmap, X, K, S, step, sqh, Z, U, cost_shift,
+                        barrier=None):
+    """One Euler + switching step, in place, one (regime, control) group at a time.
+
+    Same contract as ``riskswitch.simulate._step_once``: gathers each group's
+    rows, evaluates the model there, steps them and scatters the results back.
+    Accumulates ``step * (cost - cost_shift)`` into S at the pre-step state;
+    with ``barrier = (r_inner, box_radius)`` also returns the per-path
+    barrier-corrected inner radius and the stay-inside-the-box flag.
+    """
+    n = X.shape[0]
+    ci = cmap.control_indices(X, K)
+    new_X = np.empty_like(X)
+    new_K = np.empty_like(K)
+    inner_thr = outer_ok = None
+    if barrier is not None:
+        r_inner, box_radius = barrier
+        inner_thr = np.empty(n)
+        outer_ok = np.empty(n, dtype=bool)
+    for k in np.unique(K):
+        in_regime = K == k
+        for c in np.unique(ci[in_regime]):
+            g = np.nonzero(in_regime & (ci == c))[0]
+            xi = float(model.controls[c])
+            xs = X[g]
+            b = np.asarray(model.drift(xs, int(k), xi), dtype=float).reshape(g.size, -1)
+            sig = np.asarray(model.diffusion(xs, int(k)), dtype=float)
+            cost = np.asarray(model.cost(xs, int(k), xi), dtype=float).reshape(-1)
+            m = np.asarray(model.rates(xs, xi), dtype=float)
+            leave = -m[:, k, k]
+            worst = int(np.argmax(leave))
+            if step * leave[worst] > MAX_LEAVE_PROBABILITY + 1e-12:
+                raise StepSizeError(step, float(leave[worst]), xs[worst], int(k))
+            S[g] += step * (cost - cost_shift)
+            xn = xs + step * b + sqh * np.einsum("pij,pj->pi", sig, Z[g])
+            new_X[g] = xn
+            if barrier is not None:
+                rad = np.linalg.norm(xs, axis=1, keepdims=True)
+                rdir = xs / rad
+                s_rad = np.linalg.norm(np.einsum("pi,pij->pj", rdir, sig), axis=1)
+                inner_thr[g] = r_inner + BGK_BETA * sqh * s_rad
+                s_row = np.linalg.norm(sig, axis=2)
+                outer_ok[g] = np.all(
+                    np.abs(xn) < box_radius - BGK_BETA * sqh * s_row, axis=1
+                )
+            prob = step * m[:, k, :]
+            prob[:, k] = 0.0
+            prob[:, k] = 1.0 - prob.sum(axis=1)
+            cum = np.cumsum(prob, axis=1)
+            nk = (U[g, None] > cum).sum(axis=1)
+            new_K[g] = np.minimum(nk, model.num_regimes - 1)
+    X[:] = new_X
+    K[:] = new_K
+    return inner_thr, outer_ok
 
 
 # ---------------------------------------------------------------------------

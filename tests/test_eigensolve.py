@@ -151,6 +151,42 @@ def test_no_convergence_error_carries_diagnostics():
     assert exc.value.residual > exc.value.tol
 
 
+def test_roundoff_stall_accepted_without_spinning():
+    # a random policy of `riskswitch verify --builtin bounded2d --radius 4
+    # --nodes-per-unit 14 --alt-policies 5 --seed 59` stalls above the
+    # verification tolerance; the solve must stop at the roundoff stall and
+    # return its best iterate, not spin through the whole budget and raise
+    from riskswitch.eigen import ROUNDOFF_RESIDUAL, verification_tol
+    m = rs.make_builtin("bounded2d")
+    g = rs.grid_for_resolution(2, 4.0, 14)
+    tol = verification_tol(rs.assemble(m, g, rs.constant_policy(g, 2)))
+    op = rs.assemble(m, g, rs.random_policies(m, g, 5, seed=59)[1])
+    pair = rs.principal_eigenpair(op, tol=tol)
+    roundoff = np.finfo(float).eps * float(np.abs(op.matrix).sum(axis=1).max())
+    assert tol < pair.residual <= ROUNDOFF_RESIDUAL * roundoff
+    assert pair.iterations < 100
+    assert np.all(pair.eigenfunction > 0)
+    loose = rs.principal_eigenpair(op, tol=1e-10)
+    assert abs(pair.eigenvalue - loose.eigenvalue) < 1e-10
+
+
+def test_non_finite_operator_fails_fast():
+    m = rs.make_builtin("ou2")
+    g = rs.grid_for_resolution(1, 3.0, 25)
+    op = rs.assemble(m, g, rs.constant_policy(g, 2))
+    bad = op.matrix.copy()
+    bad.data[7] = np.nan
+    with pytest.raises(NoConvergenceError) as exc:
+        rs.principal_eigenpair(dataclasses.replace(op, matrix=bad))
+    assert exc.value.iterations == 0
+    # finite operator, infinite start: the first residual is not finite
+    x0 = np.ones(op.shape[0])
+    x0[3] = np.inf
+    with pytest.raises(NoConvergenceError) as exc:
+        rs.principal_eigenpair(op, x0=x0)
+    assert exc.value.iterations == 1
+
+
 def test_default_tolerance_tracks_matrix_norm():
     # on fine grids the residual of an exact pair sits at roundoff
     # eps * ||A||_inf ~ 1/h^2, above the 1e-10 floor; the default tolerance

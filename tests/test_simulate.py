@@ -10,6 +10,7 @@ import pytest
 import riskswitch as rs
 from riskswitch import PathConfig, StepSizeError
 from riskswitch.simulate import ControlMap, resolve_workers
+import riskswitch.simulate as simulate
 
 import _oracles as orc
 
@@ -302,6 +303,107 @@ def test_annulus_start_validation():
         rs.feynman_kac_annulus(m, 0, ones, g, 0.5, [(np.array([3.5]), 0)], cfg)
     with pytest.raises(ValueError, match="inner radius"):
         rs.feynman_kac_annulus(m, 0, ones, g, 4.0, [(np.array([1.0]), 0)], cfg)
+
+
+def fk_outputs(report):
+    return [(r.estimate.value, r.estimate.std_error, r.z_score, r.hit_fraction,
+             r.exit_fraction, r.capped_fraction) for r in report.results]
+
+
+def mixed_table(model, grid, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, model.num_controls,
+                        size=(model.num_regimes, grid.num_interior))
+
+
+@pytest.mark.parametrize("name", ["ou2", "bounded2d"])
+def test_fk_starts_independent_of_each_other(name):
+    # all starts share one working set, but each keeps its own block stream:
+    # a start's results must not depend on which other starts run with it
+    m = rs.make_builtin(name)
+    if name == "ou2":
+        g = rs.grid_for_resolution(1, 3.0, 10)
+        policy = mixed_table(m, g)
+        starts = [(np.array([1.0]), 0), (np.array([-1.5]), 1), (np.array([2.0]), 1)]
+    else:
+        g = rs.grid_for_resolution(2, 3.0, 5)
+        policy = 1
+        starts = [(np.array([1.0, 0.5]), 0), (np.array([-1.2, 1.0]), 1),
+                  (np.array([0.3, -2.0]), 0)]
+    pair = rs.solve_semilinear(m, g).eigenpair
+    cfg = PathConfig(step=4e-3, horizon=0.5, seed=3, paths=300)
+    together = rs.feynman_kac_annulus(m, policy, pair, g, 0.5, starts, cfg)
+    alone = [fk_outputs(rs.feynman_kac_annulus(m, policy, pair, g, 0.5, [s], cfg))[0]
+             for s in starts]
+    assert fk_outputs(together) == alone
+    assert together.capped_fraction == 0.0
+
+
+def test_fk_worker_count_never_changes_results():
+    # two blocks of paths: bitwise identical for any worker count
+    m = rs.make_builtin("ou2")
+    g = rs.grid_for_resolution(1, 3.0, 10)
+    pair = rs.solve_semilinear(m, g).eigenpair
+    starts = [(np.array([1.0]), 0), (np.array([-1.5]), 1)]
+    cfg = PathConfig(step=5e-3, horizon=0.5, seed=7, paths=6000)
+    outs = [rs.feynman_kac_annulus(m, mixed_table(m, g), pair, g, 0.5, starts, cfg,
+                                   workers=w) for w in (1, 2, 8)]
+    assert fk_outputs(outs[0]) == fk_outputs(outs[1]) == fk_outputs(outs[2])
+    assert outs[0].max_abs_z == outs[1].max_abs_z == outs[2].max_abs_z
+
+
+def test_fused_step_matches_per_group_oracle(monkeypatch):
+    # bounded2d under a mixed table: both regimes and both controls occur, so
+    # the fused kernel runs its multi-group path against the per-group oracle
+    m = rs.make_builtin("bounded2d")
+    g = rs.grid_for_resolution(2, 3.0, 5)
+    table = mixed_table(m, g)
+    cfg = PathConfig(step=0.01, horizon=1.0, seed=4, paths=300)
+    pair = rs.solve_semilinear(m, g).eigenpair
+    starts = [(np.array([1.0, 0.5]), 0), (np.array([-1.2, 1.0]), 1)]
+    fk_cfg = PathConfig(step=4e-3, horizon=0.5, seed=5, paths=200)
+
+    def run():
+        batch = rs.simulate_paths(m, table, cfg, x0=[0.5, -0.5], k0=1, grid=g)
+        fk = rs.feynman_kac_annulus(m, table, pair, g, 0.5, starts, fk_cfg)
+        return batch, fk
+
+    fused, fused_fk = run()
+    monkeypatch.setattr(simulate, "_step_once", orc.step_once_per_group)
+    ref, ref_fk = run()
+    np.testing.assert_array_equal(fused.positions, ref.positions)
+    np.testing.assert_array_equal(fused.regimes, ref.regimes)
+    np.testing.assert_array_equal(fused.integrated_cost, ref.integrated_cost)
+    assert fk_outputs(fused_fk) == fk_outputs(ref_fk)
+    assert set(np.unique(ref.regimes)) == {0, 1}
+    cmap = ControlMap.from_policy(table, g)
+    controls = cmap.control_indices(ref.positions.reshape(-1, 2), ref.regimes.reshape(-1))
+    assert set(np.unique(controls)) == {0, 1}
+
+
+def test_step_size_error_names_state_inside_fk(monkeypatch):
+    # switching intensity grows with |x|: the guard must trip inside the FK
+    # loop at a visited state that breaches the bound, as the oracle does
+    base = rs.make_builtin("ou2")
+    m = dataclasses.replace(base, rates=lambda X, xi: np.abs(X[:, 0])[:, None, None]
+                            * np.array([[-1.0, 1.0], [1.0, -1.0]]))
+    g = rs.grid_for_resolution(1, 4.0, 10)
+    ones = rs.EigenPair(eigenvalue=0.0, eigenfunction=np.ones((2, g.num_interior)),
+                        residual=0.0, iterations=0, shift=0.0)
+    cfg = PathConfig(step=0.2, horizon=1.0, seed=1, paths=64)
+    starts = [(np.array([2.0]), 0)]
+    errors = []
+    for kernel in (simulate._step_once, orc.step_once_per_group):
+        monkeypatch.setattr(simulate, "_step_once", kernel)
+        with pytest.raises(StepSizeError) as exc:
+            rs.feynman_kac_annulus(m, 0, ones, g, 0.5, starts, cfg)
+        errors.append(exc.value)
+    fused, ref = errors
+    assert fused.step * fused.rate > 0.5
+    assert fused.rate == pytest.approx(abs(float(fused.state[0])))
+    assert (fused.rate, fused.state.tolist(), fused.regime) == \
+        (ref.rate, ref.state.tolist(), ref.regime)
+    assert "at state" in str(fused)
 
 
 # ---------------------------------------------------------------------------
