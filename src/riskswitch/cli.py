@@ -32,7 +32,7 @@ from .grid import grid_for_resolution
 from .model import (builtin_certificate, check_lyapunov, make_builtin,
                     validate_model)
 from .operator import MonotonicityViolation, assemble, constant_policy
-from .simulate import (ControlMap, PathConfig, StepSizeError,
+from .simulate import (BLOCK, SET_ROWS, ControlMap, PathConfig, StepSizeError,
                        estimate_risk_sensitive_rate, feynman_kac_annulus,
                        mean_position_diagnostic, resolve_workers, simulate_paths)
 from .verify import (lambda_equals_optimal_value, near_monotone_suite,
@@ -95,11 +95,11 @@ def _emit(outdir, name, config, body):
     return path
 
 
-def _write_meta(outdir, started, args):
+def _write_meta(outdir, started, t0, args):
     meta = {
         "started_at": started,
         "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "duration_sec": time.time() - _write_meta.t0,
+        "duration_sec": time.time() - t0,
         "workers": resolve_workers(getattr(args, "workers", None)),
         "version": __version__,
         "argv": sys.argv[1:],
@@ -189,8 +189,11 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output-dir", default=".")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker threads, at most one per usable CPU "
-                        "(default: RISKSWITCH_WORKERS or 1)")
+                   help="most worker threads (default: RISKSWITCH_WORKERS or "
+                        "1); blocks of %d paths fix the random streams and "
+                        "working sets of up to %d rows the scheduling; threads, "
+                        "at most one per usable CPU, take whole sets only when "
+                        "there is more than one" % (BLOCK, SET_ROWS))
 
 
 def cmd_solve(args):
@@ -519,7 +522,7 @@ def _error_payload(exc, code):
 
 
 def main(argv=None):
-    _write_meta.t0 = time.time()
+    t0 = time.time()
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -537,7 +540,7 @@ def main(argv=None):
         print(_canonical_json(_error_payload(exc, 2)), end="")
         return 2
     try:
-        _write_meta(args.output_dir, started, args)
+        _write_meta(args.output_dir, started, t0, args)
     except OSError:
         pass
     return code

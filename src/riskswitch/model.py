@@ -15,7 +15,9 @@ All coefficient callables are batch-first: they receive states ``X`` of shape
 * ``cost(X, k, xi)    -> (n,)``        values >= 0
 
 with ``k`` a regime index and ``xi`` one control value out of the finite
-ordered control set (the discretization of the compact control space).
+ordered control set (the discretization of the compact control space).  A
+callable may return a read-only array (the builtin ``rates`` broadcast one
+constant matrix), so callers copy before they write.
 """
 
 import dataclasses
@@ -575,7 +577,7 @@ def two_regime_ou_model(kappa=(1.0, 2.0), q=(0.05, 0.10), rho=1.0,
         return np.full((X.shape[0], 1, 1), math.sqrt(2.0))
 
     def rates(X, xi):
-        return np.broadcast_to(rate_matrix, (X.shape[0], 2, 2)).copy()
+        return np.broadcast_to(rate_matrix, (X.shape[0], 2, 2))
 
     def cost(X, k, xi):
         return q[k] * X[:, 0] ** 2
@@ -614,7 +616,7 @@ def bounded_two_regime_2d_model(pull=3.0, cost_scale=0.12, rho=1.0,
         return out
 
     def rates(X, xi):
-        return np.broadcast_to(rate_matrix, (X.shape[0], 2, 2)).copy()
+        return np.broadcast_to(rate_matrix, (X.shape[0], 2, 2))
 
     def cost(X, k, xi):
         r2 = np.einsum("nd,nd->n", X, X)
@@ -653,7 +655,7 @@ def dipped_cost_model(pull=2.0, tail=1.0, dip=(0.95, 0.80), width=2.0, rho=0.5,
         return np.full((X.shape[0], 1, 1), math.sqrt(2.0))
 
     def rates(X, xi):
-        return np.broadcast_to(rate_matrix, (X.shape[0], 2, 2)).copy()
+        return np.broadcast_to(rate_matrix, (X.shape[0], 2, 2))
 
     def cost(X, k, xi):
         return tail - dip[k] * np.exp(-X[:, 0] ** 2 / width)

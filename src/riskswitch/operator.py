@@ -27,7 +27,7 @@ import scipy.io
 import scipy.sparse as sp
 
 from .grid import GridSpec
-from .model import RATE_ROW_SUM_TOL
+from .model import _check_rate_matrices
 
 
 class MonotonicityViolation(RuntimeError):
@@ -146,8 +146,7 @@ def assemble(model, grid, policy):
             c = np.asarray(model.cost(pts, k, xi), dtype=float)
             if np.any(c < -1e-12):
                 raise ValueError("cost must be nonnegative; min %g" % c.min())
-            m = np.asarray(model.rates(pts, xi), dtype=float)
-            _assemble_check_rates(m, xi)
+            m = _check_rate_matrices(model.rates(pts, xi), "control %g" % xi)
 
             if grid.dim == 2:
                 a12 = a_mat[:, 0, 1]
@@ -222,17 +221,3 @@ def assemble(model, grid, policy):
         cost_vector=cost_vec, boundary_outflow=outflow,
     )
 
-
-def _assemble_check_rates(m, xi):
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
-    n = m.shape[-1]
-    off = m.copy()
-    idx = np.arange(n)
-    off[..., idx, idx] = 0.0
-    if np.any(off < -RATE_ROW_SUM_TOL * scale):
-        raise ValueError("negative off-diagonal switching rate under control %g" % xi)
-    worst = float(np.max(np.abs(m.sum(axis=-1))))
-    if worst > RATE_ROW_SUM_TOL * scale:
-        raise ValueError(
-            "switching-rate rows must sum to zero (worst %g under control %g)" % (worst, xi)
-        )

@@ -10,15 +10,18 @@ states actually visited; breaching it aborts with the offending state.
 Reproducibility contract: paths are organized into fixed blocks of 4096.
 Block ``b`` draws from a Philox generator keyed by the seed with counter
 ``b << 128``, so every block's stream is a pure function of (seed, block
-index) and never of scheduling.  Workers (threads, at most one per usable
-CPU) process whole blocks and results are reduced in block order; estimates
-are therefore bitwise identical for any worker count.  Reductions over paths
+index) and never of scheduling.  Blocks fix the random streams; working sets
+fix the scheduling.  Consecutive whole blocks, up to SET_ROWS rows, are
+stepped as one set of rows in block order, each block drawing for its own
+rows in row order.  Threads (at most one per usable CPU) take whole sets, and
+only when a run has more than one; results are reduced in block order, so
+estimates are bitwise identical for any worker count.  Reductions over paths
 use numpy's pairwise summation in path-index order.
 
-The Feynman-Kac check steps block ``b`` of all its starts as one working set
-of running rows.  Each start keeps its own generator for the block, keyed
-exactly as above, and draws for its running rows in row order, so every
-start's numbers, and its results, are those of a run of that start alone.
+The Feynman-Kac check adds its starts to the set, ordered by (block, start,
+path).  Each start keeps its own generator for each block, keyed exactly as
+above, and draws for its running rows in row order, so every start's
+numbers, and its results, are those of a run of that start alone.
 
 Each step groups the rows once by (regime, control), evaluates the model per
 group into whole-set coefficient arrays, and runs the Euler, barrier and
@@ -42,6 +45,9 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 BLOCK = 4096
+# rows stepped as one working set (whole blocks; a wider block is a set alone):
+# fastest per thread on ou2, and no slower than larger sets on bounded2d
+SET_ROWS = 4 * BLOCK
 # Broadie-Glasserman-Kou continuity correction for discretely monitored
 # barriers: shift each barrier by 0.5826 * sigma_normal * sqrt(step)
 BGK_BETA = 0.5826
@@ -198,11 +204,18 @@ def _block_generator(seed, block_index):
     )
 
 
-def _block_sizes(paths):
-    sizes = [BLOCK] * (paths // BLOCK)
-    if paths % BLOCK:
-        sizes.append(paths % BLOCK)
-    return sizes
+def _working_sets(paths, width=1):
+    """Consecutive whole blocks, as lists of (block, size), grouped into
+    working sets of at most SET_ROWS rows at ``width`` rows per path."""
+    sets, rows = [], 0
+    for b, lo in enumerate(range(0, paths, BLOCK)):
+        n = min(BLOCK, paths - lo)
+        if not sets or rows + n * width > SET_ROWS:
+            sets.append([])
+            rows = 0
+        sets[-1].append((b, n))
+        rows += n * width
+    return sets
 
 
 def _usable_cpus():
@@ -211,13 +224,23 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def _map_blocks(fn, n_blocks, workers):
-    # threads beyond the usable CPUs only add interpreter-lock hand-offs
-    threads = min(workers, n_blocks, _usable_cpus())
+def _map_sets(fn, sets, workers):
+    # threads take whole sets; beyond the usable CPUs they only add
+    # interpreter-lock hand-offs, and a run of one set starts no pool
+    threads = min(workers, _usable_cpus(), len(sets))
     if threads == 1:
-        return [fn(b) for b in range(n_blocks)]
+        return [fn(s) for s in sets]
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, range(n_blocks)))
+        return list(ex.map(fn, sets))
+
+
+def _draw(rngs, counts, d):
+    """Normals, then uniforms, from each segment's generator for its running
+    rows, concatenated in row order."""
+    draws = [(rng.standard_normal((c, d)), rng.random(c))
+             for rng, c in zip(rngs, counts) if c]
+    return (np.concatenate([z for z, _ in draws]),
+            np.concatenate([u for _, u in draws]))
 
 
 def _coerce_start(model, x0):
@@ -313,45 +336,28 @@ def _step_once(model, cmap, X, K, S, step, sqh, Z, U, cost_shift, barrier=None):
     return inner_thr, outer_ok
 
 
-def _horizon_block(model, cmap, config, block, n_paths, x0, k0, snap_steps):
-    """Integrated cost per path plus |X| snapshots at the requested steps."""
-    rng = _block_generator(config.seed, block)
-    d = model.dim
-    X = np.repeat(x0[None, :], n_paths, axis=0)
-    K = np.full(n_paths, k0, dtype=np.int64)
-    S = np.zeros(n_paths)
+def _horizon_block(model, cmap, config, blocks, x0, k0, keep_steps=()):
+    """Integrated cost, state and regime per path of whole blocks, a list of
+    (block, size), stepped as one set of rows; plus each path's states and
+    regimes after the steps in ``keep_steps`` (0 is the start)."""
+    sizes = [n for _, n in blocks]
+    rngs = [_block_generator(config.seed, b) for b, _ in blocks]
+    n = sum(sizes)
+    X = np.repeat(x0[None, :], n, axis=0)
+    K = np.full(n, k0, dtype=np.int64)
+    S = np.zeros(n)
+    keep_at = {s: i for i, s in enumerate(keep_steps)}
+    kept_X = np.empty((n, len(keep_steps), model.dim))
+    kept_K = np.empty((n, len(keep_steps)), dtype=np.int64)
     sqh = math.sqrt(config.step)
-    snap_at = {s: i for i, s in enumerate(snap_steps)}
-    snaps = np.zeros((len(snap_steps), n_paths)) if snap_steps else None
-    n_steps = max(snap_steps[-1], config.n_steps) if snap_steps else config.n_steps
-    for t in range(n_steps):
-        Z = rng.standard_normal((n_paths, d))
-        U = rng.random(n_paths)
-        _step_once(model, cmap, X, K, S, config.step, sqh, Z, U, 0.0)
-        if snaps is not None and (t + 1) in snap_at:
-            snaps[snap_at[t + 1]] = _row_norm(X)
-    return S, snaps, X, K
-
-
-def _record_block(model, cmap, config, block, n_paths, x0, k0):
-    rng = _block_generator(config.seed, block)
-    d = model.dim
-    n_steps = config.n_steps
-    X = np.repeat(x0[None, :], n_paths, axis=0)
-    K = np.full(n_paths, k0, dtype=np.int64)
-    S = np.zeros(n_paths)
-    pos = np.empty((n_paths, n_steps + 1, d))
-    reg = np.empty((n_paths, n_steps + 1), dtype=np.int64)
-    pos[:, 0] = X
-    reg[:, 0] = K
-    sqh = math.sqrt(config.step)
-    for t in range(n_steps):
-        Z = rng.standard_normal((n_paths, d))
-        U = rng.random(n_paths)
-        _step_once(model, cmap, X, K, S, config.step, sqh, Z, U, 0.0)
-        pos[:, t + 1] = X
-        reg[:, t + 1] = K
-    return pos, reg, S
+    n_steps = max([config.n_steps, *keep_steps])
+    for t in range(n_steps + 1):
+        if t in keep_at:
+            kept_X[:, keep_at[t]], kept_K[:, keep_at[t]] = X, K
+        if t < n_steps:
+            Z, U = _draw(rngs, sizes, model.dim)
+            _step_once(model, cmap, X, K, S, config.step, sqh, Z, U, 0.0)
+    return S, X, K, kept_X, kept_K
 
 
 @dataclasses.dataclass
@@ -397,14 +403,12 @@ def simulate_paths(model, policy_or_control, config, x0=None, k0=0,
             "trajectory recording would allocate %d entries; "
             "use the estimators for runs this large" % n_entries
         )
-    sizes = _block_sizes(config.paths)
-    parts = _map_blocks(
-        lambda b: _record_block(model, cmap, config, b, sizes[b], x0, int(k0)),
-        len(sizes), resolve_workers(workers),
+    parts = _map_sets(
+        lambda blocks: _horizon_block(model, cmap, config, blocks, x0, int(k0),
+                                      range(config.n_steps + 1)),
+        _working_sets(config.paths), resolve_workers(workers),
     )
-    pos = np.concatenate([p[0] for p in parts], axis=0)
-    reg = np.concatenate([p[1] for p in parts], axis=0)
-    S = np.concatenate([p[2] for p in parts], axis=0)
+    S, pos, reg = (np.concatenate([p[i] for p in parts]) for i in (0, 3, 4))
     times = np.arange(config.n_steps + 1) * config.step
     return TrajectoryBatch(times=times, positions=pos, regimes=reg,
                            integrated_cost=S, config=config)
@@ -445,18 +449,15 @@ def estimate_risk_sensitive_rate(model, policy, config, lambda_ref=None,
     else:
         interps = None
 
-    def block_sums(b, n):
-        S, _, X, K = _horizon_block(model, cmap, config, b, n, x0, k0, ())
+    def set_sums(blocks):
+        S, X, K, _, _ = _horizon_block(model, cmap, config, blocks, x0, k0)
         if interps is not None:
             with np.errstate(divide="ignore"):
                 S = S + np.log(_psi_values(interps, X, K)) - log_psi0
         return S
 
-    sizes = _block_sizes(config.paths)
-    parts = _map_blocks(
-        lambda b: block_sums(b, sizes[b]),
-        len(sizes), resolve_workers(workers),
-    )
+    parts = _map_sets(set_sums, _working_sets(config.paths),
+                      resolve_workers(workers))
     S = np.concatenate(parts)
     T = config.actual_horizon
     log_mean, w, mean_w = _logmeanexp(S)
@@ -508,38 +509,40 @@ def _psi_values(interps, X, K):
     return vals
 
 
-def _fk_block(model, cmap, config, block, n_paths, starts, lam, interps,
+def _fk_block(model, cmap, config, blocks, starts, lam, interps,
               r_inner, box_radius, cap_steps):
-    """Payoff and status, each (starts, paths), of block ``block`` of every start.
+    """Payoff and status, each (starts, paths of the set), of whole blocks,
+    a list of (block, size), of every start.
 
-    The running rows of all starts form one working set, ordered by (start,
-    path), that is stepped once per step.  Each start draws from its own
-    generator keyed (seed, block), normals then uniforms for its running rows
-    in row order, so every path sees the numbers it would see in a run of its
-    start alone.  The set is compacted only on steps where a path stopped.
+    The running rows of all (block, start) segments form one working set,
+    ordered by (block, start, path), that is stepped once per step.  Each
+    segment draws from its own generator keyed (seed, block), normals then
+    uniforms for its running rows in row order, so every path sees the
+    numbers it would see in a run of its start alone.  The set is compacted
+    only on steps where a path stopped.
     """
     n_starts = len(starts)
     d = model.dim
-    rngs = [_block_generator(config.seed, block) for _ in range(n_starts)]
-    X = np.repeat(np.stack([x for x, _ in starts]), n_paths, axis=0)
-    K = np.repeat(np.array([k for _, k in starts], dtype=np.int64), n_paths)
-    A = np.zeros(n_starts * n_paths)
-    row = np.arange(n_starts * n_paths)  # start * n_paths + path
-    running = [n_paths] * n_starts
+    running = [n for _, n in blocks for _ in starts]
+    edges = np.cumsum([0] + running)  # segment s holds rows edges[s]:edges[s+1]
+    rngs = [_block_generator(config.seed, b) for b, _ in blocks for _ in starts]
+    X = np.repeat(np.stack([x for x, _ in starts] * len(blocks)), running, axis=0)
+    K = np.repeat(np.array([k for _, k in starts] * len(blocks), dtype=np.int64),
+                  running)
+    n = X.shape[0]
+    A = np.zeros(n)
+    row = np.arange(n)
     # status: 0 = running, 1 = hit inner ball, 2 = left box, 3 = capped;
     # a hit row keeps its hitting state and exponent for the payoff
-    status = np.zeros(n_starts * n_paths, dtype=np.int8)
-    hit_X = np.zeros((n_starts * n_paths, d))
-    hit_K = np.zeros(n_starts * n_paths, dtype=np.int64)
-    hit_A = np.zeros(n_starts * n_paths)
+    status = np.zeros(n, dtype=np.int8)
+    hit_X = np.zeros((n, d))
+    hit_K = np.zeros(n, dtype=np.int64)
+    hit_A = np.zeros(n)
     sqh = math.sqrt(config.step)
     for _ in range(cap_steps):
         if row.size == 0:
             break
-        draws = [(rng.standard_normal((c, d)), rng.random(c))
-                 for rng, c in zip(rngs, running) if c]
-        Z = np.concatenate([z for z, _ in draws])
-        U = np.concatenate([u for _, u in draws])
+        Z, U = _draw(rngs, running, d)
         inner_thr, outer_ok = _step_once(
             model, cmap, X, K, A, config.step, sqh, Z, U, lam,
             barrier=(r_inner, box_radius),
@@ -553,13 +556,16 @@ def _fk_block(model, cmap, config, block, n_paths, starts, lam, interps,
         status[row[stop]] = np.where(hit[stop], 1, 2)
         keep = ~stop
         X, K, A, row = X[keep], K[keep], A[keep], row[keep]
-        running = np.bincount(row // n_paths, minlength=n_starts).tolist()
+        running = np.diff(np.searchsorted(row, edges)).tolist()
     status[row] = 3
     hits = np.flatnonzero(status == 1)
-    payoff = np.zeros(n_starts * n_paths)
+    payoff = np.zeros(n)
     payoff[hits] = np.exp(hit_A[hits]) * np.maximum(
         _psi_values(interps, hit_X[hits], hit_K[hits]), 0.0)
-    return payoff.reshape(n_starts, n_paths), status.reshape(n_starts, n_paths)
+    # (block, start, path) rows to one (start, path) row per start
+    cuts = edges[::n_starts][1:-1]
+    return tuple(np.concatenate([v.reshape(n_starts, -1) for v in np.split(a, cuts)],
+                                axis=1) for a in (payoff, status))
 
 
 @dataclasses.dataclass
@@ -627,11 +633,10 @@ def feynman_kac_annulus(model, policy, eigenpair, grid, r_inner, start_points,
         starts.append((x, int(k)))
     if not starts:
         raise ValueError("need at least one start")
-    sizes = _block_sizes(config.paths)
-    parts = _map_blocks(
-        lambda b: _fk_block(model, cmap, config, b, sizes[b], starts, lam,
-                            interps, r_inner, grid.radius, cap_steps),
-        len(sizes), resolve_workers(workers),
+    parts = _map_sets(
+        lambda blocks: _fk_block(model, cmap, config, blocks, starts, lam,
+                                 interps, r_inner, grid.radius, cap_steps),
+        _working_sets(config.paths, len(starts)), resolve_workers(workers),
     )
     payoffs = np.concatenate([p[0] for p in parts], axis=1)
     statuses = np.concatenate([p[1] for p in parts], axis=1)
@@ -703,13 +708,12 @@ def mean_position_diagnostic(model, policy, config, horizons=None, x0=None,
         snap_steps.append(s)
     if any(b <= a for a, b in zip(snap_steps, snap_steps[1:])):
         raise ValueError("horizons must be strictly increasing")
-    sizes = _block_sizes(config.paths)
-    parts = _map_blocks(
-        lambda b: _horizon_block(model, cmap, config, b, sizes[b], x0, k0,
-                                 tuple(snap_steps))[1],
-        len(sizes), resolve_workers(workers),
+    parts = _map_sets(
+        lambda blocks: _horizon_block(model, cmap, config, blocks, x0, k0,
+                                      snap_steps)[3],
+        _working_sets(config.paths), resolve_workers(workers),
     )
-    snaps = np.concatenate(parts, axis=1)
+    snaps = np.ascontiguousarray(_row_norm(np.concatenate(parts)).T)
     times = [s * config.step for s in snap_steps]
     estimates = []
     values = []

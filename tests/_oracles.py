@@ -3,15 +3,19 @@
 Everything here goes through a different route than the package: dense LAPACK
 spectra instead of sparse inverse iteration, closed forms instead of grids,
 scalar ODEs instead of sampled paths, direct recursions instead of the vector
-simulator, a per-group Euler step instead of the fused step kernel.  Tests compare package output against these, never against the
-package itself.
+simulator, a per-group Euler step instead of the fused step kernel, one
+block of paths at a time instead of working sets.  Tests compare package
+output against these, never against the package itself.
 """
+
+import math
 
 import numpy as np
 import scipy.linalg
 from scipy.integrate import solve_ivp
 
 import riskswitch as rs
+import riskswitch.simulate as simulate
 from riskswitch.simulate import (BGK_BETA, MAX_LEAVE_PROBABILITY,
                                  StepSizeError)
 
@@ -169,6 +173,77 @@ def step_once_per_group(model, cmap, X, K, S, step, sqh, Z, U, cost_shift,
     X[:] = new_X
     K[:] = new_K
     return inner_thr, outer_ok
+
+
+# ---------------------------------------------------------------------------
+# one-block Monte Carlo steppers (reference for the working-set steppers)
+#
+# Each steps one block of paths on the block's own generator.  The
+# ``*_per_block`` wrappers take a working set, a list of (block, size), run
+# its blocks one at a time and lay the results out as the package's set
+# steppers do, so a test can put them in their place.
+
+def horizon_block(model, cmap, config, block, n_paths, x0, k0, keep_steps):
+    """Integrated cost, state and regime per path, plus the states and
+    regimes after the steps in ``keep_steps``, of one block of paths."""
+    rng = simulate._block_generator(config.seed, block)
+    d = model.dim
+    X = np.repeat(x0[None, :], n_paths, axis=0)
+    K = np.full(n_paths, k0, dtype=np.int64)
+    S = np.zeros(n_paths)
+    sqh = math.sqrt(config.step)
+    history = [(X.copy(), K.copy())]
+    for _ in range(max([config.n_steps, *keep_steps])):
+        Z = rng.standard_normal((n_paths, d))
+        U = rng.random(n_paths)
+        simulate._step_once(model, cmap, X, K, S, config.step, sqh, Z, U, 0.0)
+        history.append((X.copy(), K.copy()))
+    keep = list(keep_steps)
+    return (S, X, K, np.stack([x for x, _ in history], axis=1)[:, keep],
+            np.stack([k for _, k in history], axis=1)[:, keep])
+
+
+def fk_block(model, cmap, config, block, n_paths, starts, lam, interps,
+             r_inner, box_radius, cap_steps):
+    """Payoff and status, each (starts, paths), of one block of every start,
+    stepping each start's running paths on its own."""
+    d = model.dim
+    payoff = np.zeros((len(starts), n_paths))
+    status = np.zeros((len(starts), n_paths), dtype=np.int8)
+    sqh = math.sqrt(config.step)
+    for i, (x, k) in enumerate(starts):
+        rng = simulate._block_generator(config.seed, block)
+        X = np.repeat(x[None, :], n_paths, axis=0)
+        K = np.full(n_paths, k, dtype=np.int64)
+        A = np.zeros(n_paths)
+        row = np.arange(n_paths)
+        for _ in range(cap_steps):
+            if row.size == 0:
+                break
+            Z = rng.standard_normal((row.size, d))
+            U = rng.random(row.size)
+            inner_thr, outer_ok = simulate._step_once(
+                model, cmap, X, K, A, config.step, sqh, Z, U, lam,
+                barrier=(r_inner, box_radius))
+            hit = np.linalg.norm(X, axis=1) <= inner_thr
+            stop = hit | ~outer_ok
+            payoff[i, row[hit]] = np.exp(A[hit]) * np.maximum(
+                simulate._psi_values(interps, X[hit], K[hit]), 0.0)
+            status[i, row[stop]] = np.where(hit[stop], 1, 2)
+            X, K, A, row = X[~stop], K[~stop], A[~stop], row[~stop]
+        status[i, row] = 3
+    return payoff, status
+
+
+def horizon_per_block(model, cmap, config, blocks, x0, k0, keep_steps=()):
+    parts = [horizon_block(model, cmap, config, b, n, x0, k0, keep_steps)
+             for b, n in blocks]
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def fk_per_block(model, cmap, config, blocks, *args):
+    parts = [fk_block(model, cmap, config, b, n, *args) for b, n in blocks]
+    return tuple(np.concatenate(p, axis=1) for p in zip(*parts))
 
 
 # ---------------------------------------------------------------------------

@@ -407,6 +407,129 @@ def test_step_size_error_names_state_inside_fk(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# working sets
+
+
+RAGGED = 3 * simulate.BLOCK + 123
+
+
+def mc_outputs(m, g, policy, pair, starts, x0):
+    """Every Monte Carlo entry point on RAGGED paths (one working set for the
+    path steppers, two for the FK check over two starts)."""
+    rate_cfg = PathConfig(step=0.05, horizon=1.0, seed=8, paths=RAGGED)
+    rate = rs.estimate_risk_sensitive_rate(m, policy, rate_cfg, x0=x0, grid=g)
+    weighted = rs.estimate_risk_sensitive_rate(m, policy, rate_cfg, x0=x0, k0=1,
+                                               grid=g, terminal_pair=pair)
+    batch = rs.simulate_paths(m, policy, PathConfig(step=0.1, horizon=1.0, seed=9,
+                                                    paths=RAGGED), x0=x0, grid=g)
+    mean_pos = rs.mean_position_diagnostic(m, policy, rate_cfg, x0=x0, grid=g)
+    fk = rs.feynman_kac_annulus(m, policy, pair, g, 0.5, starts,
+                                PathConfig(step=0.01, horizon=0.5, seed=10,
+                                           paths=RAGGED))
+    return ([(e.value, e.std_error, e.ess) for e in (rate, weighted)],
+            batch, (mean_pos.values, mean_pos.std_errors), fk_outputs(fk))
+
+
+@pytest.mark.parametrize("name", ["ou2", "bounded2d"])
+def test_working_sets_match_per_block_oracle(name, monkeypatch):
+    # a ragged multi-block run stepped as working sets must be bitwise the
+    # run of its blocks one at a time
+    m = rs.make_builtin(name)
+    if name == "ou2":
+        g = rs.grid_for_resolution(1, 3.0, 10)
+        sol = rs.solve_semilinear(m, g)
+        policy, pair = sol.policy, sol.eigenpair
+        starts = [(np.array([1.0]), 0), (np.array([-1.5]), 1)]
+        x0 = [0.5]
+    else:
+        g = rs.grid_for_resolution(2, 3.0, 5)
+        policy, pair = mixed_table(m, g), rs.solve_semilinear(m, g).eigenpair
+        starts = [(np.array([1.0, 0.5]), 0), (np.array([-1.2, 1.0]), 1)]
+        x0 = [0.5, -0.5]
+    assert [len(simulate._working_sets(RAGGED, w)) for w in (1, 2)] == [1, 2]
+    fused = mc_outputs(m, g, policy, pair, starts, x0)
+    monkeypatch.setattr(simulate, "_horizon_block", orc.horizon_per_block)
+    monkeypatch.setattr(simulate, "_fk_block", orc.fk_per_block)
+    ref = mc_outputs(m, g, policy, pair, starts, x0)
+    assert fused[0] == ref[0]
+    np.testing.assert_array_equal(fused[1].positions, ref[1].positions)
+    np.testing.assert_array_equal(fused[1].regimes, ref[1].regimes)
+    np.testing.assert_array_equal(fused[1].integrated_cost, ref[1].integrated_cost)
+    assert fused[2] == ref[2]
+    assert fused[3] == ref[3]
+
+
+def test_set_steppers_match_per_block_oracle():
+    # the steppers' raw per-path outputs, whose order the estimates above
+    # cannot see, laid out block by block as the per-block oracle does
+    m = rs.make_builtin("bounded2d")
+    g = rs.grid_for_resolution(2, 3.0, 5)
+    cmap = ControlMap.coerce(mixed_table(m, g), grid=g)
+    pair = rs.solve_semilinear(m, g).eigenpair
+    blocks = [(2, 300), (3, 123)]
+    cfg = PathConfig(step=0.05, horizon=1.0, seed=15, paths=1)
+    x0 = np.array([0.5, -0.5])
+    for fused, ref in zip(simulate._horizon_block(m, cmap, cfg, blocks, x0, 1, [0, 3, 25]),
+                          orc.horizon_per_block(m, cmap, cfg, blocks, x0, 1, [0, 3, 25])):
+        np.testing.assert_array_equal(fused, ref)
+    starts = [(np.array([1.0, 0.5]), 0), (np.array([-1.2, 1.0]), 1)]
+    fk_args = (starts, pair.eigenvalue, simulate._psi_interpolators(g, pair.eigenfunction),
+               0.5, g.radius, 10000)
+    fk_cfg = PathConfig(step=0.01, horizon=0.5, seed=16, paths=1)
+    for fused, ref in zip(simulate._fk_block(m, cmap, fk_cfg, blocks, *fk_args),
+                          orc.fk_per_block(m, cmap, fk_cfg, blocks, *fk_args)):
+        np.testing.assert_array_equal(fused, ref)
+
+
+def test_worker_count_never_changes_multi_set_results(monkeypatch):
+    # two working sets per run, so any worker count above one starts threads
+    pools = []
+
+    class CountingPool(simulate.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    m = rs.make_builtin("ou2")
+    g = rs.grid_for_resolution(1, 3.0, 10)
+    pair = rs.solve_semilinear(m, g).eigenpair
+    table = mixed_table(m, g)
+    starts = [(np.array([1.0]), 0), (np.array([-1.5]), 1)]
+    rate_cfg = PathConfig(step=0.05, horizon=1.0, seed=12, paths=5 * simulate.BLOCK + 17)
+    fk_cfg = PathConfig(step=0.01, horizon=0.5, seed=13, paths=9000)
+    assert len(simulate._working_sets(rate_cfg.paths)) == 2
+    assert len(simulate._working_sets(fk_cfg.paths, len(starts))) == 2
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", CountingPool)
+    outs = []
+    for w in (1, 2, 8):
+        pools.clear()
+        est = rs.estimate_risk_sensitive_rate(m, table, rate_cfg, workers=w, grid=g)
+        fk = rs.feynman_kac_annulus(m, table, pair, g, 0.5, starts, fk_cfg, workers=w)
+        outs.append(((est.value, est.std_error, est.ess), fk_outputs(fk)))
+        threads = min(w, simulate._usable_cpus(), 2)
+        assert pools == ([threads] * 2 if threads > 1 else [])
+    assert outs[0] == outs[1] == outs[2]
+
+
+def test_one_set_run_starts_no_thread_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a run of one working set started a thread pool")
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", no_pool)
+    m = rs.make_builtin("ou2")
+    g = rs.grid_for_resolution(1, 3.0, 10)
+    pair = rs.solve_semilinear(m, g).eigenpair
+    starts = [(np.array([1.0]), 0), (np.array([-1.5]), 1)]
+    cfg = PathConfig(step=0.05, horizon=1.0, seed=14, paths=2 * simulate.BLOCK)
+    assert len(simulate._working_sets(cfg.paths, len(starts))) == 1
+    rs.estimate_risk_sensitive_rate(m, 0, cfg, workers=8)
+    rs.simulate_paths(m, 0, cfg, workers=8)
+    rs.mean_position_diagnostic(m, 0, cfg, workers=8)
+    rs.feynman_kac_annulus(m, 0, pair, g, 0.5, starts,
+                           dataclasses.replace(cfg, step=0.01, horizon=0.5), workers=8)
+
+
+# ---------------------------------------------------------------------------
 # growth diagnostic
 
 
