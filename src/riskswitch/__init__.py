@@ -8,8 +8,8 @@ together.
 __version__ = "0.1.0"
 
 from .eigen import (EigenPair, NoConvergenceError, NotIrreducibleError,
-                    OscillatingPolicyError, SemilinearSolution, SweepResult,
-                    domain_sweep, minimizing_selector, potential_monotonicity_check,
+                    SemilinearSolution, SweepResult, domain_sweep,
+                    minimizing_selector, potential_monotonicity_check,
                     principal_eigenpair, solve_semilinear, uniqueness_check)
 from .estimator import NotFittedError, RiskSensitiveController
 from .expressions import ExpressionError, compile_expression, load_model, model_from_spec
@@ -31,7 +31,7 @@ __all__ = [
     "DiscreteOperator", "EigenPair", "ExpressionError", "Functional",
     "GridSpec", "GrowthBound", "LyapunovCertificate", "MonotonicityViolation",
     "NoConvergenceError", "NotFittedError", "NotIrreducibleError",
-    "OscillatingPolicyError", "PathConfig", "RiskSensitiveController",
+    "PathConfig", "RiskSensitiveController",
     "SemilinearSolution", "StepSizeError", "SweepResult", "SwitchingModel",
     "TrajectoryBatch", "ValidationReport", "assemble",
     "bounded_two_regime_2d_model", "build_grid", "builtin_certificate",

@@ -2,14 +2,16 @@
 
 Commands: solve, sweep, simulate, verify, validate.  Exit codes: 0 all
 requested checks pass, 1 a check failed, 2 usage or configuration error,
-3 numeric failure (irreducibility, convergence, stencil positivity, step
-size).
+3 numeric failure (irreducibility, eigensolver convergence, stencil
+positivity, step size).  An unconverged policy iteration writes its
+artifacts with ``"converged": false`` and exits 1 (in verify, as the failed
+check ``policy_iteration``).
 
-Every machine output embeds the resolved configuration, the seed, and a
-sha256 hash of that configuration, and is written deterministically (sorted
-keys, fixed float formatting via repr).  Wall-clock metadata and the worker
-count live in a run_meta.json side file so that reruns of the same
-configuration are byte-identical regardless of parallelism.
+Every machine output embeds the resolved configuration and a sha256 hash of
+it, and is written deterministically (sorted keys, fixed float formatting
+via repr).  Wall-clock metadata and the worker count live in a run_meta.json
+side file so that reruns of the same configuration are byte-identical
+regardless of parallelism.
 """
 
 import argparse
@@ -24,23 +26,22 @@ import time
 import numpy as np
 
 from . import __version__
-from .eigen import (NoConvergenceError, NotIrreducibleError,
-                    OscillatingPolicyError, domain_sweep, solve_semilinear,
-                    verification_tol)
+from .eigen import (NoConvergenceError, NotIrreducibleError, domain_sweep,
+                    solve_semilinear)
 from .expressions import ExpressionError, load_model
 from .grid import grid_for_resolution
 from .model import (builtin_certificate, check_lyapunov, make_builtin,
                     validate_model)
-from .operator import MonotonicityViolation, assemble, constant_policy
+from .operator import MonotonicityViolation, assemble
 from .simulate import (BLOCK, SET_ROWS, ControlMap, PathConfig, StepSizeError,
                        estimate_risk_sensitive_rate, feynman_kac_annulus,
                        mean_position_diagnostic, resolve_workers, simulate_paths)
-from .verify import (lambda_equals_optimal_value, near_monotone_suite,
-                     random_policies, validate_near_monotone, verify_optimality)
+from .verify import (lambda_equals_optimal_value, random_policies,
+                     validate_near_monotone, verification_eig_tol,
+                     verify_optimality)
 
 NUMERIC_ERRORS = (MonotonicityViolation, NotIrreducibleError,
-                  NoConvergenceError, OscillatingPolicyError, StepSizeError,
-                  np.linalg.LinAlgError)
+                  NoConvergenceError, StepSizeError, np.linalg.LinAlgError)
 
 
 class UsageError(ValueError):
@@ -186,8 +187,10 @@ def _add_model_flags(p):
 
 
 def _add_common(p):
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output-dir", default=".")
+
+
+def _add_workers(p):
     p.add_argument("--workers", type=int, default=None,
                    help="most worker threads (default: RISKSWITCH_WORKERS or "
                         "1); blocks of %d paths fix the random streams and "
@@ -206,8 +209,7 @@ def cmd_solve(args):
         op.write_matrix_market(args.dump_operator)
     config = {"command": "solve", "model": _model_config(args, model),
               "radius": args.radius, "nodes_per_unit": args.nodes_per_unit,
-              "tol": args.tol, "max_policy_iters": args.max_policy_iters,
-              "seed": args.seed}
+              "tol": args.tol, "max_policy_iters": args.max_policy_iters}
     body = {
         "lambda": sol.eigenpair.eigenvalue,
         "radius": args.radius,
@@ -221,7 +223,7 @@ def cmd_solve(args):
     }
     _emit(args.output_dir, "solve.json", config, body)
     _write_psi_csv("%s/psi.csv" % args.output_dir, grid, sol.eigenpair)
-    return 0
+    return 0 if sol.converged else 1
 
 
 def cmd_sweep(args):
@@ -232,11 +234,11 @@ def cmd_sweep(args):
     sweep = domain_sweep(model, radii, args.nodes_per_unit, tol=args.tol)
     config = {"command": "sweep", "model": _model_config(args, model),
               "radii": radii, "nodes_per_unit": args.nodes_per_unit,
-              "tol": args.tol, "seed": args.seed}
+              "tol": args.tol}
     body = {
         "entries": [
             {"radius": e.radius, "lambda": e.eigenvalue,
-             "iterations": e.iterations,
+             "iterations": e.iterations, "converged": e.converged,
              "policy_histogram": _policy_histogram(e.policy, model.num_controls),
              "residual": e.eigenpair.residual}
             for e in sweep.entries
@@ -247,7 +249,8 @@ def cmd_sweep(args):
         "increments": sweep.increments,
     }
     _emit(args.output_dir, "sweep.json", config, body)
-    return 0 if sweep.monotone else 1
+    converged = all(e.converged for e in sweep.entries)
+    return 0 if sweep.monotone and converged else 1
 
 
 def cmd_simulate(args):
@@ -345,13 +348,12 @@ def cmd_verify(args):
         elif report.status == "inconclusive":
             flagged.append("certificate")
 
-    # eig_tol tight so the optimality comparisons are not dominated by
-    # eigensolver noise (the auto tolerance leaves ~1e-10 in lambda)
-    eig_tol = verification_tol(
-        assemble(model, grid, constant_policy(grid, model.num_regimes)))
+    eig_tol = verification_eig_tol(model, grid)
     sol = solve_semilinear(model, grid, tol=args.tol,
                            max_policy_iters=args.max_policy_iters,
                            eig_tol=eig_tol)
+    if not sol.converged:
+        failed.append("policy_iteration")
     alt = random_policies(model, grid, args.alt_policies, seed=args.seed)
     opt = verify_optimality(model, grid, alt, solution=sol, eig_tol=eig_tol)
     checks["optimality"] = opt.as_dict()
@@ -363,7 +365,7 @@ def cmd_verify(args):
                          paths=args.paths)
         match = lambda_equals_optimal_value(
             model, grid, args.rate_policies, sim, seed=args.seed,
-            workers=args.workers, solution=sol)
+            workers=args.workers, solution=sol, eig_tol=eig_tol)
         checks["lambda_match"] = match.as_dict()
         if not match.passed:
             failed.append("lambda_match")
@@ -468,6 +470,8 @@ def build_parser():
     p = sub.add_parser("simulate", help="Monte Carlo functionals under a constant control")
     _add_model_flags(p)
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    _add_workers(p)
     p.add_argument("--functional", choices=["rate", "mean-position", "paths"],
                    default="rate")
     p.add_argument("--step", type=float, required=True)
@@ -482,6 +486,8 @@ def build_parser():
     p = sub.add_parser("verify", help="full verification pipeline")
     _add_model_flags(p)
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    _add_workers(p)
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--nodes-per-unit", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-11)
@@ -507,6 +513,7 @@ def build_parser():
     p = sub.add_parser("validate", help="model hypothesis and certificate checks")
     _add_model_flags(p)
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--radius", type=float, default=5.0)
     p.add_argument("--nodes-per-unit", type=int, default=10)
     p.add_argument("--samples", type=int, default=1000)

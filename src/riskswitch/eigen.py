@@ -13,8 +13,8 @@ The control problem is solved by Howard policy iteration over table policies:
 evaluate the current policy's eigenpair, re-decide every (node, regime)
 control by minimizing the drift/cost/switching bracket against the current
 eigenfunction (re-deciding the upwind direction per candidate control), and
-repeat.  The eigenvalue trace is non-increasing; a policy cycle without
-eigenvalue progress returns the trace's minimal member.
+repeat.  The eigenvalue trace is non-increasing; on a policy cycle or an
+exhausted budget the evaluated policy with the smallest eigenvalue is returned.
 
 Domains are nested boxes: a domain sweep over strictly increasing radii at a
 fixed node density yields strictly increasing eigenvalues (a proper principal
@@ -33,7 +33,8 @@ from .grid import GridSpec, grid_for_resolution
 from .operator import assemble, constant_policy
 
 DEFAULT_RESIDUAL_TOL = 1e-10
-NORMALIZATION_TOL = 1e-12
+LAMBDA_TOL = 1e-10  # eigenvalues that should agree
+PSI_TOL = 1e-8  # eigenfunctions that should agree, in relative sup norm
 # Inverse iteration has stalled when its residual has not improved on the
 # best one for this many iterations, the best being at roundoff level.
 STALL_ITERATIONS = 20
@@ -58,10 +59,6 @@ class NoConvergenceError(RuntimeError):
             "no convergence after %d iterations: residual %.3e > tol %.3e"
             % (iterations, residual, tol)
         )
-
-
-class OscillatingPolicyError(RuntimeError):
-    """Policy iteration entered a cycle without eigenvalue progress."""
 
 
 @dataclasses.dataclass
@@ -244,33 +241,30 @@ class SemilinearSolution:
     oscillated: bool
 
 
-def solve_semilinear(model, grid, tol=1e-11, max_policy_iters=60,
-                     eig_tol=None, eig_max_iter=5000):
+def solve_semilinear(model, grid, tol=1e-11, max_policy_iters=60, eig_tol=None):
     """Howard policy iteration for the minimal principal eigenvalue.
 
     Starts from the constant lowest-index policy; alternates policy evaluation
     (principal eigenpair of the frozen-policy operator) with the minimizing
-    selector.  Stops when the policy repeats or the eigenvalue stabilizes
-    within ``tol``; on a proper cycle the member with the smallest eigenvalue
-    is re-evaluated and returned with ``oscillated=True``.
+    selector.  Converges when the policy repeats or the eigenvalue stabilizes
+    within ``tol``.  On a cycle (``oscillated=True``, counted as converged) or
+    an exhausted budget (``converged=False``) the evaluated policy with the
+    smallest eigenvalue is returned with its eigenpair.
     """
+    if max_policy_iters < 1:
+        raise ValueError("max_policy_iters must be >= 1")
     policy = constant_policy(grid, model.num_regimes, 0)
-    seen = {}
+    seen = set()
     trace = []
-    pair = None
     warm = None
-    best_policy, best_lambda = None, np.inf
-    oscillated = False
-    converged = False
-    it = 0
+    best = None
+    converged = oscillated = False
     for it in range(1, max_policy_iters + 1):
-        key = policy.tobytes()
-        op = assemble(model, grid, policy)
-        pair = principal_eigenpair(op, tol=eig_tol, max_iter=eig_max_iter, x0=warm)
-        warm = pair.flat().copy()
+        pair = principal_eigenpair(assemble(model, grid, policy), tol=eig_tol, x0=warm)
+        warm = pair.flat()
         trace.append(pair.eigenvalue)
-        if pair.eigenvalue < best_lambda:
-            best_lambda, best_policy = pair.eigenvalue, policy.copy()
+        if best is None or pair.eigenvalue < best[1].eigenvalue:
+            best = (policy, pair)
         nxt = minimizing_selector(model, grid, pair.eigenfunction)
         if np.array_equal(nxt, policy):
             converged = True
@@ -279,24 +273,13 @@ def solve_semilinear(model, grid, tol=1e-11, max_policy_iters=60,
             # eigenvalue stalled; keep the policy the eigenpair was built on
             converged = True
             break
+        seen.add(policy.tobytes())
         if nxt.tobytes() in seen:
-            # cycle: fall back to the best policy seen so far
             oscillated = True
             break
-        seen[key] = pair.eigenvalue
         policy = nxt
-
-    if oscillated and not np.array_equal(best_policy, policy):
-        op = assemble(model, grid, best_policy)
-        pair = principal_eigenpair(op, tol=eig_tol, max_iter=eig_max_iter)
-        policy = best_policy
-        trace.append(pair.eigenvalue)
-    if not converged and not oscillated:
-        # budget exhausted: keep the best policy encountered
-        if best_policy is not None and not np.array_equal(best_policy, policy):
-            op = assemble(model, grid, best_policy)
-            pair = principal_eigenpair(op, tol=eig_tol, max_iter=eig_max_iter)
-            policy = best_policy
+    if not converged:
+        policy, pair = best
     return SemilinearSolution(
         eigenpair=pair, policy=np.asarray(policy), eigenvalue_trace=trace,
         policy_iterations=it, converged=converged or oscillated, oscillated=oscillated,
@@ -309,6 +292,7 @@ class SweepEntry:
     eigenvalue: float
     policy: np.ndarray
     iterations: int
+    converged: bool
     eigenpair: EigenPair
     grid: GridSpec
 
@@ -326,8 +310,7 @@ class SweepResult:
         return [e.eigenvalue for e in self.entries]
 
 
-def domain_sweep(model, radii, nodes_per_unit, tol=1e-11, eig_tol=None,
-                 eig_max_iter=5000, max_policy_iters=60):
+def domain_sweep(model, radii, nodes_per_unit, tol=1e-11):
     """Solve on a strictly increasing ladder of box radii at fixed node density.
 
     Returns per-radius eigenvalues/policies, a strict-monotonicity certificate,
@@ -344,11 +327,11 @@ def domain_sweep(model, radii, nodes_per_unit, tol=1e-11, eig_tol=None,
     entries = []
     for r in radii:
         grid = grid_for_resolution(model.dim, r, nodes_per_unit)
-        sol = solve_semilinear(model, grid, tol=tol, max_policy_iters=max_policy_iters,
-                               eig_tol=eig_tol, eig_max_iter=eig_max_iter)
+        sol = solve_semilinear(model, grid, tol=tol)
         entries.append(SweepEntry(
             radius=r, eigenvalue=sol.eigenpair.eigenvalue, policy=sol.policy,
-            iterations=sol.policy_iterations, eigenpair=sol.eigenpair, grid=grid,
+            iterations=sol.policy_iterations, converged=sol.converged,
+            eigenpair=sol.eigenpair, grid=grid,
         ))
     lams = [e.eigenvalue for e in entries]
     increments = [b - a for a, b in zip(lams, lams[1:])]
@@ -372,27 +355,24 @@ class UniquenessReport:
     error: str = ""
 
 
-def uniqueness_check(model, grid, trials=3, seed=0, policy=None,
-                     eig_tol=None, eig_max_iter=5000,
-                     lambda_tol=1e-10, psi_tol=1e-8):
+def uniqueness_check(model, grid, trials=3, seed=0, policy=None):
     """Re-run the eigensolver from random positive starts and compare.
 
     The normalized eigenpair must agree across trials (eigenvalue within
-    ``lambda_tol``, eigenfunction within ``psi_tol`` in the sup norm).
+    ``LAMBDA_TOL``, eigenfunction within ``PSI_TOL`` relative sup norm).
     Irreducibility failures are surfaced in the report instead of raised.
     """
     if trials < 2:
         raise ValueError("need at least two trials")
     if policy is None:
-        policy = solve_semilinear(model, grid, eig_tol=eig_tol,
-                                  eig_max_iter=eig_max_iter).policy
+        policy = solve_semilinear(model, grid).policy
     op = assemble(model, grid, policy)
     rng = np.random.default_rng(seed)
     pairs = []
     try:
         for _ in range(trials):
             x0 = rng.random(op.shape[0]) + 0.1
-            pairs.append(principal_eigenpair(op, tol=eig_tol, max_iter=eig_max_iter, x0=x0))
+            pairs.append(principal_eigenpair(op, x0=x0))
     except NotIrreducibleError as exc:
         return UniquenessReport(False, np.inf, np.inf, trials, error=str(exc))
     lams = np.array([p.eigenvalue for p in pairs])
@@ -403,7 +383,7 @@ def uniqueness_check(model, grid, trials=3, seed=0, policy=None,
         float(np.max(np.abs(p.eigenfunction - base))) / scale for p in pairs[1:]
     )
     return UniquenessReport(
-        passed=(lam_spread <= lambda_tol and psi_spread <= psi_tol),
+        passed=(lam_spread <= LAMBDA_TOL and psi_spread <= PSI_TOL),
         eigenvalue_spread=lam_spread, eigenfunction_spread=psi_spread, trials=trials,
     )
 
@@ -418,14 +398,14 @@ class PotentialMonotonicityReport:
 
 
 def potential_monotonicity_check(model, grid, bump_center, bump_height,
-                                 bump_radius=1.0, **solve_kw):
+                                 bump_radius=1.0):
     """Strict growth of the eigenvalue under a localized cost increase.
 
     Solves the control problem with the original cost, with the cost plus
     ``bump_height`` on the ball around ``bump_center``, and with the cost plus
     the same constant everywhere.  The local bump must raise the eigenvalue by
     a strictly positive margin (and by at most the bump height); the global
-    constant must shift it by exactly that constant (within 1e-10).
+    constant must shift it by exactly that constant (within ``LAMBDA_TOL``).
     """
     if bump_height <= 0:
         raise ValueError("bump_height must be positive")
@@ -440,13 +420,14 @@ def potential_monotonicity_check(model, grid, bump_center, bump_height,
     def shifted(X, k, xi, _c=base_cost):
         return _c(np.atleast_2d(X), k, xi) + bump_height
 
-    lam0 = solve_semilinear(model, grid, **solve_kw).eigenpair.eigenvalue
-    lam1 = solve_semilinear(model.with_cost(bumped, "bumped"), grid, **solve_kw).eigenpair.eigenvalue
-    lam2 = solve_semilinear(model.with_cost(shifted, "shifted"), grid, **solve_kw).eigenpair.eigenvalue
+    lam0 = solve_semilinear(model, grid).eigenpair.eigenvalue
+    lam1 = solve_semilinear(model.with_cost(bumped, "bumped"), grid).eigenpair.eigenvalue
+    lam2 = solve_semilinear(model.with_cost(shifted, "shifted"), grid).eigenpair.eigenvalue
     margin = lam1 - lam0
     shift_err = abs(lam2 - lam0 - bump_height)
     return PotentialMonotonicityReport(
-        passed=(margin > 0 and margin <= bump_height + 1e-10 and shift_err <= 1e-10),
+        passed=(margin > 0 and margin <= bump_height + LAMBDA_TOL
+                and shift_err <= LAMBDA_TOL),
         eigenvalue_base=lam0, eigenvalue_bumped=lam1, margin=margin,
         constant_shift_error=shift_err,
     )

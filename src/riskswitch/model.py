@@ -27,7 +27,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import GridSpec
 
 RATE_ROW_SUM_TOL = 1e-12
 

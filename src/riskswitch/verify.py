@@ -13,8 +13,8 @@ import dataclasses
 
 import numpy as np
 
-from .eigen import (domain_sweep, minimizing_selector, principal_eigenpair,
-                    solve_semilinear, verification_tol)
+from .eigen import (LAMBDA_TOL, PSI_TOL, domain_sweep, minimizing_selector,
+                    principal_eigenpair, solve_semilinear, verification_tol)
 from .operator import assemble, constant_policy, validate_policy
 from .simulate import ControlMap, estimate_risk_sensitive_rate
 
@@ -93,23 +93,29 @@ class OptimalityReport:
         }
 
 
-def verify_optimality(model, grid, alt_policies=(), tol=1e-10, psi_tol=1e-8,
-                      solution=None, eig_tol=None):
+def verification_eig_tol(model, grid):
+    """:func:`verification_tol` of the constant lowest-index policy's operator.
+
+    The solver's default tolerance leaves ~1e-10 of noise in lambda, which
+    would swamp comparisons against ``LAMBDA_TOL``.
+    """
+    return verification_tol(
+        assemble(model, grid, constant_policy(grid, model.num_regimes)))
+
+
+def verify_optimality(model, grid, alt_policies=(), solution=None, eig_tol=None):
     """No alternative policy beats the solved one; the solution is a fixed point.
 
     For every supplied policy the frozen-policy eigenvalue must exceed the
-    solved lambda minus ``tol``.  Re-assembling under the extracted policy
-    must reproduce the eigenpair (lambda within tol, eigenfunction within
-    ``psi_tol`` sup-norm), and the minimizing selector applied to the solved
-    eigenfunction must map back to a policy of equal eigenvalue.
-
-    Internal eigensolves run at ``eig_tol``, defaulting to the near-roundoff
-    verification tolerance; the solver's own default leaves ~1e-10 of noise
-    in lambda, which would swamp comparisons against ``tol``.
+    solved lambda minus ``LAMBDA_TOL``.  Re-assembling under the extracted
+    policy must reproduce the eigenpair (lambda within ``LAMBDA_TOL``,
+    eigenfunction within ``PSI_TOL`` relative sup-norm), and the minimizing
+    selector applied to the solved eigenfunction must map back to a policy of
+    equal eigenvalue.  Internal eigensolves run at ``eig_tol``, defaulting to
+    :func:`verification_eig_tol`.
     """
     if eig_tol is None:
-        eig_tol = verification_tol(
-            assemble(model, grid, constant_policy(grid, model.num_regimes)))
+        eig_tol = verification_eig_tol(model, grid)
     sol = solution if solution is not None else solve_semilinear(
         model, grid, eig_tol=eig_tol)
     lam_star = sol.eigenpair.eigenvalue
@@ -119,7 +125,7 @@ def verify_optimality(model, grid, alt_policies=(), tol=1e-10, psi_tol=1e-8,
         pair = principal_eigenpair(assemble(model, grid, p), tol=eig_tol)
         excess = pair.eigenvalue - lam_star
         excesses.append(PolicyExcess(eigenvalue=pair.eigenvalue, excess=excess,
-                                     ok=bool(excess >= -tol)))
+                                     ok=bool(excess >= -LAMBDA_TOL)))
     re_pair = principal_eigenpair(assemble(model, grid, sol.policy), tol=eig_tol)
     lam_err = abs(re_pair.eigenvalue - lam_star)
     scale = float(np.max(np.abs(sol.eigenpair.eigenfunction)))
@@ -130,9 +136,9 @@ def verify_optimality(model, grid, alt_policies=(), tol=1e-10, psi_tol=1e-8,
     else:
         # ties can flip individual nodes; accept if the eigenvalue agrees
         alt = principal_eigenpair(assemble(model, grid, reselected), tol=eig_tol)
-        fixed_point_ok = bool(abs(alt.eigenvalue - lam_star) <= tol)
-    passed = (all(e.ok for e in excesses) and lam_err <= tol
-              and psi_err <= psi_tol and fixed_point_ok)
+        fixed_point_ok = bool(abs(alt.eigenvalue - lam_star) <= LAMBDA_TOL)
+    passed = (all(e.ok for e in excesses) and lam_err <= LAMBDA_TOL
+              and psi_err <= PSI_TOL and fixed_point_ok)
     return OptimalityReport(
         lambda_star=lam_star, excesses=excesses,
         min_excess=min((e.excess for e in excesses), default=float("inf")),
@@ -369,8 +375,7 @@ class LambdaMatchReport:
 
 
 def lambda_equals_optimal_value(model, grid, policy_sample_count, config,
-                                seed=0, workers=None, solution=None,
-                                eig_tol_gap=1e-10, eig_tol=None):
+                                seed=0, workers=None, solution=None, eig_tol=None):
     """Monte Carlo rates agree with the solved eigenvalue.
 
     Estimates carry the terminal psi weighting, which makes the weighted
@@ -381,17 +386,17 @@ def lambda_equals_optimal_value(model, grid, policy_sample_count, config,
     is reported but does not fail).  For any frozen policy the eigen-weighted
     expectation is a submartingale, so random-policy estimates must never
     fall more than three standard errors below lambda_star, and their
-    frozen-policy eigenvalues stay above it.  Policy eigensolves run at
-    residual tolerance ``eig_tol`` (default: near-roundoff verification
-    tolerance) so that solver noise stays below ``eig_tol_gap``.
+    frozen-policy eigenvalues stay above it (within ``LAMBDA_TOL``).  Policy
+    eigensolves run at residual tolerance ``eig_tol``, defaulting to
+    :func:`verification_eig_tol`, so that solver noise stays below
+    ``LAMBDA_TOL``.
 
     The comparison target is the grid eigenvalue, so the grid must resolve
     lambda to within the Monte Carlo standard error; the discretization
     error scales like the squared spacing.
     """
     if eig_tol is None:
-        eig_tol = verification_tol(
-            assemble(model, grid, constant_policy(grid, model.num_regimes)))
+        eig_tol = verification_eig_tol(model, grid)
     sol = solution if solution is not None else solve_semilinear(
         model, grid, eig_tol=eig_tol)
     lam_star = sol.eigenpair.eigenvalue
@@ -410,7 +415,7 @@ def lambda_equals_optimal_value(model, grid, policy_sample_count, config,
             lambda_ref=lam_star, workers=workers, grid=grid,
             terminal_pair=sol.eigenpair,
         )
-        eig_ok = bool(pair.eigenvalue >= lam_star - eig_tol_gap)
+        eig_ok = bool(pair.eigenvalue >= lam_star - LAMBDA_TOL)
         rate_ok = bool(est.unreliable
                        or est.value >= lam_star - 3.0 * est.std_error)
         entries.append(RatePolicyEntry(

@@ -1,6 +1,7 @@
 """Command line surface: exit codes, artifacts, determinism."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import sys
 
 import pytest
 
+import riskswitch.eigen as eigen_mod
 from riskswitch.cli import main
 
 
@@ -65,6 +67,26 @@ def test_solve_config_hash_keyed_on_configuration(tmp_path):
     assert h[0] != h[2]
 
 
+def test_solve_unconverged_exits_1_with_artifacts(tmp_path):
+    d = str(tmp_path)
+    code, _ = run(["solve", "--builtin", "lq", "--radius", "4",
+                   "--nodes-per-unit", "25", "--max-policy-iters", "1",
+                   "--output-dir", d])
+    assert code == 1
+    rep = load(d + "/solve.json")
+    assert rep["converged"] is False
+    assert rep["iterations"] == len(rep["eigenvalue_trace"]) == 1
+    assert os.path.exists(d + "/psi.csv")
+
+
+def test_solve_without_policy_budget_exits_2(tmp_path):
+    code, out = run(["solve", "--builtin", "lq", "--radius", "2",
+                     "--nodes-per-unit", "10", "--max-policy-iters", "0",
+                     "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert "max_policy_iters" in json.loads(out)["error"]["message"]
+
+
 # ------------------------------------------------------------------- sweep
 
 def test_sweep_monotone_increasing(tmp_path):
@@ -88,6 +110,23 @@ def test_sweep_rejects_non_increasing_radii(tmp_path):
     err = json.loads(out)["error"]
     assert err["type"] == "UsageError"
     assert "increasing" in err["message"]
+
+
+def test_sweep_unconverged_radius_exits_1(tmp_path, monkeypatch):
+    solve = eigen_mod.solve_semilinear
+
+    def unconverged_at_3(model, grid, **kw):
+        sol = solve(model, grid, **kw)
+        return dataclasses.replace(sol, converged=grid.radius != 3.0)
+
+    monkeypatch.setattr(eigen_mod, "solve_semilinear", unconverged_at_3)
+    d = str(tmp_path)
+    code, _ = run(["sweep", "--builtin", "lq", "--radii", "2,3,4",
+                   "--nodes-per-unit", "10", "--output-dir", d])
+    assert code == 1
+    rep = load(d + "/sweep.json")
+    assert rep["monotonicity_certificate"] is True
+    assert [e["converged"] for e in rep["entries"]] == [True, False, True]
 
 
 # ---------------------------------------------------------------- simulate
@@ -228,6 +267,16 @@ def test_verify_skip_simulation(tmp_path):
     assert "lambda_match" not in rep["checks"]
     assert "feynman_kac" not in rep["checks"]
     assert rep["checks"]["optimality"]["resolve_lambda_error"] < 1e-10
+
+
+def test_verify_lists_unconverged_policy_iteration(tmp_path):
+    d = str(tmp_path)
+    code, _ = run(["verify", "--builtin", "lq", "--radius", "4",
+                   "--nodes-per-unit", "25", "--max-policy-iters", "1",
+                   "--alt-policies", "1", "--skip-simulation",
+                   "--output-dir", d])
+    assert code == 1
+    assert "policy_iteration" in load(d + "/verify.json")["failed"]
 
 
 # ---------------------------------------------------------------- validate

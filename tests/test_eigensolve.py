@@ -1,12 +1,14 @@
 """Principal eigenpair, minimizing selector, policy iteration, sweeps."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import riskswitch as rs
+import riskswitch.eigen as eigen_mod
 from riskswitch import NoConvergenceError, NotIrreducibleError
 
 import _oracles as orc
@@ -237,6 +239,44 @@ def test_solve_semilinear_lq_closed_form():
     trace = sol.eigenvalue_trace
     assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
     assert sol.policy_iterations == len(trace)
+
+
+@pytest.mark.parametrize("exit_kind", ["converged", "budget", "cycle"])
+def test_policy_iteration_evaluates_each_policy_once(monkeypatch, exit_kind):
+    m = rs.make_builtin("lq")  # controls (1, 2)
+    g = rs.grid_for_resolution(1, 4.0, 25)
+    strong = rs.constant_policy(g, 1, 1)
+    weak = rs.constant_policy(g, 1, 0)
+    kw = {"max_policy_iters": 1} if exit_kind == "budget" else {}
+    if exit_kind == "cycle":
+        # weak -> strong -> mixed -> weak: the best (strong) is not the last
+        mixed = strong.copy()
+        mixed[:, g.num_interior // 2:] = 0
+        nxt = itertools.cycle([strong, mixed, weak])
+        monkeypatch.setattr(eigen_mod, "minimizing_selector",
+                            lambda model, grid, psi: next(nxt))
+    solve = eigen_mod.principal_eigenpair
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(eigen_mod, "principal_eigenpair", counted)
+    sol = rs.solve_semilinear(m, g, **kw)
+    trace = sol.eigenvalue_trace
+    assert len(calls) == sol.policy_iterations == len(trace)
+    assert sol.converged == (exit_kind != "budget")
+    assert sol.oscillated == (exit_kind == "cycle")
+    if exit_kind == "converged":
+        return
+    assert sol.eigenpair.eigenvalue == min(trace)
+    np.testing.assert_array_equal(sol.policy,
+                                  weak if exit_kind == "budget" else strong)
+    if exit_kind == "cycle":
+        assert len(trace) == 3 and trace[-1] > min(trace)
+    again = solve(rs.assemble(m, g, sol.policy))
+    assert again.eigenvalue == pytest.approx(sol.eigenpair.eigenvalue, abs=1e-8)
 
 
 def test_trace_non_increasing_randomized():
