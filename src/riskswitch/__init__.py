@@ -19,8 +19,9 @@ from .model import (BUILTIN_MODELS, CertificateMode, LyapunovCertificate,
                     builtin_certificate, check_lyapunov, dipped_cost_model,
                     lq_model, make_builtin, two_regime_ou_model, validate_model)
 from .operator import DiscreteOperator, MonotonicityViolation, assemble, constant_policy
-from .simulate import (ControlMap, CostEstimate, Functional, PathConfig,
-                       StepSizeError, TrajectoryBatch, estimate_risk_sensitive_rate,
+from .simulate import (ControlMap, CostEstimate, Functional,
+                       NonFiniteEstimateError, PathConfig, StepSizeError,
+                       TrajectoryBatch, estimate_risk_sensitive_rate,
                        feynman_kac_annulus, mean_position_diagnostic, simulate_paths)
 from .verify import (GrowthBound, fit_growth_bound, lambda_equals_optimal_value,
                      near_monotone_suite, random_policies, validate_near_monotone,
@@ -30,7 +31,8 @@ __all__ = [
     "BUILTIN_MODELS", "CertificateMode", "ControlMap", "CostEstimate",
     "DiscreteOperator", "EigenPair", "ExpressionError", "Functional",
     "GridSpec", "GrowthBound", "LyapunovCertificate", "MonotonicityViolation",
-    "NoConvergenceError", "NotFittedError", "NotIrreducibleError",
+    "NoConvergenceError", "NonFiniteEstimateError", "NotFittedError",
+    "NotIrreducibleError",
     "PathConfig", "RiskSensitiveController",
     "SemilinearSolution", "StepSizeError", "SweepResult", "SwitchingModel",
     "TrajectoryBatch", "ValidationReport", "assemble",

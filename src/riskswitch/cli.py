@@ -3,9 +3,9 @@
 Commands: solve, sweep, simulate, verify, validate.  Exit codes: 0 all
 requested checks pass, 1 a check failed, 2 usage or configuration error,
 3 numeric failure (irreducibility, eigensolver convergence, stencil
-positivity, step size).  An unconverged policy iteration writes its
-artifacts with ``"converged": false`` and exits 1 (in verify, as the failed
-check ``policy_iteration``).
+positivity, step size, non-finite rate estimate).  An unconverged policy
+iteration writes its artifacts with ``"converged": false`` and exits 1 (in
+verify, as the failed check ``policy_iteration``).
 
 Every machine output embeds the resolved configuration and a sha256 hash of
 it, and is written deterministically (sorted keys, fixed float formatting
@@ -33,15 +33,17 @@ from .grid import grid_for_resolution
 from .model import (builtin_certificate, check_lyapunov, make_builtin,
                     validate_model)
 from .operator import MonotonicityViolation, assemble
-from .simulate import (BLOCK, SET_ROWS, ControlMap, PathConfig, StepSizeError,
-                       estimate_risk_sensitive_rate, feynman_kac_annulus,
-                       mean_position_diagnostic, resolve_workers, simulate_paths)
+from .simulate import (BLOCK, SET_ROWS, ControlMap, NonFiniteEstimateError,
+                       PathConfig, StepSizeError, estimate_risk_sensitive_rate,
+                       feynman_kac_annulus, mean_position_diagnostic,
+                       resolve_workers, simulate_paths)
 from .verify import (lambda_equals_optimal_value, random_policies,
                      validate_near_monotone, verification_eig_tol,
                      verify_optimality)
 
 NUMERIC_ERRORS = (MonotonicityViolation, NotIrreducibleError,
-                  NoConvergenceError, StepSizeError, np.linalg.LinAlgError)
+                  NoConvergenceError, NonFiniteEstimateError, StepSizeError,
+                  np.linalg.LinAlgError)
 
 
 class UsageError(ValueError):

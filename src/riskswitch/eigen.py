@@ -8,6 +8,10 @@ Wielandt).  It is computed by inverse power iteration on the M-matrix
 ``s I - A`` with the fixed shift ``s = 1 + max_i (A_ii + sum_{j != i} A_ij)``,
 which keeps every iterate strictly positive; the LU factorization is reused
 across iterations and the eigenvalue is read off as a Rayleigh quotient.
+The sparsity pattern is structurally symmetric (diffusion fills both axis
+neighbours, the switching blocks couple node to node), so the LU uses a
+minimum-degree ordering on A + A^T, which about halves SuperLU's fill on 2D
+grids against its default COLAMD column ordering.
 
 The control problem is solved by Howard policy iteration over table policies:
 evaluate the current policy's eigenpair, re-decide every (node, regime)
@@ -40,7 +44,8 @@ PSI_TOL = 1e-8  # eigenfunctions that should agree, in relative sup norm
 STALL_ITERATIONS = 20
 # Roundoff level of the residual, in eps * ||A||_inf: the default tolerance
 # (above the 1e-10 floor), and the level up to which a stalled iteration is
-# accepted.  Measured stalls sit at 0.5-9 eps * ||A||_inf.
+# accepted.  Measured stalls sit at 1.8-2.8 eps * ||A||_inf on a 2D grid;
+# 1D operators reach eps * ||A||_inf without stalling.
 ROUNDOFF_RESIDUAL = 32.0
 
 
@@ -118,7 +123,8 @@ def principal_eigenpair(op, tol=None, max_iter=5000, x0=None,
 
     row_sums = np.asarray(A.sum(axis=1)).reshape(-1)
     shift = 1.0 + float(row_sums.max())
-    lu = spla.splu(sp.csc_matrix(shift * sp.identity(n, format="csc") - A))
+    lu = spla.splu(sp.csc_matrix(shift * sp.identity(n, format="csc") - A),
+                   permc_spec="MMD_AT_PLUS_A")
 
     x = np.full(n, 1.0 / n) if x0 is None else np.asarray(x0, dtype=float).copy()
     if x.shape != (n,):
@@ -169,11 +175,13 @@ def verification_tol(op):
     """Near-roundoff residual target for verification-grade solves.
 
     Four times eps * ||A||_inf keeps eigenvalue comparison noise well below
-    the default tolerance.  Most operators reach it, but not all: the
-    iteration's best residual at a stall ranges from about 0.5 to 9
-    eps * ||A||_inf (measured over the benchmark grids and random policies;
-    e.g. 4.8 for a random policy on bounded2d at radius 4 and 14 nodes per
-    unit), and :func:`principal_eigenpair` accepts such a roundoff stall.
+    the default tolerance.  The measured operators reach it, but the
+    iteration cannot go much lower: run against a tighter tolerance, its
+    best residual stalls at 1.8 to 2.8 eps * ||A||_inf for 150 random
+    policies on bounded2d at radius 4 and 14 nodes per unit, while 130 on
+    ou2 (80 and 2000 nodes per unit) reach eps * ||A||_inf.  Should an
+    operator stall above this tolerance, :func:`principal_eigenpair` accepts
+    the roundoff stall.
     """
     norm_inf = float(np.abs(op.matrix).sum(axis=1).max())
     return max(1e-12, 4.0 * np.finfo(float).eps * norm_inf)

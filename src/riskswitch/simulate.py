@@ -71,6 +71,20 @@ class StepSizeError(RuntimeError):
         )
 
 
+class NonFiniteEstimateError(RuntimeError):
+    """A risk-sensitive rate estimate came out NaN or infinite."""
+
+    def __init__(self, value, bad_paths, paths):
+        self.value = value
+        self.bad_paths = bad_paths
+        self.paths = paths
+        super().__init__(
+            "rate estimate %s is not finite: %d of %d path sums are not finite; "
+            "check the model's coefficients at the states the paths visit"
+            % (value, bad_paths, paths)
+        )
+
+
 class Functional(enum.Enum):
     RISK_SENSITIVE_RATE = "risk_sensitive_rate"
     FEYNMAN_KAC_ANNULUS = "feynman_kac_annulus"
@@ -435,6 +449,9 @@ def estimate_risk_sensitive_rate(model, policy, config, lambda_ref=None,
     expectation equals exp(lambda T) exactly, so the estimate targets lambda
     itself instead of the finite-horizon rate and its O(1/T) transient.
     Paths ending outside the grid box get weight zero.
+
+    Raises :class:`NonFiniteEstimateError` when the estimate is NaN or
+    infinite, e.g. because the cost is NaN at a visited state.
     """
     if config.horizon < 1.0:
         raise ValueError("rate estimation needs horizon >= 1")
@@ -462,6 +479,9 @@ def estimate_risk_sensitive_rate(model, policy, config, lambda_ref=None,
     T = config.actual_horizon
     log_mean, w, mean_w = _logmeanexp(S)
     value = log_mean / T
+    if not math.isfinite(value):
+        raise NonFiniteEstimateError(value, int(np.count_nonzero(~np.isfinite(S))),
+                                     config.paths)
     if config.paths > 1:
         se = float(np.std(w, ddof=1)) / (mean_w * math.sqrt(config.paths)) / T
     else:

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+import riskswitch
 import riskswitch.eigen as eigen_mod
 from riskswitch.cli import main
 
@@ -190,6 +191,26 @@ def test_simulate_paths_writes_csv(tmp_path):
     assert lines == 20 * 101
 
 
+def test_simulate_non_finite_rate_exits_3(tmp_path):
+    # sqrt of a negative state is NaN; the estimate must not be reported
+    spec = {"name": "sqrtcost", "dim": 1, "num_regimes": 1,
+            "controls": [1.0], "drift": ["-x1"],
+            "diffusion": [["1"]], "rates": [["0"]], "cost": "0.05 * sqrt(x1)"}
+    cfg = tmp_path / "sqrtcost.json"
+    cfg.write_text(json.dumps(spec))
+    d = str(tmp_path)
+    with pytest.warns(RuntimeWarning):
+        code, out = run(["simulate", "--model", str(cfg), "--functional", "rate",
+                         "--paths", "256", "--horizon", "1", "--step", "0.01",
+                         "--output-dir", d])
+    assert code == 3
+    err = json.loads(out)
+    assert err["exit_code"] == 3
+    assert err["error"]["type"] == "NonFiniteEstimateError"
+    assert "not finite" in err["error"]["message"]
+    assert not os.path.exists(d + "/estimate.json")
+
+
 def test_simulate_step_too_large_for_switching(tmp_path):
     code, out = run(["simulate", "--builtin", "ou2", "--step", "0.6",
                      "--horizon", "2", "--paths", "10",
@@ -267,6 +288,17 @@ def test_verify_skip_simulation(tmp_path):
     assert "lambda_match" not in rep["checks"]
     assert "feynman_kac" not in rep["checks"]
     assert rep["checks"]["optimality"]["resolve_lambda_error"] < 1e-10
+
+
+def test_verify_bounded2d_seed_59_exits_0(tmp_path):
+    # one of this run's random policies stalled at roundoff above the
+    # verification tolerance under SuperLU's default column ordering
+    code, _ = run(["verify", "--builtin", "bounded2d", "--radius", "4",
+                   "--nodes-per-unit", "14", "--alt-policies", "5",
+                   "--skip-simulation", "--seed", "59",
+                   "--output-dir", str(tmp_path)])
+    assert code == 0
+    assert load(str(tmp_path / "verify.json"))["passed"] is True
 
 
 def test_verify_lists_unconverged_policy_iteration(tmp_path):
@@ -356,10 +388,15 @@ def test_indefinite_diffusion_exits_3(tmp_path):
 
 
 def test_module_entry_point(tmp_path):
+    # the subprocess must import the same riskswitch as this process, which
+    # may have found it through pytest's pythonpath setting only
+    env = dict(os.environ)
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(riskswitch.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "riskswitch", "solve", "--builtin", "lq",
          "--radius", "2", "--nodes-per-unit", "10",
          "--output-dir", str(tmp_path)],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert os.path.exists(str(tmp_path / "solve.json"))

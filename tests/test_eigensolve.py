@@ -154,22 +154,52 @@ def test_no_convergence_error_carries_diagnostics():
 
 
 def test_roundoff_stall_accepted_without_spinning():
-    # a random policy of `riskswitch verify --builtin bounded2d --radius 4
-    # --nodes-per-unit 14 --alt-policies 5 --seed 59` stalls above the
-    # verification tolerance; the solve must stop at the roundoff stall and
-    # return its best iterate, not spin through the whole budget and raise
-    from riskswitch.eigen import ROUNDOFF_RESIDUAL, verification_tol
+    # a tolerance of eps * ||A||_inf lies below the level where inverse
+    # iteration stalls (about 2 eps * ||A||_inf on this grid, whatever the LU
+    # ordering); the solve must stop at the roundoff stall and return its
+    # best iterate, not spin through the whole budget and raise
+    from riskswitch.eigen import ROUNDOFF_RESIDUAL
     m = rs.make_builtin("bounded2d")
     g = rs.grid_for_resolution(2, 4.0, 14)
-    tol = verification_tol(rs.assemble(m, g, rs.constant_policy(g, 2)))
     op = rs.assemble(m, g, rs.random_policies(m, g, 5, seed=59)[1])
-    pair = rs.principal_eigenpair(op, tol=tol)
     roundoff = np.finfo(float).eps * float(np.abs(op.matrix).sum(axis=1).max())
+    tol = roundoff
+    pair = rs.principal_eigenpair(op, tol=tol)
     assert tol < pair.residual <= ROUNDOFF_RESIDUAL * roundoff
     assert pair.iterations < 100
     assert np.all(pair.eigenfunction > 0)
     loose = rs.principal_eigenpair(op, tol=1e-10)
     assert abs(pair.eigenvalue - loose.eigenvalue) < 1e-10
+
+
+# Eigenvalues on the solve_2d benchmark grid (bounded2d, R=4, 14 nodes per
+# unit) at the verification tolerance, and on the fk_tail one (ou2, R=4,
+# 2000 nodes per unit) at the default tolerance, as computed with SuperLU's
+# default COLAMD column ordering.  The LU ordering changes only roundoff.
+BOUNDED2D_LAMBDA = 0.044580358766807056
+BOUNDED2D_SEED59_LAMBDAS = (0.050306386690818716, 0.050297695493992656,
+                            0.0503275855259309, 0.05033141539446216,
+                            0.050122913351102194)
+OU2_FINE_LAMBDA = 0.02523776294759708
+
+
+def test_eigenvalues_independent_of_lu_ordering_bounded2d():
+    from riskswitch.verify import verification_eig_tol
+    m = rs.make_builtin("bounded2d")
+    g = rs.grid_for_resolution(2, 4.0, 14)
+    tol = verification_eig_tol(m, g)
+    sol = rs.solve_semilinear(m, g, eig_tol=tol)
+    assert abs(sol.eigenpair.eigenvalue - BOUNDED2D_LAMBDA) < 1e-12
+    for p, ref in zip(rs.random_policies(m, g, 5, seed=59), BOUNDED2D_SEED59_LAMBDAS):
+        pair = rs.principal_eigenpair(rs.assemble(m, g, p), tol=tol)
+        assert abs(pair.eigenvalue - ref) < 1e-12
+
+
+def test_eigenvalue_independent_of_lu_ordering_ou2_fine():
+    m = rs.make_builtin("ou2")
+    g = rs.grid_for_resolution(1, 4.0, 2000)
+    sol = rs.solve_semilinear(m, g)
+    assert abs(sol.eigenpair.eigenvalue - OU2_FINE_LAMBDA) < 1e-10
 
 
 def test_non_finite_operator_fails_fast():
