@@ -3,15 +3,16 @@
 Commands: solve, sweep, simulate, verify, validate.  Exit codes: 0 all
 requested checks pass, 1 a check failed, 2 usage or configuration error,
 3 numeric failure (irreducibility, eigensolver convergence, stencil
-positivity, step size, non-finite rate estimate).  An unconverged policy
-iteration writes its artifacts with ``"converged": false`` and exits 1 (in
-verify, as the failed check ``policy_iteration``).
+positivity, step size, non-finite Monte Carlo estimate).  An unconverged
+policy iteration writes its artifacts with ``"converged": false`` and exits 1
+(in verify, as the failed check ``policy_iteration``).
 
 Every machine output embeds the resolved configuration and a sha256 hash of
 it, and is written deterministically (sorted keys, fixed float formatting
-via repr).  Wall-clock metadata and the worker count live in a run_meta.json
-side file so that reruns of the same configuration are byte-identical
-regardless of parallelism.
+via repr).  Wall-clock metadata, the worker count and the environment (usable
+CPUs, library versions, BLAS thread settings, which can move the last bits of
+sparse solves) live in a run_meta.json side file so that reruns of the same
+configuration are byte-identical regardless of parallelism.
 """
 
 import argparse
@@ -20,10 +21,12 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 import time
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .eigen import (NoConvergenceError, NotIrreducibleError, domain_sweep,
@@ -34,9 +37,9 @@ from .model import (builtin_certificate, check_lyapunov, make_builtin,
                     validate_model)
 from .operator import MonotonicityViolation, assemble
 from .simulate import (BLOCK, SET_ROWS, ControlMap, NonFiniteEstimateError,
-                       PathConfig, StepSizeError, estimate_risk_sensitive_rate,
-                       feynman_kac_annulus, mean_position_diagnostic,
-                       resolve_workers, simulate_paths)
+                       PathConfig, StepSizeError, _usable_cpus,
+                       estimate_risk_sensitive_rate, feynman_kac_annulus,
+                       mean_position_diagnostic, resolve_workers, simulate_paths)
 from .verify import (lambda_equals_optimal_value, random_policies,
                      validate_near_monotone, verification_eig_tol,
                      verify_optimality)
@@ -106,6 +109,12 @@ def _write_meta(outdir, started, t0, args):
         "workers": resolve_workers(getattr(args, "workers", None)),
         "version": __version__,
         "argv": sys.argv[1:],
+        "usable_cpus": _usable_cpus(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas_threads": {var: os.environ.get(var) for var in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
     }
     _write_json("%s/run_meta.json" % outdir, meta)
 
@@ -207,8 +216,7 @@ def cmd_solve(args):
     sol = solve_semilinear(model, grid, tol=args.tol,
                            max_policy_iters=args.max_policy_iters)
     if args.dump_operator:
-        op = assemble(model, grid, sol.policy)
-        op.write_matrix_market(args.dump_operator)
+        assemble(model, grid, sol.policy).write_matrix_market(args.dump_operator)
     config = {"command": "solve", "model": _model_config(args, model),
               "radius": args.radius, "nodes_per_unit": args.nodes_per_unit,
               "tol": args.tol, "max_policy_iters": args.max_policy_iters}

@@ -15,10 +15,10 @@ grids against its default COLAMD column ordering.
 
 The control problem is solved by Howard policy iteration over table policies:
 evaluate the current policy's eigenpair, re-decide every (node, regime)
-control by minimizing the drift/cost/switching bracket against the current
-eigenfunction (re-deciding the upwind direction per candidate control), and
-repeat.  The eigenvalue trace is non-increasing; on a policy cycle or an
-exhausted budget the evaluated policy with the smallest eigenvalue is returned.
+control to the one whose operator row, applied to the current eigenfunction,
+is smallest, and repeat; the rows scored are the rows evaluated next.  The
+eigenvalue trace is non-increasing; on a policy cycle or an exhausted budget
+the evaluated policy with the smallest eigenvalue is returned.
 
 Domains are nested boxes: a domain sweep over strictly increasing radii at a
 fixed node density yields strictly increasing eigenvalues (a proper principal
@@ -187,56 +187,19 @@ def verification_tol(op):
     return max(1e-12, 4.0 * np.finfo(float).eps * norm_inf)
 
 
-def _upwind_gradient_terms(psi_k, grid, b):
-    """Upwinded b . grad(psi_k) with zero extension past the boundary."""
-    shape = grid.interior_shape
-    h = grid.spacing
-    P = psi_k.reshape(shape)
-    out = np.zeros(grid.num_interior)
-    for a in range(grid.dim):
-        fwd = np.zeros(shape)
-        bwd = np.zeros(shape)
-        src_hi = [slice(1, None) if aa == a else slice(None) for aa in range(grid.dim)]
-        dst_hi = [slice(None, -1) if aa == a else slice(None) for aa in range(grid.dim)]
-        fwd[tuple(dst_hi)] = P[tuple(src_hi)]
-        bwd[tuple(src_hi)] = P[tuple(dst_hi)]
-        dplus = (fwd - P).reshape(-1) / h
-        dminus = (P - bwd).reshape(-1) / h
-        bp = np.maximum(b[:, a], 0.0)
-        bm = np.maximum(-b[:, a], 0.0)
-        out += bp * dplus - bm * dminus
-    return out
-
-
-def minimizing_selector(model, grid, psi):
+def minimizing_selector(op, psi):
     """Pointwise minimizing control table against a positive function table.
 
-    For each (node, regime) the selector minimizes, over the control set,
-
-        b . grad(psi_k)  (upwinded per candidate control's drift sign)
-        + cost * psi_k + sum_j rates_kj * psi_j
-
-    with ties broken toward the lowest control index.  The diffusion part is
-    control-independent and omitted.
+    For each row r of the assembled operator ``op`` (node and regime) the
+    selector picks the control c minimizing (A_c psi)_r, the row of the
+    constant-policy operator A_c applied to ``psi``, with ties broken toward
+    the lowest control index.  The diffusion part of a row does not depend
+    on the control, so this minimizes the upwinded drift, cost and switching
+    bracket.
     """
-    psi = np.asarray(psi, dtype=float)
-    N = model.num_regimes
-    M = grid.num_interior
-    X = grid.interior_points()
-    policy = np.empty((N, M), dtype=np.int64)
-    for k in range(N):
-        scores = np.empty((model.num_controls, M))
-        for ci in range(model.num_controls):
-            xi = float(model.controls[ci])
-            b = np.atleast_2d(model.drift(X, k, xi))
-            c = np.asarray(model.cost(X, k, xi), dtype=float)
-            m = np.asarray(model.rates(X, xi), dtype=float)
-            val = _upwind_gradient_terms(psi[k], grid, b) + c * psi[k]
-            for j in range(N):
-                val += m[:, k, j] * psi[j]
-            scores[ci] = val
-        policy[k] = np.argmin(scores, axis=0)
-    return policy
+    n = op.shape[0]
+    scores = (op.stacked @ np.asarray(psi, dtype=float).reshape(-1)).reshape(-1, n)
+    return np.argmin(scores, axis=0).reshape(op.num_regimes, -1)
 
 
 @dataclasses.dataclass
@@ -254,38 +217,40 @@ def solve_semilinear(model, grid, tol=1e-11, max_policy_iters=60, eig_tol=None):
 
     Starts from the constant lowest-index policy; alternates policy evaluation
     (principal eigenpair of the frozen-policy operator) with the minimizing
-    selector.  Converges when the policy repeats or the eigenvalue stabilizes
-    within ``tol``.  On a cycle (``oscillated=True``, counted as converged) or
+    selector, assembling once and gathering each later policy's rows.
+    Converges when the policy repeats or the eigenvalue stabilizes within
+    ``tol``.  On a cycle (``oscillated=True``, counted as converged) or
     an exhausted budget (``converged=False``) the evaluated policy with the
     smallest eigenvalue is returned with its eigenpair.
     """
     if max_policy_iters < 1:
         raise ValueError("max_policy_iters must be >= 1")
-    policy = constant_policy(grid, model.num_regimes, 0)
+    op = assemble(model, grid, constant_policy(grid, model.num_regimes, 0))
     seen = set()
     trace = []
     warm = None
     best = None
     converged = oscillated = False
     for it in range(1, max_policy_iters + 1):
-        pair = principal_eigenpair(assemble(model, grid, policy), tol=eig_tol, x0=warm)
+        pair = principal_eigenpair(op, tol=eig_tol, x0=warm)
         warm = pair.flat()
         trace.append(pair.eigenvalue)
         if best is None or pair.eigenvalue < best[1].eigenvalue:
-            best = (policy, pair)
-        nxt = minimizing_selector(model, grid, pair.eigenfunction)
-        if np.array_equal(nxt, policy):
+            best = (op.policy, pair)
+        nxt = minimizing_selector(op, pair.eigenfunction)
+        if np.array_equal(nxt, op.policy):
             converged = True
             break
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= tol:
             # eigenvalue stalled; keep the policy the eigenpair was built on
             converged = True
             break
-        seen.add(policy.tobytes())
+        seen.add(op.policy.tobytes())
         if nxt.tobytes() in seen:
             oscillated = True
             break
-        policy = nxt
+        op = op.with_policy(nxt)
+    policy = op.policy
     if not converged:
         policy, pair = best
     return SemilinearSolution(

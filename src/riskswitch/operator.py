@@ -18,6 +18,11 @@ with regime-major rows (row = regime * M + node):
 * Dirichlet data on the boundary layer is eliminated: couplings that would
   leave the interior are dropped and their mass is recorded per row in
   ``boundary_outflow`` (so A @ 1 + boundary_outflow recovers the cost row sum).
+
+A row depends only on its (node, regime) pair and its control, so assembly
+builds A_c, the operator of the constant policy c, for every control and
+stacks them control-major.  Any policy's operator is a row gather from that
+stack: a policy change costs no model call.
 """
 
 import dataclasses
@@ -51,24 +56,14 @@ def constant_policy(grid, num_regimes, control_index=0):
     return np.full((num_regimes, grid.num_interior), control_index, dtype=np.int64)
 
 
-def validate_policy(policy, grid, model):
-    policy = np.asarray(policy)
-    if policy.shape != (model.num_regimes, grid.num_interior):
-        raise ValueError(
-            "policy table must have shape (num_regimes, num_interior) = (%d, %d), got %s"
-            % (model.num_regimes, grid.num_interior, policy.shape)
-        )
-    if policy.min() < 0 or policy.max() >= model.num_controls:
-        raise ValueError("policy table contains control indices outside [0, %d)" % model.num_controls)
-    return policy.astype(np.int64)
-
-
 @dataclasses.dataclass
 class DiscreteOperator:
-    """Assembled sparse operator with its provenance.
+    """Assembled sparse operator of one policy, with every control's rows.
 
     ``matrix`` acts on vectors stacked regime-major: entry ``k * M + i`` is
     the value at interior node ``i`` (row-major node order) in regime ``k``.
+    Row ``c * n + r`` of ``stacked`` (``n = N * M``), ``stacked_cost`` and
+    ``stacked_outflow`` is row ``r`` of A_c, the constant policy c's operator.
     """
 
     matrix: sp.csr_matrix
@@ -77,10 +72,39 @@ class DiscreteOperator:
     policy: np.ndarray
     cost_vector: np.ndarray
     boundary_outflow: np.ndarray
+    stacked: sp.csr_matrix
+    stacked_cost: np.ndarray
+    stacked_outflow: np.ndarray
 
     @property
     def shape(self):
         return self.matrix.shape
+
+    def with_policy(self, policy):
+        """Operator of another table policy, gathered from ``stacked``.
+
+        Row ``r`` is row ``r`` of A_{policy[r]}; no model call is made.
+        Raises ``ValueError`` for a table of the wrong shape or with control
+        indices out of range.
+        """
+        policy = np.asarray(policy)
+        n = self.stacked.shape[1]
+        num_controls = self.stacked.shape[0] // n
+        if policy.shape != (self.num_regimes, self.grid.num_interior):
+            raise ValueError(
+                "policy table must have shape (num_regimes, num_interior) = (%d, %d), got %s"
+                % (self.num_regimes, self.grid.num_interior, policy.shape)
+            )
+        if policy.min() < 0 or policy.max() >= num_controls:
+            raise ValueError("policy table contains control indices outside [0, %d)"
+                             % num_controls)
+        policy = policy.astype(np.int64)
+        rows = policy.reshape(-1) * n + np.arange(n)
+        return dataclasses.replace(
+            self, matrix=self.stacked[rows], policy=policy,
+            cost_vector=self.stacked_cost[rows],
+            boundary_outflow=self.stacked_outflow[rows],
+        )
 
     def write_matrix_market(self, path):
         """Dump the sparse matrix in Matrix Market coordinate format."""
@@ -90,134 +114,122 @@ class DiscreteOperator:
 def _axis_neighbors(grid):
     """Per-axis neighbor availability and flat offsets on the interior lattice."""
     m = grid.interior_per_axis
-    M = grid.num_interior
-    multi = np.unravel_index(np.arange(M), grid.interior_shape)
-    info = []
-    for a in range(grid.dim):
-        pos = multi[a]
-        info.append({
-            "plus_ok": pos < m - 1,
-            "minus_ok": pos > 0,
-            "offset": int(grid.strides[a]),
-        })
-    return info
+    multi = np.unravel_index(np.arange(grid.num_interior), grid.interior_shape)
+    return [{"plus_ok": pos < m - 1, "minus_ok": pos > 0, "offset": int(stride)}
+            for pos, stride in zip(multi, grid.strides)]
 
 
 def assemble(model, grid, policy):
     """Assemble the discrete operator for a table policy.
 
     Every row uses the control assigned to its own (node, regime) pair in the
-    drift, the cost, and the whole rate row.  Returns a
-    :class:`DiscreteOperator`; raises :class:`MonotonicityViolation` when the
-    2D cross term cannot be given a positive stencil, and ``ValueError`` for
-    malformed rate matrices.
+    drift, the cost, and the whole rate row.  The operators A_c of all
+    constant policies are built first, so every control's coefficients are
+    evaluated and checked, and the policy's rows are gathered from them.
+    Returns a :class:`DiscreteOperator`; raises
+    :class:`MonotonicityViolation` when the 2D cross term cannot be given a
+    positive stencil, and ``ValueError`` for malformed rate matrices, a
+    negative cost or a malformed policy table.
     """
     if grid.dim > 2:
         raise NotImplementedError("assembly is implemented for dim <= 2")
-    policy = validate_policy(policy, grid, model)
+    X = grid.interior_points()
+    cov = []
+    for k in range(model.num_regimes):
+        a_mat = model.covariance(X, k)
+        if grid.dim == 2:
+            lim = np.minimum(a_mat[:, 0, 0], a_mat[:, 1, 1])
+            bad = np.abs(a_mat[:, 0, 1]) > lim + 1e-15 * np.maximum(1.0, lim)
+            if bad.any():
+                j = int(np.argmax(bad))
+                raise MonotonicityViolation(j, k, X[j], a_mat[j])
+        cov.append(a_mat)
+    neigh = _axis_neighbors(grid)
+    # one control at a time, so only one control's triplets are alive at once
+    mats, costs, outflows = zip(*(
+        _constant_policy_operator(model, grid, X, cov, neigh, ci)
+        for ci in range(model.num_controls)))
+    stack = DiscreteOperator(
+        matrix=None, grid=grid, num_regimes=model.num_regimes, policy=None,
+        cost_vector=None, boundary_outflow=None,
+        stacked=sp.vstack(mats, format="csr"),
+        stacked_cost=np.concatenate(costs), stacked_outflow=np.concatenate(outflows),
+    )
+    return stack.with_policy(policy)
+
+
+def _constant_policy_operator(model, grid, X, cov, neigh, ci):
+    """CSR matrix, cost and boundary outflow rows of A_c for control ``ci``."""
     h = grid.spacing
     M = grid.num_interior
     N = model.num_regimes
-    X = grid.interior_points()
-    neigh = _axis_neighbors(grid)
-
-    rows, cols, vals = [], [], []
+    xi = float(model.controls[ci])
+    nodes = np.arange(M)
+    entries = []  # (rows, cols, values) of the off-diagonal couplings
     diag = np.zeros(N * M)
     cost_vec = np.zeros(N * M)
     outflow = np.zeros(N * M)
-
-    def put(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
+    m = _check_rate_matrices(model.rates(X, xi), "control %g" % xi)
     for k in range(N):
-        for ci in range(model.num_controls):
-            mask = policy[k] == ci
-            if not mask.any():
-                continue
-            nodes = np.nonzero(mask)[0]
-            pts = X[nodes]
-            xi = float(model.controls[ci])
-            row0 = k * M + nodes
+        row0 = k * M + nodes
+        a_mat = cov[k]
+        b = np.atleast_2d(model.drift(X, k, xi))
+        c = np.asarray(model.cost(X, k, xi), dtype=float)
+        if np.any(c < -1e-12):
+            raise ValueError("cost must be nonnegative; min %g" % c.min())
+        q = np.abs(a_mat[:, 0, 1]) if grid.dim == 2 else np.zeros(M)
 
-            a_mat = model.covariance(pts, k)
-            b = np.atleast_2d(model.drift(pts, k, xi))
-            c = np.asarray(model.cost(pts, k, xi), dtype=float)
-            if np.any(c < -1e-12):
-                raise ValueError("cost must be nonnegative; min %g" % c.min())
-            m = _check_rate_matrices(model.rates(pts, xi), "control %g" % xi)
+        # axis terms: diffusion (less the cross correction) plus upwinded drift
+        for a in range(grid.dim):
+            ad = a_mat[:, a, a] - q
+            bp = np.maximum(b[:, a], 0.0)
+            bm = np.maximum(-b[:, a], 0.0)
+            up = ad / h**2 + bp / h
+            dn = ad / h**2 + bm / h
+            diag[row0] += -2.0 * ad / h**2 - (bp + bm) / h
+            off = neigh[a]["offset"]
+            for ok, step, w in ((neigh[a]["plus_ok"], off, up),
+                                (neigh[a]["minus_ok"], -off, dn)):
+                entries.append((row0[ok], row0[ok] + step, w[ok]))
+                outflow[row0[~ok]] += w[~ok]
 
-            if grid.dim == 2:
-                a12 = a_mat[:, 0, 1]
-                q = np.abs(a12)
-                lim = np.minimum(a_mat[:, 0, 0], a_mat[:, 1, 1])
-                bad = q > lim + 1e-15 * np.maximum(1.0, lim)
-                if bad.any():
-                    j = int(np.argmax(bad))
-                    raise MonotonicityViolation(nodes[j], k, pts[j], a_mat[j])
-            else:
-                q = np.zeros(len(nodes))
+        if grid.dim == 2:
+            # corner stencil along the diagonal matching the sign of a12
+            diag[row0] += -2.0 * q / h**2
+            s_pos = a_mat[:, 0, 1] >= 0
+            o0, o1 = neigh[0]["offset"], neigh[1]["offset"]
+            p0, m0 = neigh[0]["plus_ok"], neigh[0]["minus_ok"]
+            p1, m1 = neigh[1]["plus_ok"], neigh[1]["minus_ok"]
+            corners = [
+                (s_pos & p0 & p1, o0 + o1),
+                (s_pos & m0 & m1, -o0 - o1),
+                (~s_pos & p0 & m1, o0 - o1),
+                (~s_pos & m0 & p1, -o0 + o1),
+            ]
+            val = q / h**2
+            for sel, off in corners:
+                entries.append((row0[sel], row0[sel] + off, val[sel]))
+            # dropped corners leak to the boundary
+            for sign_sel, pair in ((s_pos, (p0 & p1, m0 & m1)),
+                                   (~s_pos, (p0 & m1, m0 & p1))):
+                for okc in pair:
+                    lost = sign_sel & ~okc
+                    outflow[row0[lost]] += val[lost]
 
-            # axis terms: diffusion (less the cross correction) plus upwinded drift
-            for a in range(grid.dim):
-                ad = a_mat[:, a, a] - q
-                bp = np.maximum(b[:, a], 0.0)
-                bm = np.maximum(-b[:, a], 0.0)
-                up = ad / h**2 + bp / h
-                dn = ad / h**2 + bm / h
-                diag[row0] += -2.0 * ad / h**2 - (bp + bm) / h
-                ok = neigh[a]["plus_ok"][nodes]
-                off = neigh[a]["offset"]
-                put(row0[ok], row0[ok] + off, up[ok])
-                outflow[row0[~ok]] += up[~ok]
-                ok = neigh[a]["minus_ok"][nodes]
-                put(row0[ok], row0[ok] - off, dn[ok])
-                outflow[row0[~ok]] += dn[~ok]
+        # regime coupling: the whole rate row of this control
+        diag[row0] += m[:, k, k]
+        for j in range(N):
+            if j != k:
+                entries.append((row0, j * M + nodes, m[:, k, j]))
+        cost_vec[row0] = c
 
-            if grid.dim == 2:
-                # corner stencil along the diagonal matching the sign of a12
-                diag[row0] += -2.0 * q / h**2
-                s_pos = a12 >= 0
-                o0, o1 = neigh[0]["offset"], neigh[1]["offset"]
-                p0, m0 = neigh[0]["plus_ok"][nodes], neigh[0]["minus_ok"][nodes]
-                p1, m1 = neigh[1]["plus_ok"][nodes], neigh[1]["minus_ok"][nodes]
-                corners = [
-                    (s_pos & p0 & p1, o0 + o1, s_pos),
-                    (s_pos & m0 & m1, -o0 - o1, s_pos),
-                    (~s_pos & p0 & m1, o0 - o1, ~s_pos),
-                    (~s_pos & m0 & p1, -o0 + o1, ~s_pos),
-                ]
-                val = q / h**2
-                for sel, off, sign_sel in corners:
-                    put(row0[sel], row0[sel] + off, val[sel])
-                # dropped corners leak to the boundary
-                for sign_sel, pair in ((s_pos, (p0 & p1, m0 & m1)),
-                                       (~s_pos, (p0 & m1, m0 & p1))):
-                    for okc in pair:
-                        lost = sign_sel & ~okc
-                        outflow[row0[lost]] += val[lost]
-
-            # regime coupling: the whole rate row of this node's control
-            for j in range(N):
-                if j == k:
-                    diag[row0] += m[:, k, k]
-                else:
-                    put(row0, j * M + nodes, m[:, k, j])
-            cost_vec[row0] = c
-
-    if rows:
-        rows = np.concatenate([np.atleast_1d(r) for r in rows])
-        cols = np.concatenate([np.atleast_1d(c) for c in cols])
-        vals = np.concatenate([np.atleast_1d(v) for v in vals])
-        mat = sp.coo_matrix((vals, (rows, cols)), shape=(N * M, N * M)).tocsr()
-    else:
-        mat = sp.csr_matrix((N * M, N * M))
-    # cost is added to the diagonal last, as its own term
-    mat = (mat + sp.diags(diag) + sp.diags(cost_vec)).tocsr()
-    mat.sum_duplicates()
-    return DiscreteOperator(
-        matrix=mat, grid=grid, num_regimes=N, policy=policy.copy(),
-        cost_vector=cost_vec, boundary_outflow=outflow,
-    )
-
+    # cost is added to the diagonal last, as its own term; no coupling sits on
+    # the diagonal, so the conversion below sums no duplicates
+    every = np.arange(N * M)
+    entries.append((every, every, diag + cost_vec))
+    rows, cols, vals = (np.concatenate(t) for t in zip(*entries))
+    mat = sp.coo_matrix((vals, (rows, cols)), shape=(N * M, N * M)).tocsr()
+    # drop stored zeros (a zero rate, say): the irreducibility check reads
+    # every stored entry as an edge
+    mat.eliminate_zeros()
+    return mat, cost_vec, outflow

@@ -72,16 +72,17 @@ class StepSizeError(RuntimeError):
 
 
 class NonFiniteEstimateError(RuntimeError):
-    """A risk-sensitive rate estimate came out NaN or infinite."""
+    """A Monte Carlo estimate of some functional came out NaN or infinite."""
 
-    def __init__(self, value, bad_paths, paths):
+    def __init__(self, functional, value, bad_paths, paths):
+        self.functional = functional
         self.value = value
         self.bad_paths = bad_paths
         self.paths = paths
         super().__init__(
-            "rate estimate %s is not finite: %d of %d path sums are not finite; "
+            "%s estimate %s is not finite: %d of %d path values are not finite; "
             "check the model's coefficients at the states the paths visit"
-            % (value, bad_paths, paths)
+            % (functional.value, value, bad_paths, paths)
         )
 
 
@@ -480,7 +481,8 @@ def estimate_risk_sensitive_rate(model, policy, config, lambda_ref=None,
     log_mean, w, mean_w = _logmeanexp(S)
     value = log_mean / T
     if not math.isfinite(value):
-        raise NonFiniteEstimateError(value, int(np.count_nonzero(~np.isfinite(S))),
+        raise NonFiniteEstimateError(Functional.RISK_SENSITIVE_RATE, value,
+                                     int(np.count_nonzero(~np.isfinite(S))),
                                      config.paths)
     if config.paths > 1:
         se = float(np.std(w, ddof=1)) / (mean_w * math.sqrt(config.paths)) / T
@@ -714,6 +716,9 @@ def mean_position_diagnostic(model, policy, config, horizons=None, x0=None,
     for driftless diffusion, T^(-1) under mean reversion); expansive dynamics
     push it back up along the ladder, which fails the check.  The fitted
     log-log slope is reported as the decay exponent.
+
+    Raises :class:`NonFiniteEstimateError` when the mean at some horizon is
+    NaN or infinite.
     """
     cmap = ControlMap.coerce(policy, grid=grid)
     x0 = _coerce_start(model, x0)
@@ -740,6 +745,10 @@ def mean_position_diagnostic(model, policy, config, horizons=None, x0=None,
     errors = []
     for i, T in enumerate(times):
         mean_abs = float(np.mean(snaps[i]))
+        if not math.isfinite(mean_abs):
+            raise NonFiniteEstimateError(
+                Functional.MEAN_ABS_POSITION, mean_abs,
+                int(np.count_nonzero(~np.isfinite(snaps[i]))), config.paths)
         se = float(np.std(snaps[i], ddof=1)) / math.sqrt(config.paths) \
             if config.paths > 1 else math.inf
         values.append(mean_abs / T)

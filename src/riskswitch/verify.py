@@ -15,7 +15,7 @@ import numpy as np
 
 from .eigen import (LAMBDA_TOL, PSI_TOL, domain_sweep, minimizing_selector,
                     principal_eigenpair, solve_semilinear, verification_tol)
-from .operator import assemble, constant_policy, validate_policy
+from .operator import assemble, constant_policy
 from .simulate import ControlMap, estimate_risk_sensitive_rate
 
 
@@ -107,7 +107,8 @@ def verify_optimality(model, grid, alt_policies=(), solution=None, eig_tol=None)
     """No alternative policy beats the solved one; the solution is a fixed point.
 
     For every supplied policy the frozen-policy eigenvalue must exceed the
-    solved lambda minus ``LAMBDA_TOL``.  Re-assembling under the extracted
+    solved lambda minus ``LAMBDA_TOL``; its operator is gathered from the
+    one assembly of the extracted policy.  Re-solving under the extracted
     policy must reproduce the eigenpair (lambda within ``LAMBDA_TOL``,
     eigenfunction within ``PSI_TOL`` relative sup-norm), and the minimizing
     selector applied to the solved eigenfunction must map back to a policy of
@@ -119,23 +120,23 @@ def verify_optimality(model, grid, alt_policies=(), solution=None, eig_tol=None)
     sol = solution if solution is not None else solve_semilinear(
         model, grid, eig_tol=eig_tol)
     lam_star = sol.eigenpair.eigenvalue
+    op = assemble(model, grid, sol.policy)
     excesses = []
     for p in alt_policies:
-        validate_policy(p, grid, model)
-        pair = principal_eigenpair(assemble(model, grid, p), tol=eig_tol)
+        pair = principal_eigenpair(op.with_policy(p), tol=eig_tol)
         excess = pair.eigenvalue - lam_star
         excesses.append(PolicyExcess(eigenvalue=pair.eigenvalue, excess=excess,
                                      ok=bool(excess >= -LAMBDA_TOL)))
-    re_pair = principal_eigenpair(assemble(model, grid, sol.policy), tol=eig_tol)
+    re_pair = principal_eigenpair(op, tol=eig_tol)
     lam_err = abs(re_pair.eigenvalue - lam_star)
     scale = float(np.max(np.abs(sol.eigenpair.eigenfunction)))
     psi_err = float(np.max(np.abs(re_pair.eigenfunction - sol.eigenpair.eigenfunction))) / scale
-    reselected = minimizing_selector(model, grid, sol.eigenpair.eigenfunction)
+    reselected = minimizing_selector(op, sol.eigenpair.eigenfunction)
     if np.array_equal(reselected, sol.policy):
         fixed_point_ok = True
     else:
         # ties can flip individual nodes; accept if the eigenvalue agrees
-        alt = principal_eigenpair(assemble(model, grid, reselected), tol=eig_tol)
+        alt = principal_eigenpair(op.with_policy(reselected), tol=eig_tol)
         fixed_point_ok = bool(abs(alt.eigenvalue - lam_star) <= LAMBDA_TOL)
     passed = (all(e.ok for e in excesses) and lam_err <= LAMBDA_TOL
               and psi_err <= PSI_TOL and fixed_point_ok)
@@ -407,9 +408,10 @@ def lambda_equals_optimal_value(model, grid, policy_sample_count, config,
     )
     opt_dev = abs(opt_est.value - lam_star)
     opt_ok = bool(opt_est.unreliable or opt_dev <= 3.0 * opt_est.std_error)
+    op = assemble(model, grid, sol.policy)
     entries = []
     for p in random_policies(model, grid, policy_sample_count, seed=seed):
-        pair = principal_eigenpair(assemble(model, grid, p), tol=eig_tol)
+        pair = principal_eigenpair(op.with_policy(p), tol=eig_tol)
         est = estimate_risk_sensitive_rate(
             model, ControlMap.from_policy(p, grid), config,
             lambda_ref=lam_star, workers=workers, grid=grid,

@@ -4,8 +4,10 @@ Everything here goes through a different route than the package: dense LAPACK
 spectra instead of sparse inverse iteration, closed forms instead of grids,
 scalar ODEs instead of sampled paths, direct recursions instead of the vector
 simulator, a per-group Euler step instead of the fused step kernel, one
-block of paths at a time instead of working sets.  Tests compare package
-output against these, never against the package itself.
+block of paths at a time instead of working sets, a drift/cost/switching
+bracket evaluated from the model instead of rows of the assembled operator.
+Tests compare package output against these, never against the package
+itself.
 """
 
 import math
@@ -244,6 +246,59 @@ def horizon_per_block(model, cmap, config, blocks, x0, k0, keep_steps=()):
 def fk_per_block(model, cmap, config, blocks, *args):
     parts = [fk_block(model, cmap, config, b, n, *args) for b, n in blocks]
     return tuple(np.concatenate(p, axis=1) for p in zip(*parts))
+
+
+# ---------------------------------------------------------------------------
+# minimizing-selector bracket straight from the model
+
+def _upwind_gradient_terms(psi_k, grid, b):
+    """Upwinded b . grad(psi_k) with zero extension past the boundary."""
+    shape = grid.interior_shape
+    h = grid.spacing
+    P = psi_k.reshape(shape)
+    out = np.zeros(grid.num_interior)
+    for a in range(grid.dim):
+        fwd = np.zeros(shape)
+        bwd = np.zeros(shape)
+        src_hi = [slice(1, None) if aa == a else slice(None) for aa in range(grid.dim)]
+        dst_hi = [slice(None, -1) if aa == a else slice(None) for aa in range(grid.dim)]
+        fwd[tuple(dst_hi)] = P[tuple(src_hi)]
+        bwd[tuple(src_hi)] = P[tuple(dst_hi)]
+        dplus = (fwd - P).reshape(-1) / h
+        dminus = (P - bwd).reshape(-1) / h
+        bp = np.maximum(b[:, a], 0.0)
+        bm = np.maximum(-b[:, a], 0.0)
+        out += bp * dplus - bm * dminus
+    return out
+
+
+def bracket_scores(model, grid, psi):
+    """Control-dependent part of (A_c psi) per control, node and regime.
+
+    For each control c, regime k and node the score is
+
+        b . grad(psi_k)  (upwinded by the sign of control c's drift)
+        + cost * psi_k + sum_j rates_kj * psi_j
+
+    evaluated from the model's coefficients.  The diffusion part does not
+    depend on the control and is left out.  Shape (num_controls,
+    num_regimes, num_interior).
+    """
+    psi = np.asarray(psi, dtype=float)
+    N = model.num_regimes
+    X = grid.interior_points()
+    scores = np.empty((model.num_controls, N, grid.num_interior))
+    for ci in range(model.num_controls):
+        xi = float(model.controls[ci])
+        m = np.asarray(model.rates(X, xi), dtype=float)
+        for k in range(N):
+            b = np.atleast_2d(model.drift(X, k, xi))
+            c = np.asarray(model.cost(X, k, xi), dtype=float)
+            val = _upwind_gradient_terms(psi[k], grid, b) + c * psi[k]
+            for j in range(N):
+                val += m[:, k, j] * psi[j]
+            scores[ci, k] = val
+    return scores
 
 
 # ---------------------------------------------------------------------------

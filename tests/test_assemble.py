@@ -271,6 +271,38 @@ def test_policy_validation():
         rs.assemble(m, g, bad)
 
 
+@pytest.mark.parametrize("name", ["bounded2d", "ou2"])
+def test_policy_rows_equal_constant_policy_rows(name):
+    # row r of a mixed policy's operator is, bitwise, row r of the operator
+    # of the constant policy that uses row r's control
+    m = rs.make_builtin(name)
+    g = rs.grid_for_resolution(m.dim, 2.0, 4 if m.dim == 2 else 10)
+    pol = rs.random_policies(m, g, 1, seed=5)[0]
+    assert len(np.unique(pol)) == m.num_controls
+    op = rs.assemble(m, g, pol)
+    const = [rs.assemble(m, g, rs.constant_policy(g, m.num_regimes, c))
+             for c in range(m.num_controls)]
+    for r, c in enumerate(pol.reshape(-1)):
+        row, ref = op.matrix[r], const[c].matrix[r]
+        np.testing.assert_array_equal(row.indices, ref.indices)
+        np.testing.assert_array_equal(row.data, ref.data)
+        assert op.cost_vector[r] == const[c].cost_vector[r]
+        assert op.boundary_outflow[r] == const[c].boundary_outflow[r]
+
+
+def test_with_policy_validation():
+    m = rs.make_builtin("ou2")
+    g = rs.build_grid(1, 1.0, 5)
+    op = rs.assemble(m, g, rs.constant_policy(g, 2))
+    with pytest.raises(ValueError, match="shape"):
+        op.with_policy(np.zeros((1, g.num_interior), dtype=int))
+    for index in (-1, m.num_controls):
+        bad = rs.constant_policy(g, 2, 0)
+        bad[1, 0] = index
+        with pytest.raises(ValueError, match="control indices"):
+            op.with_policy(bad)
+
+
 def test_dim3_not_implemented():
     m = dataclasses.replace(
         rs.make_builtin("lq"), dim=3,

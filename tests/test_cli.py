@@ -53,7 +53,11 @@ def test_solve_writes_result_and_artifacts(tmp_path):
     assert os.path.exists(d + "/op.mtx")
     assert os.path.exists(d + "/run_meta.json")
     meta = load(d + "/run_meta.json")
-    assert set(meta) >= {"version", "workers", "duration_sec", "argv"}
+    assert set(meta) >= {"version", "workers", "duration_sec", "argv",
+                         "usable_cpus", "python", "numpy", "scipy", "blas_threads"}
+    assert meta["usable_cpus"] >= 1
+    assert set(meta["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                         "MKL_NUM_THREADS"}
 
 
 def test_solve_config_hash_keyed_on_configuration(tmp_path):
@@ -208,6 +212,27 @@ def test_simulate_non_finite_rate_exits_3(tmp_path):
     assert err["exit_code"] == 3
     assert err["error"]["type"] == "NonFiniteEstimateError"
     assert "not finite" in err["error"]["message"]
+    assert not os.path.exists(d + "/estimate.json")
+
+
+def test_simulate_mean_position_non_finite_exits_3(tmp_path):
+    # sqrt of a negative state is NaN and the paths carry it into |X_T|
+    spec = {"name": "sqrtdrift", "dim": 1, "num_regimes": 1,
+            "controls": [1.0], "drift": ["-x1 + 0.1 * sqrt(x1)"],
+            "diffusion": [["1"]], "rates": [["0"]], "cost": "0.05 * x1^2"}
+    cfg = tmp_path / "sqrtdrift.json"
+    cfg.write_text(json.dumps(spec))
+    d = str(tmp_path)
+    with pytest.warns(RuntimeWarning):
+        code, out = run(["simulate", "--model", str(cfg),
+                         "--functional", "mean-position", "--paths", "256",
+                         "--horizon", "4", "--step", "0.01", "--output-dir", d])
+    assert code == 3
+    err = json.loads(out)
+    assert err["exit_code"] == 3
+    assert err["error"]["type"] == "NonFiniteEstimateError"
+    assert "mean_abs_position estimate nan is not finite" in err["error"]["message"]
+    assert not os.path.exists(d + "/diagnostic.json")
     assert not os.path.exists(d + "/estimate.json")
 
 

@@ -241,7 +241,7 @@ def test_selector_tie_breaks_to_lowest_index():
     m = rs.make_builtin("lq", controls=(1.0, 1.0))  # duplicated control value
     g = rs.grid_for_resolution(1, 4.0, 10)
     psi = np.ones((1, g.num_interior))
-    pol = rs.minimizing_selector(m, g, psi)
+    pol = rs.minimizing_selector(rs.assemble(m, g, rs.constant_policy(g, 1)), psi)
     assert pol.shape == (1, g.num_interior)
     assert np.all(pol == 0)
 
@@ -256,7 +256,43 @@ def test_selector_prefers_stronger_reversion_in_bulk():
     assert frac > 0.9
     # the returned policy is a fixed point of the selector on its own psi
     np.testing.assert_array_equal(
-        rs.minimizing_selector(m, g, sol.eigenpair.eigenfunction), sol.policy)
+        rs.minimizing_selector(rs.assemble(m, g, sol.policy),
+                               sol.eigenpair.eigenfunction), sol.policy)
+
+
+@pytest.mark.parametrize("name", ["bounded2d", "ou2"])
+def test_selector_rows_satisfy_howard_inequality(name):
+    # the selected rows applied to psi lie below every policy's rows, exactly
+    m = rs.make_builtin(name)
+    g = rs.grid_for_resolution(m.dim, 2.0, 5 if m.dim == 2 else 20)
+    op = rs.assemble(m, g, rs.constant_policy(g, m.num_regimes))
+    rng = np.random.default_rng(31)
+    psi = rng.uniform(0.5, 2.0, size=(m.num_regimes, g.num_interior))
+    best = op.with_policy(rs.minimizing_selector(op, psi)).matrix @ psi.reshape(-1)
+    others = [rs.constant_policy(g, m.num_regimes, c) for c in range(m.num_controls)]
+    others += rs.random_policies(m, g, 1, seed=37)
+    for p in others:
+        assert np.all(best <= op.with_policy(p).matrix @ psi.reshape(-1))
+
+
+@pytest.mark.parametrize("name, radius, npu", [
+    ("lq", 6.0, 20), ("ou2", 5.0, 40), ("dip", 6.0, 20), ("bounded2d", 3.0, 8)])
+def test_selector_matches_model_bracket_oracle(name, radius, npu):
+    # away from near-ties the row-wise argmin of A_c psi picks the control
+    # minimizing the bracket evaluated straight from the model
+    m = rs.make_builtin(name)
+    g = rs.grid_for_resolution(m.dim, radius, npu)
+    sol = rs.solve_semilinear(m, g)
+    psi = sol.eigenpair.eigenfunction
+    op = rs.assemble(m, g, sol.policy)
+    scores = orc.bracket_scores(m, g, psi)
+    two = np.sort(scores, axis=0)[:2]
+    norm_inf = float(abs(op.stacked).sum(axis=1).max())
+    decisive = two[1] - two[0] > 64 * np.finfo(float).eps * norm_inf * psi.max()
+    assert decisive.mean() > 0.5
+    picked = rs.minimizing_selector(op, psi)
+    np.testing.assert_array_equal(picked[decisive],
+                                  np.argmin(scores, axis=0)[decisive])
 
 
 def test_solve_semilinear_lq_closed_form():
@@ -284,7 +320,7 @@ def test_policy_iteration_evaluates_each_policy_once(monkeypatch, exit_kind):
         mixed[:, g.num_interior // 2:] = 0
         nxt = itertools.cycle([strong, mixed, weak])
         monkeypatch.setattr(eigen_mod, "minimizing_selector",
-                            lambda model, grid, psi: next(nxt))
+                            lambda op, psi: next(nxt))
     solve = eigen_mod.principal_eigenpair
     calls = []
 
