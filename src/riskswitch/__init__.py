@@ -15,9 +15,10 @@ from .estimator import NotFittedError, RiskSensitiveController
 from .expressions import ExpressionError, compile_expression, load_model, model_from_spec
 from .grid import GridSpec, build_grid, grid_for_resolution
 from .model import (BUILTIN_MODELS, CertificateMode, LyapunovCertificate,
-                    SwitchingModel, ValidationReport, bounded_two_regime_2d_model,
-                    builtin_certificate, check_lyapunov, dipped_cost_model,
-                    lq_model, make_builtin, two_regime_ou_model, validate_model)
+                    NonFiniteCoefficientError, SwitchingModel, ValidationReport,
+                    bounded_two_regime_2d_model, builtin_certificate, check_lyapunov,
+                    coefficients, dipped_cost_model, lq_model, make_builtin,
+                    two_regime_ou_model, validate_model)
 from .operator import DiscreteOperator, MonotonicityViolation, assemble, constant_policy
 from .simulate import (ControlMap, CostEstimate, Functional,
                        NonFiniteEstimateError, PathConfig, StepSizeError,
@@ -31,13 +32,13 @@ __all__ = [
     "BUILTIN_MODELS", "CertificateMode", "ControlMap", "CostEstimate",
     "DiscreteOperator", "EigenPair", "ExpressionError", "Functional",
     "GridSpec", "GrowthBound", "LyapunovCertificate", "MonotonicityViolation",
-    "NoConvergenceError", "NonFiniteEstimateError", "NotFittedError",
-    "NotIrreducibleError",
+    "NoConvergenceError", "NonFiniteCoefficientError", "NonFiniteEstimateError",
+    "NotFittedError", "NotIrreducibleError",
     "PathConfig", "RiskSensitiveController",
     "SemilinearSolution", "StepSizeError", "SweepResult", "SwitchingModel",
     "TrajectoryBatch", "ValidationReport", "assemble",
     "bounded_two_regime_2d_model", "build_grid", "builtin_certificate",
-    "check_lyapunov", "compile_expression", "constant_policy",
+    "check_lyapunov", "coefficients", "compile_expression", "constant_policy",
     "dipped_cost_model", "domain_sweep", "estimate_risk_sensitive_rate",
     "feynman_kac_annulus", "fit_growth_bound", "grid_for_resolution",
     "lambda_equals_optimal_value", "load_model", "lq_model", "make_builtin",

@@ -2,10 +2,11 @@
 
 Commands: solve, sweep, simulate, verify, validate.  Exit codes: 0 all
 requested checks pass, 1 a check failed, 2 usage or configuration error,
-3 numeric failure (irreducibility, eigensolver convergence, stencil
-positivity, step size, non-finite Monte Carlo estimate).  An unconverged
-policy iteration writes its artifacts with ``"converged": false`` and exits 1
-(in verify, as the failed check ``policy_iteration``).
+3 numeric failure (non-finite model coefficient, irreducibility, eigensolver
+convergence, stencil positivity, step size, non-finite Monte Carlo
+estimate).  An unconverged policy iteration writes its artifacts with
+``"converged": false`` and exits 1 (in verify, as the failed check
+``policy_iteration``).
 
 Every machine output embeds the resolved configuration and a sha256 hash of
 it, and is written deterministically (sorted keys, fixed float formatting
@@ -33,9 +34,9 @@ from .eigen import (NoConvergenceError, NotIrreducibleError, domain_sweep,
                     solve_semilinear)
 from .expressions import ExpressionError, load_model
 from .grid import grid_for_resolution
-from .model import (builtin_certificate, check_lyapunov, make_builtin,
-                    validate_model)
-from .operator import MonotonicityViolation, assemble
+from .model import (NonFiniteCoefficientError, builtin_certificate,
+                    check_lyapunov, make_builtin, validate_model)
+from .operator import MonotonicityViolation
 from .simulate import (BLOCK, SET_ROWS, ControlMap, NonFiniteEstimateError,
                        PathConfig, StepSizeError, _usable_cpus,
                        estimate_risk_sensitive_rate, feynman_kac_annulus,
@@ -44,9 +45,9 @@ from .verify import (lambda_equals_optimal_value, random_policies,
                      validate_near_monotone, verification_eig_tol,
                      verify_optimality)
 
-NUMERIC_ERRORS = (MonotonicityViolation, NotIrreducibleError,
-                  NoConvergenceError, NonFiniteEstimateError, StepSizeError,
-                  np.linalg.LinAlgError)
+NUMERIC_ERRORS = (NonFiniteCoefficientError, MonotonicityViolation,
+                  NotIrreducibleError, NoConvergenceError,
+                  NonFiniteEstimateError, StepSizeError, np.linalg.LinAlgError)
 
 
 class UsageError(ValueError):
@@ -216,7 +217,7 @@ def cmd_solve(args):
     sol = solve_semilinear(model, grid, tol=args.tol,
                            max_policy_iters=args.max_policy_iters)
     if args.dump_operator:
-        assemble(model, grid, sol.policy).write_matrix_market(args.dump_operator)
+        sol.operator.write_matrix_market(args.dump_operator)
     config = {"command": "solve", "model": _model_config(args, model),
               "radius": args.radius, "nodes_per_unit": args.nodes_per_unit,
               "tol": args.tol, "max_policy_iters": args.max_policy_iters}
@@ -301,7 +302,7 @@ def cmd_simulate(args):
     raise UsageError("unknown functional %r" % args.functional)
 
 
-def _parse_starts(text, dim):
+def _parse_starts(text, model):
     starts = []
     for part in text.split(";"):
         part = part.strip()
@@ -309,13 +310,16 @@ def _parse_starts(text, dim):
             continue
         try:
             coords, k = part.rsplit(":", 1)
-            x = [float(v) for v in coords.split(",")]
-            if len(x) != dim:
+            x, k = [float(v) for v in coords.split(",")], int(k)
+            if len(x) != model.dim:
                 raise ValueError
-            starts.append((np.asarray(x), int(k)))
         except ValueError:
             raise UsageError(
-                "bad start %r; expected x1,..,x%d:regime" % (part, dim))
+                "bad start %r; expected x1,..,x%d:regime" % (part, model.dim))
+        if not 0 <= k < model.num_regimes:
+            raise UsageError("start regime %d of %r is outside [0, %d)"
+                             % (k, part, model.num_regimes))
+        starts.append((np.asarray(x), k))
     if not starts:
         raise UsageError("no start points parsed from %r" % text)
     return starts
@@ -334,29 +338,35 @@ def _default_starts(model, grid, r_inner, count=5):
     return starts
 
 
-def cmd_verify(args):
-    model = _model_from_args(args)
-    grid = _grid_for(args, model)
-    checks = {}
-    failed = []
-    flagged = []
-
-    hyp = validate_model(model, box_radius=grid.radius, samples=args.samples,
-                         seed=args.seed)
+def _hypothesis_checks(model, radius, samples, seed, cert_nodes_per_unit):
+    """(checks, failed, flagged) of ``validate_model`` on the box and of the
+    builtin certificate, if any, on a grid of radius min(radius, 4)."""
+    checks, failed, flagged = {}, [], []
+    hyp = validate_model(model, box_radius=radius, samples=samples, seed=seed)
     checks["hypotheses"] = hyp.as_dict()
     if not hyp.passed:
         failed.append("hypotheses")
-
     cert = builtin_certificate(model)
     if cert is not None:
-        cert_grid = grid_for_resolution(model.dim, min(grid.radius, 4.0),
-                                        max(args.nodes_per_unit // 4, 8))
+        cert_grid = grid_for_resolution(model.dim, min(radius, 4.0),
+                                        cert_nodes_per_unit)
         report = check_lyapunov(model, cert, cert_grid)
         checks["certificate"] = report.as_dict()
         if report.status == "fail":
             failed.append("certificate")
         elif report.status == "inconclusive":
             flagged.append("certificate")
+    return checks, failed, flagged
+
+
+def cmd_verify(args):
+    model = _model_from_args(args)
+    grid = _grid_for(args, model)
+    starts = (_parse_starts(args.starts, model) if args.starts
+              else _default_starts(model, grid, args.inner_radius))
+    checks, failed, flagged = _hypothesis_checks(
+        model, grid.radius, args.samples, args.seed,
+        max(args.nodes_per_unit // 4, 8))
 
     eig_tol = verification_eig_tol(model, grid)
     sol = solve_semilinear(model, grid, tol=args.tol,
@@ -384,10 +394,6 @@ def cmd_verify(args):
 
         fk_cfg = PathConfig(step=args.step, horizon=args.fk_horizon,
                             seed=args.seed, paths=args.paths)
-        if args.starts:
-            starts = _parse_starts(args.starts, model.dim)
-        else:
-            starts = _default_starts(model, grid, args.inner_radius)
         pair = sol.eigenpair
         if args.lambda_ref is not None:
             pair = dataclasses.replace(pair, eigenvalue=args.lambda_ref)
@@ -416,24 +422,8 @@ def cmd_verify(args):
 
 def cmd_validate(args):
     model = _model_from_args(args)
-    checks = {}
-    failed = []
-    flagged = []
-    hyp = validate_model(model, box_radius=args.radius, samples=args.samples,
-                         seed=args.seed)
-    checks["hypotheses"] = hyp.as_dict()
-    if not hyp.passed:
-        failed.append("hypotheses")
-    cert = builtin_certificate(model)
-    if cert is not None:
-        cert_grid = grid_for_resolution(model.dim, min(args.radius, 4.0),
-                                        args.nodes_per_unit)
-        report = check_lyapunov(model, cert, cert_grid)
-        checks["certificate"] = report.as_dict()
-        if report.status == "fail":
-            failed.append("certificate")
-        elif report.status == "inconclusive":
-            flagged.append("certificate")
+    checks, failed, flagged = _hypothesis_checks(
+        model, args.radius, args.samples, args.seed, args.nodes_per_unit)
     if args.near_monotone:
         gate = validate_near_monotone(model, box_radius=args.radius,
                                       samples=args.samples, seed=args.seed)

@@ -34,7 +34,7 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .grid import GridSpec, grid_for_resolution
-from .operator import assemble, constant_policy
+from .operator import DiscreteOperator, assemble, constant_policy
 
 DEFAULT_RESIDUAL_TOL = 1e-10
 LAMBDA_TOL = 1e-10  # eigenvalues that should agree
@@ -204,8 +204,11 @@ def minimizing_selector(op, psi):
 
 @dataclasses.dataclass
 class SemilinearSolution:
+    """Policy iteration's result; ``operator`` is the operator of ``policy``."""
+
     eigenpair: EigenPair
     policy: np.ndarray
+    operator: DiscreteOperator
     eigenvalue_trace: list
     policy_iterations: int
     converged: bool
@@ -221,7 +224,7 @@ def solve_semilinear(model, grid, tol=1e-11, max_policy_iters=60, eig_tol=None):
     Converges when the policy repeats or the eigenvalue stabilizes within
     ``tol``.  On a cycle (``oscillated=True``, counted as converged) or
     an exhausted budget (``converged=False``) the evaluated policy with the
-    smallest eigenvalue is returned with its eigenpair.
+    smallest eigenvalue is returned with its eigenpair and operator.
     """
     if max_policy_iters < 1:
         raise ValueError("max_policy_iters must be >= 1")
@@ -236,7 +239,7 @@ def solve_semilinear(model, grid, tol=1e-11, max_policy_iters=60, eig_tol=None):
         warm = pair.flat()
         trace.append(pair.eigenvalue)
         if best is None or pair.eigenvalue < best[1].eigenvalue:
-            best = (op.policy, pair)
+            best = (op, pair)
         nxt = minimizing_selector(op, pair.eigenfunction)
         if np.array_equal(nxt, op.policy):
             converged = True
@@ -250,11 +253,10 @@ def solve_semilinear(model, grid, tol=1e-11, max_policy_iters=60, eig_tol=None):
             oscillated = True
             break
         op = op.with_policy(nxt)
-    policy = op.policy
     if not converged:
-        policy, pair = best
+        op, pair = best
     return SemilinearSolution(
-        eigenpair=pair, policy=np.asarray(policy), eigenvalue_trace=trace,
+        eigenpair=pair, policy=np.asarray(op.policy), operator=op, eigenvalue_trace=trace,
         policy_iterations=it, converged=converged or oscillated, oscillated=oscillated,
     )
 

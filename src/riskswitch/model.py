@@ -18,6 +18,11 @@ with ``k`` a regime index and ``xi`` one control value out of the finite
 ordered control set (the discretization of the compact control space).  A
 callable may return a read-only array (the builtin ``rates`` broadcast one
 constant matrix), so callers copy before they write.
+
+The coefficient contract (finite values, generator rate matrices, a
+nonnegative cost) is enforced in :func:`coefficients`, which the
+discretization and every hypothesis check read; only the Monte Carlo step
+kernel calls the callables itself, one (regime, control) group at a time.
 """
 
 import dataclasses
@@ -55,11 +60,6 @@ class SwitchingModel:
     @property
     def num_controls(self):
         return int(self.controls.size)
-
-    def covariance(self, X, k):
-        """a = (1/2) sigma sigma^T, shape (n, dim, dim)."""
-        sig = self.diffusion(np.atleast_2d(X), k)
-        return 0.5 * np.einsum("nij,nkj->nik", sig, sig)
 
     def with_cost(self, cost_fn, suffix="modified"):
         """Copy of the model with a replaced cost callable."""
@@ -130,9 +130,79 @@ class ValidationReport:
         }
 
 
+class NonFiniteCoefficientError(RuntimeError):
+    """A model coefficient is NaN or infinite at a sampled state."""
+
+    def __init__(self, coefficient, state, regime, control, value):
+        self.coefficient = coefficient
+        self.state = np.asarray(state)
+        self.regime = int(regime)
+        self.control = control  # None for the control-free diffusion
+        self.value = float(value)
+        super().__init__(
+            "%s is not finite at x=%s (regime %d, control %s): %r"
+            % (coefficient, np.array2string(self.state, precision=6), self.regime,
+               "any" if control is None else "%g" % control, self.value)
+        )
+
+
+@dataclasses.dataclass(frozen=True)
+class Coefficients:
+    """Every coefficient of a model at n states, stacked over regimes and controls.
+
+    ``drift`` (N, C, n, dim), ``diffusion`` and ``covariance``
+    a = sigma sigma^T / 2 (N, n, dim, dim), ``rates`` (C, n, N, N) and
+    ``cost`` (N, C, n), for N regimes and C controls in model order.
+    """
+
+    drift: np.ndarray
+    diffusion: np.ndarray
+    covariance: np.ndarray
+    rates: np.ndarray
+    cost: np.ndarray
+
+
+def coefficients(model, X):
+    """Sample every coefficient of ``model`` at the states ``X`` (n, dim).
+
+    Calls each callable once per regime and control and enforces the
+    coefficient contract, in this order: every value is finite (else
+    :class:`NonFiniteCoefficientError`, naming the coefficient, state, regime
+    and control of an offending entry), every rate matrix is a generator and
+    the cost is nonnegative (else ``ValueError``).
+    """
+    X = np.asarray(X, dtype=float)
+    n, d = X.shape
+    N, C = model.num_regimes, model.num_controls
+    controls = [float(xi) for xi in model.controls]
+    drift = np.array([[model.drift(X, k, xi) for xi in controls] for k in range(N)],
+                     dtype=float).reshape(N, C, n, d)
+    diffusion = np.array([model.diffusion(X, k) for k in range(N)],
+                         dtype=float).reshape(N, n, d, d)
+    rates = np.array([model.rates(X, xi) for xi in controls], dtype=float).reshape(C, n, N, N)
+    cost = np.array([[model.cost(X, k, xi) for xi in controls] for k in range(N)],
+                    dtype=float).reshape(N, C, n)
+    # axes of (regime, control, state) in each array; a rate's regime is its row
+    for name, values, axes in (("drift", drift, (0, 1, 2)),
+                               ("diffusion", diffusion, (0, None, 1)),
+                               ("rates", rates, (2, 0, 1)),
+                               ("cost", cost, (0, 1, 2))):
+        bad = ~np.isfinite(values)
+        if bad.any():
+            first = tuple(np.argwhere(bad)[0])
+            k, c, j = (None if a is None else first[a] for a in axes)
+            raise NonFiniteCoefficientError(
+                name, X[j], k, None if c is None else controls[c], values[first])
+    for xi, m in zip(controls, rates):
+        _check_rate_matrices(m, "control %g" % xi)
+    if np.any(cost < -1e-12):
+        raise ValueError("cost must be nonnegative; min %g" % cost.min())
+    covariance = np.stack([0.5 * np.einsum("nij,nkj->nik", sig, sig) for sig in diffusion])
+    return Coefficients(drift, diffusion, covariance, rates, cost)
+
+
 def _check_rate_matrices(m, where):
     """Reject malformed rate matrices (an error, never a warning)."""
-    m = np.asarray(m, dtype=float)
     scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
     n = m.shape[-1]
     offdiag = m.copy()
@@ -151,11 +221,6 @@ def _check_rate_matrices(m, where):
             "rates rows must sum to zero: worst |row sum| = %g at %s (tolerance %g)"
             % (worst, where, RATE_ROW_SUM_TOL * scale)
         )
-    return m
-
-
-def _sample_box(rng, dim, radius, count):
-    return rng.uniform(-radius, radius, size=(count, dim))
 
 
 def validate_model(model, box_radius, samples=256, seed=0, ellipticity_floor=1e-10):
@@ -177,70 +242,52 @@ def validate_model(model, box_radius, samples=256, seed=0, ellipticity_floor=1e-
       with an edge (i, j) wherever min_xi m_ij > 0 at some sample must be
       strongly connected.
 
-    Malformed rate matrices (row sums off zero, negative off-diagonals) raise
-    ``ValueError`` instead of being reported.
+    The samples go through :func:`coefficients`, so a model that breaks the
+    coefficient contract (a non-finite value, a malformed rate matrix, a
+    negative cost) raises instead of being reported.
     """
     rng = np.random.default_rng(seed)
     R = float(box_radius)
     d = model.dim
     half = samples // 2
-    X_in = _sample_box(rng, d, R / 2.0, half)
-    X_out = _sample_box(rng, d, R, samples - half)
+    X_in = rng.uniform(-R / 2.0, R / 2.0, size=(half, d))
+    X_out = rng.uniform(-R, R, size=(samples - half, d))
     # push the second batch into the outer shell
     norms = np.max(np.abs(X_out), axis=1, keepdims=True)
     X_out = np.where(norms < R / 2.0, X_out * (R / np.maximum(norms, 1e-12)) * 0.75, X_out)
     X = np.vstack([X_in, X_out])
-
-    for xi in model.controls:
-        _check_rate_matrices(model.rates(X, xi), "control %g" % xi)
+    co = coefficients(model, X)
 
     report = ValidationReport(model.name, R, samples, seed)
 
     # --- local Lipschitz quotients -----------------------------------------
-    worst_q = 0.0
-    witness = None
-    finite = True
+    # rows per scale: sigma and b of each regime, then m of each control; the
+    # witness is the first sample of the first row reaching the maximum
+    quotients = []
     for scale in (1e-3 * R, 1e-2 * R, 1e-1 * R):
         H = rng.standard_normal(X.shape)
         H /= np.linalg.norm(H, axis=1, keepdims=True)
-        Y = X + scale * H
-        for k in range(model.num_regimes):
-            dsig = model.diffusion(X, k) - model.diffusion(Y, k)
-            q = np.sqrt(np.einsum("nij,nij->n", dsig, dsig)) / scale
-            for xi in model.controls:
-                db = np.linalg.norm(model.drift(X, k, xi) - model.drift(Y, k, xi), axis=1)
-                q = np.maximum(q, db / scale)
-            if not np.all(np.isfinite(q)):
-                finite = False
-            j = int(np.argmax(q))
-            if q[j] > worst_q:
-                worst_q, witness = float(q[j]), X[j]
-        for xi in model.controls:
-            dm = np.max(np.abs(model.rates(X, xi) - model.rates(Y, xi)), axis=(1, 2)) / scale
-            j = int(np.argmax(dm))
-            if dm[j] > worst_q:
-                worst_q, witness = float(dm[j]), X[j]
-            if not np.all(np.isfinite(dm)):
-                finite = False
+        near = coefficients(model, X + scale * H)
+        dsig = co.diffusion - near.diffusion
+        q_sig = np.sqrt(np.einsum("knij,knij->kn", dsig, dsig)) / scale
+        q_b = np.linalg.norm(co.drift - near.drift, axis=-1) / scale
+        quotients.append(np.maximum(q_sig, q_b.max(axis=1)))
+        quotients.append(np.max(np.abs(co.rates - near.rates), axis=(2, 3)) / scale)
+    q = np.concatenate(quotients)
+    row, j = np.unravel_index(np.argmax(q), q.shape)
+    worst_q = float(q[row, j])
     report.results["local_lipschitz"] = HypothesisResult(
-        "local_lipschitz", finite and math.isfinite(worst_q), worst_q, witness,
+        "local_lipschitz", math.isfinite(worst_q), worst_q,
+        X[j] if worst_q > 0.0 else None,
         "max difference quotient over three perturbation scales",
     )
 
     # --- affine growth ------------------------------------------------------
-    def growth_stat(pts):
-        stat = np.zeros(pts.shape[0])
-        for k in range(model.num_regimes):
-            sig = model.diffusion(pts, k)
-            s2 = np.einsum("nij,nij->n", sig, sig)
-            for xi in model.controls:
-                b = model.drift(pts, k, xi)
-                inner = np.maximum(np.einsum("nd,nd->n", b, pts), 0.0)
-                stat = np.maximum(stat, (inner + s2) / (1.0 + np.einsum("nd,nd->n", pts, pts)))
-        return stat
-
-    g_in = growth_stat(X_in)
-    g_out = growth_stat(X_out)
+    s2 = np.einsum("knij,knij->kn", co.diffusion, co.diffusion)
+    inner = np.maximum(np.einsum("kcnd,nd->kcn", co.drift, X), 0.0)
+    ratio = (inner + s2[:, None]) / (1.0 + np.einsum("nd,nd->n", X, X))
+    growth = np.maximum(ratio.max(axis=(0, 1)), 0.0)
+    g_in, g_out = growth[:half], growth[half:]
     c0 = float(max(g_in.max(), g_out.max()))
     grows = g_out.max() > 1.5 * max(g_in.max(), 1e-12)
     report.results["affine_growth"] = HypothesisResult(
@@ -250,16 +297,11 @@ def validate_model(model, box_radius, samples=256, seed=0, ellipticity_floor=1e-
     )
 
     # --- nondegeneracy -------------------------------------------------------
-    min_eig = np.inf
-    wit = None
-    for k in range(model.num_regimes):
-        a = model.covariance(X, k)
-        eigs = np.linalg.eigvalsh(a)
-        j = int(np.argmin(eigs[:, 0]))
-        if eigs[j, 0] < min_eig:
-            min_eig, wit = float(eigs[j, 0]), X[j]
+    eigs = np.linalg.eigvalsh(co.covariance)[..., 0]
+    k, j = np.unravel_index(np.argmin(eigs), eigs.shape)
+    min_eig = float(eigs[k, j])
     report.results["nondegeneracy"] = HypothesisResult(
-        "nondegeneracy", min_eig > ellipticity_floor, min_eig, wit,
+        "nondegeneracy", min_eig > ellipticity_floor, min_eig, X[j],
         "minimum eigenvalue of a over samples and regimes",
     )
 
@@ -270,11 +312,7 @@ def validate_model(model, box_radius, samples=256, seed=0, ellipticity_floor=1e-
             "switching_irreducible", True, 1.0, None, "single regime is trivially irreducible"
         )
     else:
-        floor = None
-        for xi in model.controls:
-            m = model.rates(X, xi)
-            floor = m if floor is None else np.minimum(floor, m)
-        edge = (floor.max(axis=0) > 0)
+        edge = co.rates.min(axis=0).max(axis=0) > 0
         np.fill_diagonal(edge, False)
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import connected_components
@@ -396,22 +434,17 @@ def check_lyapunov(model, certificate, grid):
     ball = (np.linalg.norm(Xint, axis=1) <= certificate.compact_radius).astype(float)
 
     # central differences of each V_k on the interior
-    grads = []     # (N, n_int, d)
-    hess_diag = [] # (N, n_int, d)
-    hess_off = []  # (N, n_int) for d == 2
-    trunc = []     # (N, n_int) curvature-based truncation estimate
-    for k in range(N):
-        Vk = V_full[k]
-        g = np.empty((n_int, d))
-        hd = np.empty((n_int, d))
+    grads = np.empty((N, n_int, d))
+    hess_diag = np.empty((N, n_int, d))
+    hess_off = np.empty((N, n_int))  # used for d == 2
+    trunc = np.empty((N, n_int))  # curvature-based truncation estimate
+    for k, Vk in enumerate(V_full):
         for a in range(d):
-            g[:, a] = ((_shift(Vk, a, 1) - _shift(Vk, a, -1)) / (2 * h)).reshape(-1)
-            hd[:, a] = ((_shift(Vk, a, 1) - 2 * _interior(Vk, d) + _shift(Vk, a, -1)) / h**2).reshape(-1)
-        grads.append(g)
-        hess_diag.append(hd)
+            grads[k, :, a] = ((_shift(Vk, a, 1) - _shift(Vk, a, -1)) / (2 * h)).reshape(-1)
+            hess_diag[k, :, a] = ((_shift(Vk, a, 1) - 2 * _interior(Vk, d) + _shift(Vk, a, -1)) / h**2).reshape(-1)
         if d == 2:
             ho = (_shift2(Vk, 1, 1) - _shift2(Vk, 1, -1) - _shift2(Vk, -1, 1) + _shift2(Vk, -1, -1)) / (4 * h**2)
-            hess_off.append(ho.reshape(-1))
+            hess_off[k] = ho.reshape(-1)
         # fourth/third difference magnitudes as a truncation proxy; one-ring
         # nodes fall back to the neighbor maximum
         tr = np.zeros(grid.full_shape)
@@ -436,45 +469,29 @@ def check_lyapunov(model, certificate, grid):
         for a in range(d):
             tr = np.maximum(tr, np.roll(tr, 1, axis=a))
             tr = np.maximum(tr, np.roll(tr, -1, axis=a))
-        trunc.append(_interior(tr, d).reshape(-1))
+        trunc[k] = _interior(tr, d).reshape(-1)
 
-    margin_min = np.inf
-    arg = (None, 0, float(model.controls[0]))
-    trunc_scale = 0.0
-    for k in range(N):
-        Vk_int = _interior(V_full[k], d).reshape(-1)
-        ell_vals = np.asarray(certificate.ell(Xint, k), dtype=float)
-        a_mat = model.covariance(Xint, k)
-        lap = np.einsum("nd,nd->n", a_mat[:, range(d), range(d)].reshape(n_int, d), hess_diag[k])
-        if d == 2:
-            lap = lap + 2.0 * a_mat[:, 0, 1] * hess_off[k]
-        trunc_k = trunc[k] * (1.0 + np.max(np.abs(a_mat), axis=(1, 2)))
-        for xi in model.controls:
-            b = model.drift(Xint, k, xi)
-            m = model.rates(Xint, xi)
-            coupling = np.zeros(n_int)
-            for j in range(N):
-                Vj_int = _interior(V_full[j], d).reshape(-1)
-                coupling += m[:, k, j] * Vj_int
-            LV = lap + np.einsum("nd,nd->n", b, grads[k]) + coupling
-            rhs = certificate.beta * ball - ell_vals * Vk_int
-            margin = rhs - LV
-            j_min = int(np.argmin(margin))
-            if margin[j_min] < margin_min:
-                margin_min = float(margin[j_min])
-                arg = (Xint[j_min].copy(), k, float(xi))
-                trunc_scale = float(trunc_k[j_min])
+    co = coefficients(model, Xint)
+    V_int = np.stack([_interior(Vk, d).reshape(-1) for Vk in V_full])
+    ell = np.stack([np.asarray(certificate.ell(Xint, k), dtype=float) for k in range(N)])
+    cov = co.covariance
+    lap = np.einsum("knd,knd->kn", np.diagonal(cov, axis1=2, axis2=3), hess_diag)
+    if d == 2:
+        lap = lap + 2.0 * cov[:, :, 0, 1] * hess_off
+    trunc = trunc * (1.0 + np.max(np.abs(cov), axis=(2, 3)))
+    # (L V)_k(x, xi) and its margin, shape (regime, control, node)
+    coupling = np.einsum("cnkj,jn->kcn", co.rates, V_int)
+    LV = lap[:, None] + np.einsum("kcnd,knd->kcn", co.drift, grads) + coupling
+    rhs = certificate.beta * ball - ell * V_int
+    margin = rhs[:, None] - LV
+    k_min, c_min, j_min = np.unravel_index(np.argmin(margin), margin.shape)
+    margin_min = float(margin[k_min, c_min, j_min])
+    trunc_scale = float(trunc[k_min, j_min])
 
     # side conditions
     if certificate.mode is CertificateMode.GEOMETRIC:
-        cmax = 0.0
-        for k in range(N):
-            for xi in model.controls:
-                cmax = max(cmax, float(np.max(model.cost(Xint, k, xi))))
-        ell_min = min(
-            float(np.min(np.asarray(certificate.ell(Xint, k), dtype=float)))
-            for k in range(N)
-        )
+        cmax = max(0.0, float(co.cost.max()))
+        ell_min = float(ell.min())
         side_ok = ell_min > cmax
         side_detail = "min rate %.6g vs max cost %.6g on the grid" % (ell_min, cmax)
     else:
@@ -482,12 +499,7 @@ def check_lyapunov(model, certificate, grid):
         # radial shells of the box
         r = np.max(np.abs(Xint), axis=1)
         edges = np.quantile(r, [0.0, 0.5, 0.8, 1.0])
-        excess = np.full(n_int, np.inf)
-        for k in range(N):
-            csup = np.zeros(n_int)
-            for xi in model.controls:
-                csup = np.maximum(csup, model.cost(Xint, k, xi))
-            excess = np.minimum(excess, np.asarray(certificate.ell(Xint, k), dtype=float) - csup)
+        excess = (ell - np.maximum(co.cost.max(axis=1), 0.0)).min(axis=0)
         shell_mins = []
         for i in range(len(edges) - 1):
             msk = (r >= edges[i]) & (r <= edges[i + 1] + 1e-12)
@@ -498,7 +510,7 @@ def check_lyapunov(model, certificate, grid):
             ", ".join("%.4g" % s for s in shell_mins)
         )
 
-    if margin_min < 0.0 or not side_ok:
+    if not margin_min >= 0.0 or not side_ok:  # a NaN margin fails too
         status = "fail"
     elif margin_min < trunc_scale:
         status = "inconclusive"
@@ -507,9 +519,9 @@ def check_lyapunov(model, certificate, grid):
     return CertificateReport(
         status=status,
         margin_min=margin_min,
-        argmin_state=arg[0],
-        argmin_regime=arg[1],
-        argmin_control=arg[2],
+        argmin_state=Xint[j_min].copy(),
+        argmin_regime=int(k_min),
+        argmin_control=float(model.controls[c_min]),
         truncation_at_argmin=trunc_scale,
         side_condition_ok=side_ok,
         side_condition_detail=side_detail,

@@ -32,7 +32,7 @@ import scipy.io
 import scipy.sparse as sp
 
 from .grid import GridSpec
-from .model import _check_rate_matrices
+from .model import coefficients
 
 
 class MonotonicityViolation(RuntimeError):
@@ -123,31 +123,29 @@ def assemble(model, grid, policy):
     """Assemble the discrete operator for a table policy.
 
     Every row uses the control assigned to its own (node, regime) pair in the
-    drift, the cost, and the whole rate row.  The operators A_c of all
-    constant policies are built first, so every control's coefficients are
-    evaluated and checked, and the policy's rows are gathered from them.
-    Returns a :class:`DiscreteOperator`; raises
+    drift, the cost, and the whole rate row.  The coefficients are sampled
+    once (:func:`~riskswitch.model.coefficients`, which enforces the
+    coefficient contract and raises its errors), the operators A_c of all
+    constant policies are built from them, and the policy's rows are
+    gathered from those.  Returns a :class:`DiscreteOperator`; raises
     :class:`MonotonicityViolation` when the 2D cross term cannot be given a
-    positive stencil, and ``ValueError`` for malformed rate matrices, a
-    negative cost or a malformed policy table.
+    positive stencil, and ``ValueError`` for a malformed policy table.
     """
     if grid.dim > 2:
         raise NotImplementedError("assembly is implemented for dim <= 2")
     X = grid.interior_points()
-    cov = []
-    for k in range(model.num_regimes):
-        a_mat = model.covariance(X, k)
-        if grid.dim == 2:
-            lim = np.minimum(a_mat[:, 0, 0], a_mat[:, 1, 1])
-            bad = np.abs(a_mat[:, 0, 1]) > lim + 1e-15 * np.maximum(1.0, lim)
-            if bad.any():
-                j = int(np.argmax(bad))
-                raise MonotonicityViolation(j, k, X[j], a_mat[j])
-        cov.append(a_mat)
+    co = coefficients(model, X)
+    if grid.dim == 2:
+        a = co.covariance
+        lim = np.minimum(a[..., 0, 0], a[..., 1, 1])
+        bad = np.abs(a[..., 0, 1]) > lim + 1e-15 * np.maximum(1.0, lim)
+        if bad.any():
+            k, j = np.argwhere(bad)[0]
+            raise MonotonicityViolation(j, k, X[j], a[k, j])
     neigh = _axis_neighbors(grid)
     # one control at a time, so only one control's triplets are alive at once
     mats, costs, outflows = zip(*(
-        _constant_policy_operator(model, grid, X, cov, neigh, ci)
+        _constant_policy_operator(grid, co, neigh, ci)
         for ci in range(model.num_controls)))
     stack = DiscreteOperator(
         matrix=None, grid=grid, num_regimes=model.num_regimes, policy=None,
@@ -158,25 +156,22 @@ def assemble(model, grid, policy):
     return stack.with_policy(policy)
 
 
-def _constant_policy_operator(model, grid, X, cov, neigh, ci):
+def _constant_policy_operator(grid, co, neigh, ci):
     """CSR matrix, cost and boundary outflow rows of A_c for control ``ci``."""
     h = grid.spacing
     M = grid.num_interior
-    N = model.num_regimes
-    xi = float(model.controls[ci])
+    N = co.cost.shape[0]
     nodes = np.arange(M)
     entries = []  # (rows, cols, values) of the off-diagonal couplings
     diag = np.zeros(N * M)
     cost_vec = np.zeros(N * M)
     outflow = np.zeros(N * M)
-    m = _check_rate_matrices(model.rates(X, xi), "control %g" % xi)
+    m = co.rates[ci]
     for k in range(N):
         row0 = k * M + nodes
-        a_mat = cov[k]
-        b = np.atleast_2d(model.drift(X, k, xi))
-        c = np.asarray(model.cost(X, k, xi), dtype=float)
-        if np.any(c < -1e-12):
-            raise ValueError("cost must be nonnegative; min %g" % c.min())
+        a_mat = co.covariance[k]
+        b = co.drift[k, ci]
+        c = co.cost[k, ci]
         q = np.abs(a_mat[:, 0, 1]) if grid.dim == 2 else np.zeros(M)
 
         # axis terms: diffusion (less the cross correction) plus upwinded drift

@@ -158,12 +158,14 @@ class ControlMap:
     """Resolves the control index for each path from its current (x, k).
 
     Wraps either a constant control index or a policy table over a grid with
-    nearest-node lookup (constant extension outside the box).
+    nearest-node lookup (constant extension outside the box).  ``table`` holds
+    the indices such a map returns; it is None for a custom function.
     """
 
     def __init__(self, fn, description="custom"):
         self._fn = fn
         self.description = description
+        self.table = None
 
     def control_indices(self, X, K):
         idx = np.asarray(self._fn(X, K), dtype=np.int64)
@@ -176,11 +178,17 @@ class ControlMap:
         def fn(X, K):
             return np.full(np.atleast_2d(X).shape[0], ci, dtype=np.int64)
 
-        return cls(fn, description="constant:%d" % ci)
+        cmap = cls(fn, description="constant:%d" % ci)
+        cmap.table = np.array([ci])
+        return cmap
 
     @classmethod
     def from_policy(cls, policy, grid):
         policy = np.asarray(policy, dtype=np.int64)
+        if policy.ndim != 2 or policy.shape[1] != grid.num_interior:
+            raise ValueError(
+                "policy table must have shape (num_regimes, %d), got %s"
+                % (grid.num_interior, policy.shape))
         flat = policy.reshape(-1)
         width = policy.shape[1]
 
@@ -188,7 +196,9 @@ class ControlMap:
             nodes = grid.nearest_interior_index(X)
             return flat[np.asarray(K, dtype=np.int64) * width + nodes]
 
-        return cls(fn, description="table")
+        cmap = cls(fn, description="table")
+        cmap.table = policy
+        return cmap
 
     @classmethod
     def coerce(cls, policy_or_control, grid=None):
@@ -258,13 +268,29 @@ def _draw(rngs, counts, d):
             np.concatenate([u for _, u in draws]))
 
 
-def _coerce_start(model, x0):
-    if x0 is None:
-        return np.zeros(model.dim)
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
+def _control_map(model, policy_or_control, grid):
+    """:meth:`ControlMap.coerce`, checked against ``model`` before any step:
+    a policy table has one row per regime and every index names a control."""
+    cmap = ControlMap.coerce(policy_or_control, grid=grid)
+    table = np.zeros(0, dtype=np.int64) if cmap.table is None else cmap.table
+    if table.ndim == 2 and table.shape[0] != model.num_regimes:
+        raise ValueError("policy table has %d rows, one per regime needs %d"
+                         % (table.shape[0], model.num_regimes))
+    bad = table[(table < 0) | (table >= model.num_controls)]
+    if bad.size:
+        raise ValueError("control index %d is outside [0, %d)" % (bad[0], model.num_controls))
+    return cmap
+
+
+def _coerce_start(model, x0, k0):
+    """Start state (origin when None) and start regime, checked."""
+    x = np.zeros(model.dim) if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
     if x.shape != (model.dim,):
         raise ValueError("x0 must have %d coordinates" % model.dim)
-    return x
+    k = int(k0)
+    if not 0 <= k < model.num_regimes:
+        raise ValueError("start regime %d is outside [0, %d)" % (k, model.num_regimes))
+    return x, k
 
 
 def _row_norm(x):
@@ -410,8 +436,8 @@ class TrajectoryBatch:
 def simulate_paths(model, policy_or_control, config, x0=None, k0=0,
                    workers=None, grid=None):
     """Full trajectory recording; use the estimators for large path counts."""
-    cmap = ControlMap.coerce(policy_or_control, grid=grid)
-    x0 = _coerce_start(model, x0)
+    cmap = _control_map(model, policy_or_control, grid)
+    x0, k0 = _coerce_start(model, x0, k0)
     n_entries = config.paths * (config.n_steps + 1) * model.dim
     if n_entries > 5e7:
         raise ValueError(
@@ -419,7 +445,7 @@ def simulate_paths(model, policy_or_control, config, x0=None, k0=0,
             "use the estimators for runs this large" % n_entries
         )
     parts = _map_sets(
-        lambda blocks: _horizon_block(model, cmap, config, blocks, x0, int(k0),
+        lambda blocks: _horizon_block(model, cmap, config, blocks, x0, k0,
                                       range(config.n_steps + 1)),
         _working_sets(config.paths), resolve_workers(workers),
     )
@@ -456,9 +482,8 @@ def estimate_risk_sensitive_rate(model, policy, config, lambda_ref=None,
     """
     if config.horizon < 1.0:
         raise ValueError("rate estimation needs horizon >= 1")
-    cmap = ControlMap.coerce(policy, grid=grid)
-    x0 = _coerce_start(model, x0)
-    k0 = int(k0)
+    cmap = _control_map(model, policy, grid)
+    x0, k0 = _coerce_start(model, x0, k0)
     if terminal_pair is not None:
         if grid is None:
             raise ValueError("terminal weighting needs the grid psi lives on")
@@ -641,18 +666,18 @@ def feynman_kac_annulus(model, policy, eigenpair, grid, r_inner, start_points,
     """
     if not r_inner < grid.radius:
         raise ValueError("inner radius must be smaller than the box radius")
-    cmap = ControlMap.coerce(policy, grid=grid)
+    cmap = _control_map(model, policy, grid)
     lam = float(eigenpair.eigenvalue)
     psi = np.asarray(eigenpair.eigenfunction, dtype=float)
     interps = _psi_interpolators(grid, psi)
     cap_steps = int(round(1000.0 * config.horizon / config.step))
     starts = []
     for x, k in start_points:
-        x = _coerce_start(model, x)
+        x, k = _coerce_start(model, x, k)
         r0 = float(np.linalg.norm(x))
         if not (r_inner < r0 and np.all(np.abs(x) < grid.radius)):
             raise ValueError("start %s is not inside the annulus" % x)
-        starts.append((x, int(k)))
+        starts.append((x, k))
     if not starts:
         raise ValueError("need at least one start")
     parts = _map_sets(
@@ -720,9 +745,8 @@ def mean_position_diagnostic(model, policy, config, horizons=None, x0=None,
     Raises :class:`NonFiniteEstimateError` when the mean at some horizon is
     NaN or infinite.
     """
-    cmap = ControlMap.coerce(policy, grid=grid)
-    x0 = _coerce_start(model, x0)
-    k0 = int(k0)
+    cmap = _control_map(model, policy, grid)
+    x0, k0 = _coerce_start(model, x0, k0)
     if horizons is None:
         horizons = [config.horizon / 16.0, config.horizon / 4.0, config.horizon]
     snap_steps = []

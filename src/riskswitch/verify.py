@@ -15,6 +15,7 @@ import numpy as np
 
 from .eigen import (LAMBDA_TOL, PSI_TOL, domain_sweep, minimizing_selector,
                     principal_eigenpair, solve_semilinear, verification_tol)
+from .model import coefficients
 from .operator import assemble, constant_policy
 from .simulate import ControlMap, estimate_risk_sensitive_rate
 
@@ -108,11 +109,11 @@ def verify_optimality(model, grid, alt_policies=(), solution=None, eig_tol=None)
 
     For every supplied policy the frozen-policy eigenvalue must exceed the
     solved lambda minus ``LAMBDA_TOL``; its operator is gathered from the
-    one assembly of the extracted policy.  Re-solving under the extracted
-    policy must reproduce the eigenpair (lambda within ``LAMBDA_TOL``,
-    eigenfunction within ``PSI_TOL`` relative sup-norm), and the minimizing
-    selector applied to the solved eigenfunction must map back to a policy of
-    equal eigenvalue.  Internal eigensolves run at ``eig_tol``, defaulting to
+    solution's operator.  Re-solving under the extracted policy must
+    reproduce the eigenpair (lambda within ``LAMBDA_TOL``, eigenfunction
+    within ``PSI_TOL`` relative sup-norm), and the minimizing selector
+    applied to the solved eigenfunction must map back to a policy of equal
+    eigenvalue.  Internal eigensolves run at ``eig_tol``, defaulting to
     :func:`verification_eig_tol`.
     """
     if eig_tol is None:
@@ -120,7 +121,7 @@ def verify_optimality(model, grid, alt_policies=(), solution=None, eig_tol=None)
     sol = solution if solution is not None else solve_semilinear(
         model, grid, eig_tol=eig_tol)
     lam_star = sol.eigenpair.eigenvalue
-    op = assemble(model, grid, sol.policy)
+    op = sol.operator
     excesses = []
     for p in alt_policies:
         pair = principal_eigenpair(op.with_policy(p), tol=eig_tol)
@@ -194,17 +195,10 @@ def validate_near_monotone(model, box_radius, samples=512, seed=0):
         return pts * radius * rng.uniform(0.9, 1.0, size=(n, 1))
 
     def magnitudes(X):
-        worst = 0.0
-        for k in range(model.num_regimes):
-            sig = np.asarray(model.diffusion(X, k), dtype=float)
-            worst = max(worst, float(np.max(np.linalg.norm(sig, axis=(1, 2)))))
-            for ci in range(model.num_controls):
-                xi = float(model.controls[ci])
-                b = np.asarray(model.drift(X, k, xi), dtype=float)
-                c = np.asarray(model.cost(X, k, xi), dtype=float)
-                worst = max(worst, float(np.max(np.linalg.norm(b, axis=1))),
-                            float(np.max(np.abs(c))))
-        return worst
+        co = coefficients(model, X)
+        return max(float(np.max(np.linalg.norm(co.diffusion, axis=(2, 3)))),
+                   float(np.max(np.linalg.norm(co.drift, axis=-1))),
+                   float(np.max(np.abs(co.cost))))
 
     inner_mag = magnitudes(inner)
     outer_mag = max(magnitudes(shell(2.0 * box_radius, samples // 2)),
@@ -220,19 +214,11 @@ def validate_near_monotone(model, box_radius, samples=512, seed=0):
         b2 = HypothesisCheck(name="rate_floor", passed=True,
                              detail={"floor": None, "note": "single regime"})
     else:
-        floor = np.inf
-        witness = None
-        for ci in range(model.num_controls):
-            xi = float(model.controls[ci])
-            m = np.asarray(model.rates(inner, xi), dtype=float)
-            off = m.copy()
-            for k in range(model.num_regimes):
-                off[:, k, k] = np.inf
-            local = float(off.min())
-            if local < floor:
-                floor = local
-                flat = int(np.argmin(off.reshape(samples, -1)) // off[0].size)
-                witness = inner[min(flat, samples - 1)].tolist()
+        off = np.where(np.eye(model.num_regimes, dtype=bool), np.inf,
+                       coefficients(model, inner).rates)
+        floor = float(off.min())
+        # the first sample of the first control reaching the floor
+        witness = inner[np.unravel_index(np.argmin(off), off.shape)[1]].tolist()
         b2 = HypothesisCheck(
             name="rate_floor", passed=bool(floor > 0),
             detail={"floor": floor, "witness": witness},
@@ -242,15 +228,9 @@ def validate_near_monotone(model, box_radius, samples=512, seed=0):
     ratios = []
     for radius in ladder:
         pts = shell(radius, samples)
-        worst = 0.0
-        for k in range(model.num_regimes):
-            for ci in range(model.num_controls):
-                xi = float(model.controls[ci])
-                b = np.asarray(model.drift(pts, k, xi), dtype=float)
-                inward = np.einsum("nd,nd->n", b, pts)
-                worst = max(worst, float(np.max(
-                    np.maximum(inward, 0.0) / np.linalg.norm(pts, axis=1))))
-        ratios.append(worst)
+        inward = np.einsum("kcnd,nd->kcn", coefficients(model, pts).drift, pts)
+        ratios.append(max(0.0, float(np.max(
+            np.maximum(inward, 0.0) / np.linalg.norm(pts, axis=1)))))
     decayed = ratios[-1] <= max(0.25 * ratios[0], 1e-10)
     b3 = HypothesisCheck(
         name="radial_drift_decay", passed=bool(decayed),
@@ -314,12 +294,7 @@ def near_monotone_suite(model, radii, tol=1e-11, nodes_per_unit=20,
     final = sweep.entries[-1]
     grid = final.grid
     X = grid.interior_points()
-    min_cost = np.full(grid.num_interior, np.inf)
-    for k in range(model.num_regimes):
-        for ci in range(model.num_controls):
-            xi = float(model.controls[ci])
-            c = np.asarray(model.cost(X, k, xi), dtype=float)
-            np.minimum(min_cost, c, out=min_cost)
+    min_cost = coefficients(model, X).cost.min(axis=(0, 1))
     sub_level = min_cost <= lam_star + epsilon
     inf_norm = np.max(np.abs(X), axis=1)
     threshold = 0.8 * grid.radius
@@ -408,10 +383,9 @@ def lambda_equals_optimal_value(model, grid, policy_sample_count, config,
     )
     opt_dev = abs(opt_est.value - lam_star)
     opt_ok = bool(opt_est.unreliable or opt_dev <= 3.0 * opt_est.std_error)
-    op = assemble(model, grid, sol.policy)
     entries = []
     for p in random_policies(model, grid, policy_sample_count, seed=seed):
-        pair = principal_eigenpair(op.with_policy(p), tol=eig_tol)
+        pair = principal_eigenpair(sol.operator.with_policy(p), tol=eig_tol)
         est = estimate_risk_sensitive_rate(
             model, ControlMap.from_policy(p, grid), config,
             lambda_ref=lam_star, workers=workers, grid=grid,

@@ -412,6 +412,94 @@ def test_indefinite_diffusion_exits_3(tmp_path):
     assert json.loads(out)["error"]["type"] == "MonotonicityViolation"
 
 
+def write_spec(tmp_path, **overrides):
+    spec = {"name": "custom", "dim": 1, "num_regimes": 1, "controls": [1.0],
+            "drift": ["-x1"], "diffusion": [["1"]], "rates": [["0"]],
+            "cost": "0.05 * x1^2", **overrides}
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps(spec))
+    return str(cfg)
+
+
+NON_FINITE_MODELS = {
+    "drift": {"drift": ["-x1 + 0.1 * sqrt(x1)"]},
+    "rates": {"num_regimes": 2, "rates": [["-sqrt(x1)", "sqrt(x1)"], ["1", "-1"]]},
+}
+
+
+@pytest.mark.parametrize("coefficient", sorted(NON_FINITE_MODELS))
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_non_finite_coefficient_exits_3(tmp_path, command, coefficient):
+    cfg = write_spec(tmp_path, **NON_FINITE_MODELS[coefficient])
+    d = str(tmp_path / "out")
+    argv = [command, "--model", cfg, "--output-dir", d]
+    if command == "solve":
+        argv += ["--radius", "2", "--nodes-per-unit", "5"]
+    with pytest.warns(RuntimeWarning):  # sqrt of a negative state
+        code, out = run(argv)
+    assert code == 3
+    err = json.loads(out)
+    assert err["exit_code"] == 3
+    assert err["error"]["type"] == "NonFiniteCoefficientError"
+    message = err["error"]["message"]
+    assert message.startswith("%s is not finite at x=[-" % coefficient)
+    assert "(regime 0, control 1): nan" in message
+    if command == "solve":
+        assert message.startswith("%s is not finite at x=[-1.8] " % coefficient)
+    assert not os.path.exists(d + "/%s.json" % command)
+
+
+def test_validate_negative_cost_exits_2(tmp_path):
+    cfg = write_spec(tmp_path, cost="0.05*x1^2 - 1")
+    d = str(tmp_path / "out")
+    code, out = run(["validate", "--model", cfg, "--output-dir", d])
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "ValueError"
+    assert "cost must be nonnegative" in err["message"]
+    assert not os.path.exists(d + "/validate.json")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--functional", "paths", "--control-index", "3",
+      "--step", "0.01", "--horizon", "1", "--paths", "8"],
+     "control index 3 is outside [0, 2)"),
+    (["simulate", "--functional", "rate", "--k0", "3",
+      "--step", "0.01", "--horizon", "1", "--paths", "8"],
+     "start regime 3 is outside [0, 2)"),
+    (["verify", "--radius", "2", "--nodes-per-unit", "10", "--starts", "1.0:4"],
+     "start regime 4 of '1.0:4' is outside [0, 2)"),
+])
+def test_out_of_range_index_exits_2(tmp_path, argv, message):
+    d = str(tmp_path / "out")
+    code, out = run(argv + ["--builtin", "ou2", "--output-dir", d])
+    assert code == 2
+    assert message in json.loads(out)["error"]["message"]
+    assert os.listdir(d) == []
+
+
+def test_verify_assembles_once_for_the_tolerance_and_once_for_the_solve(
+        tmp_path, monkeypatch):
+    import riskswitch.verify as verify_mod
+    assemble = eigen_mod.assemble
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return assemble(*args, **kwargs)
+
+    for mod in (eigen_mod, verify_mod):
+        monkeypatch.setattr(mod, "assemble", counted)
+    code, _ = run(["verify", "--builtin", "ou2", "--radius", "3",
+                   "--nodes-per-unit", "10", "--alt-policies", "2",
+                   "--rate-policies", "1", "--paths", "256", "--step", "0.01",
+                   "--horizon", "1", "--fk-horizon", "0.5",
+                   "--output-dir", str(tmp_path)])
+    assert code in (0, 1)
+    assert "lambda_match" in load(str(tmp_path / "verify.json"))["checks"]
+    assert len(calls) == 2
+
+
 def test_module_entry_point(tmp_path):
     # the subprocess must import the same riskswitch as this process, which
     # may have found it through pytest's pythonpath setting only

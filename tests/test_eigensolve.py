@@ -345,6 +345,26 @@ def test_policy_iteration_evaluates_each_policy_once(monkeypatch, exit_kind):
     assert again.eigenvalue == pytest.approx(sol.eigenpair.eigenvalue, abs=1e-8)
 
 
+@pytest.mark.parametrize("exit_kind", ["converged", "budget", "cycle"])
+def test_solution_carries_its_policy_operator(monkeypatch, exit_kind):
+    m = rs.make_builtin("lq")
+    g = rs.grid_for_resolution(1, 4.0, 25)
+    kw = {"max_policy_iters": 1} if exit_kind == "budget" else {}
+    if exit_kind == "cycle":
+        # the best policy (constant strong control) is not the last one
+        strong = rs.constant_policy(g, 1, 1)
+        mixed = strong.copy()
+        mixed[:, g.num_interior // 2:] = 0
+        nxt = itertools.cycle([strong, mixed, rs.constant_policy(g, 1, 0)])
+        monkeypatch.setattr(eigen_mod, "minimizing_selector",
+                            lambda op, psi: next(nxt))
+    sol = rs.solve_semilinear(m, g, **kw)
+    np.testing.assert_array_equal(sol.operator.policy, sol.policy)
+    fresh = rs.assemble(m, g, sol.policy)
+    assert (sol.operator.matrix != fresh.matrix).nnz == 0
+    np.testing.assert_array_equal(sol.operator.cost_vector, fresh.cost_vector)
+
+
 def test_trace_non_increasing_randomized():
     rng = np.random.default_rng(23)
     done = 0

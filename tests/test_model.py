@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 import riskswitch as rs
 from riskswitch.model import builtin_certificate, CertificateMode, LyapunovCertificate
 
+import _oracles as orc
+
 
 def test_builtin_registry():
     assert set(rs.BUILTIN_MODELS) == {"lq", "ou2", "bounded2d", "dip"}
@@ -47,9 +49,49 @@ def test_model_constructor_rejects_bad_shapes():
 def test_covariance_is_half_sigma_sigma_t():
     m = rs.make_builtin("bounded2d")
     X = np.array([[0.3, -1.1], [0.0, 0.0]])
-    a = m.covariance(X, 0)
+    a = rs.coefficients(m, X).covariance[0]
     assert a.shape == (2, 2, 2)
     np.testing.assert_allclose(a[0], np.eye(2), atol=1e-14)  # sigma = sqrt(2) I
+
+
+def test_coefficients_equal_direct_calls():
+    def same(stacked, direct):
+        direct = np.asarray(direct, dtype=float)
+        assert stacked.shape == direct.shape
+        assert stacked.tobytes() == direct.tobytes()
+
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        m, g = orc.random_instance(rng)
+        X = g.interior_points()
+        co = rs.coefficients(m, X)
+        for k in range(m.num_regimes):
+            sig = m.diffusion(X, k)
+            same(co.diffusion[k], sig)
+            same(co.covariance[k], 0.5 * np.einsum("nij,nkj->nik", sig, sig))
+            for c, xi in enumerate(m.controls):
+                same(co.drift[k, c], m.drift(X, k, float(xi)))
+                same(co.cost[k, c], m.cost(X, k, float(xi)))
+        for c, xi in enumerate(m.controls):
+            same(co.rates[c], m.rates(X, float(xi)))
+
+
+def test_coefficients_name_a_non_finite_entry():
+    m = rs.make_builtin("ou2", controls=(1.0, 2.0))
+    X = np.array([[0.5], [1.5], [-1.0]])
+
+    def rates(X, xi):
+        out = np.array(m.rates(X, xi))
+        if xi == 2.0:
+            out[1:, 1, :] = np.inf
+        return out
+
+    with pytest.raises(rs.NonFiniteCoefficientError) as info:
+        rs.coefficients(dataclasses.replace(m, rates=rates), X)
+    err = info.value
+    assert (err.coefficient, err.regime, err.control, err.value) == ("rates", 1, 2.0, np.inf)
+    np.testing.assert_array_equal(err.state, [1.5])
+    assert "rates is not finite at x=[1.5] (regime 1, control 2): inf" == str(err)
 
 
 def test_with_cost_replaces_and_renames():

@@ -74,6 +74,31 @@ def test_control_map_coercion():
     assert ControlMap.coerce(cm2) is cm2
 
 
+def test_control_and_regime_indices_checked_before_stepping(monkeypatch):
+    m = rs.make_builtin("ou2")  # two regimes, two controls
+    g = rs.grid_for_resolution(1, 2.0, 5)
+    cfg = PathConfig(step=0.01, horizon=1.0, seed=0, paths=4)
+    monkeypatch.setattr(simulate, "_step_once", None)  # any step would fail
+    ones = rs.EigenPair(eigenvalue=0.0, eigenfunction=np.ones((2, g.num_interior)),
+                        residual=0.0, iterations=0, shift=0.0)
+    table = np.zeros((2, g.num_interior), dtype=np.int64)
+    table[1, 3] = 5
+    cases = [
+        (lambda: rs.simulate_paths(m, 2, cfg), r"control index 2 is outside \[0, 2\)"),
+        (lambda: rs.estimate_risk_sensitive_rate(m, -1, cfg), "control index -1"),
+        (lambda: rs.mean_position_diagnostic(m, table, cfg, grid=g), "control index 5"),
+        (lambda: rs.simulate_paths(m, table[:1], cfg, grid=g), "rows, one per regime needs 2"),
+        (lambda: rs.simulate_paths(m, table[:, 1:], cfg, grid=g), "shape"),
+        (lambda: rs.simulate_paths(m, 0, cfg, k0=2), r"start regime 2 is outside \[0, 2\)"),
+        (lambda: rs.estimate_risk_sensitive_rate(m, 0, cfg, k0=-1), "start regime -1"),
+        (lambda: rs.feynman_kac_annulus(m, 0, ones, g, 0.5, [(np.array([1.0]), 4)], cfg),
+         "start regime 4"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_resolve_workers_env(monkeypatch):
     monkeypatch.delenv("RISKSWITCH_WORKERS", raising=False)
     assert resolve_workers(None) == 1
