@@ -102,6 +102,33 @@ class GridSpec:
             flat += idx[:, a] * self.strides[a]
         return flat
 
+    def interpolate(self, table, X, K):
+        """Multilinear values at states X (n, dim) in regimes K of a node table
+        (num_regimes, num_interior) extended by zero on the boundary layer; 0
+        outside the box, NaN on rows holding a NaN.  Cells come from
+        ``searchsorted`` on ``axis_full`` and the corner terms v * w0 * w1 ...
+        are summed from 0.0 in lexicographic corner order: the arithmetic of
+        scipy's RegularGridInterpolator, bit for bit."""
+        X = np.asarray(X, dtype=float)
+        n, d, ax = self.nodes_per_axis, self.dim, self.axis_full
+        flat = np.pad(np.reshape(table, (-1,) + self.interior_shape),
+                      [(0, 0)] + [(1, 1)] * d).reshape(-1)
+        strides = n ** np.arange(d - 1, -1, -1)
+        i = np.clip(np.searchsorted(ax, X, side="right") - 1, 0, n - 2)
+        t = (X - ax[i]) / (ax[i + 1] - ax[i])
+        w = (1.0 - t, t)
+        base = np.asarray(K, dtype=np.int64) * n ** d + i @ strides
+        out = np.zeros(len(X))
+        with np.errstate(invalid="ignore"):  # inf * 0 outside the box
+            for c in np.ndindex((2,) * d):
+                term = flat[base + np.dot(c, strides)]
+                for a in range(d):
+                    term = term * w[c[a]][:, a]
+                out = out + term
+        out[np.any((X < ax[0]) | (X > ax[-1]), axis=1)] = 0.0
+        out[np.isnan(X).any(axis=1)] = np.nan
+        return out
+
     def __repr__(self):
         return "GridSpec(dim=%d, radius=%g, nodes_per_axis=%d)" % (
             self.dim,

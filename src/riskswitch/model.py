@@ -374,20 +374,13 @@ def _full_grid_values(grid, fn, k):
 
 
 def _interior(arr, dim):
-    sl = tuple([slice(1, -1)] * dim)
-    return arr[sl]
+    return arr[(slice(1, -1),) * dim]
 
 
 def _shift(arr, axis, step):
     """Slice of the full-grid array displaced by ``step`` nodes, on the interior."""
-    dim = arr.ndim
-    sl = []
-    for a in range(dim):
-        if a == axis:
-            sl.append(slice(1 + step, arr.shape[a] - 1 + step))
-        else:
-            sl.append(slice(1, -1))
-    return arr[tuple(sl)]
+    return arr[tuple(slice(1 + step, n - 1 + step) if a == axis else slice(1, -1)
+                     for a, n in enumerate(arr.shape))]
 
 
 def _shift2(arr, step0, step1):
@@ -449,21 +442,14 @@ def check_lyapunov(model, certificate, grid):
         # nodes fall back to the neighbor maximum
         tr = np.zeros(grid.full_shape)
         for a in range(d):
-            core = [slice(2, -2) if aa == a else slice(None) for aa in range(d)]
-            up2 = [slice(4, None) if aa == a else slice(None) for aa in range(d)]
-            up1 = [slice(3, -1) if aa == a else slice(None) for aa in range(d)]
-            mid = [slice(2, -2) if aa == a else slice(None) for aa in range(d)]
-            dn1 = [slice(1, -3) if aa == a else slice(None) for aa in range(d)]
-            dn2 = [slice(None, -4) if aa == a else slice(None) for aa in range(d)]
-            d4 = np.abs(
-                Vk[tuple(up2)] - 4 * Vk[tuple(up1)] + 6 * Vk[tuple(mid)]
-                - 4 * Vk[tuple(dn1)] + Vk[tuple(dn2)]
-            ) / h**4
-            d3 = np.abs(
-                Vk[tuple(up2)] - 2 * Vk[tuple(up1)] + 2 * Vk[tuple(dn1)] - Vk[tuple(dn2)]
-            ) / (2 * h**3)
+            def along(lo, hi):
+                return tuple(slice(lo, hi) if aa == a else slice(None) for aa in range(d))
+            up2, up1, mid, dn1, dn2 = (Vk[along(lo, hi)] for lo, hi in
+                                       ((4, None), (3, -1), (2, -2), (1, -3), (None, -4)))
+            d4 = np.abs(up2 - 4 * up1 + 6 * mid - 4 * dn1 + dn2) / h**4
+            d3 = np.abs(up2 - 2 * up1 + 2 * dn1 - dn2) / (2 * h**3)
             contrib = np.zeros(grid.full_shape)
-            contrib[tuple(core)] = (h**2 / 12.0) * d4 + (h**2 / 6.0) * d3
+            contrib[along(2, -2)] = (h**2 / 12.0) * d4 + (h**2 / 6.0) * d3
             tr = np.maximum(tr, contrib)
         # propagate the estimate one node outward so one-ring nodes get a value
         for a in range(d):

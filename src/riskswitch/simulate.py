@@ -33,6 +33,9 @@ costs growing near the variance threshold, so the estimate carries an
 effective-sample-size readout and is flagged unreliable when the ESS
 collapses (below 10, or below 2% of the path count) rather than pretending
 the error bar is trustworthy.
+
+The terminal weights and the Feynman-Kac payoffs and targets read psi off
+the grid through :meth:`GridSpec.interpolate` (multilinear, 0 outside the box).
 """
 
 import dataclasses
@@ -42,7 +45,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 BLOCK = 4096
 # rows stepped as one working set (whole blocks; a wider block is a set alone):
@@ -159,7 +161,8 @@ class ControlMap:
 
     Wraps either a constant control index or a policy table over a grid with
     nearest-node lookup (constant extension outside the box).  ``table`` holds
-    the indices such a map returns; it is None for a custom function.
+    the indices such a map returns; it is None for a custom function, whose
+    indices the Monte Carlo drivers check on every call.
     """
 
     def __init__(self, fn, description="custom"):
@@ -168,8 +171,7 @@ class ControlMap:
         self.table = None
 
     def control_indices(self, X, K):
-        idx = np.asarray(self._fn(X, K), dtype=np.int64)
-        return idx
+        return np.asarray(self._fn(X, K), dtype=np.int64)
 
     @classmethod
     def constant(cls, control_index):
@@ -269,10 +271,22 @@ def _draw(rngs, counts, d):
 
 
 def _control_map(model, policy_or_control, grid):
-    """:meth:`ControlMap.coerce`, checked against ``model`` before any step:
-    a policy table has one row per regime and every index names a control."""
+    """:meth:`ControlMap.coerce`, checked against ``model``: a constant or a
+    policy table once, before any step (one row per regime, every index names
+    a control); a custom function map on every call."""
     cmap = ControlMap.coerce(policy_or_control, grid=grid)
-    table = np.zeros(0, dtype=np.int64) if cmap.table is None else cmap.table
+    if cmap.table is None:
+        def checked(X, K):
+            idx = np.broadcast_to(cmap.control_indices(X, K), K.shape)
+            bad = np.flatnonzero((idx < 0) | (idx >= model.num_controls))
+            if bad.size:
+                i = bad[0]
+                raise ValueError("control index %d at state %s regime %d is outside [0, %d)"
+                                 % (idx[i], X[i].tolist(), K[i], model.num_controls))
+            return idx
+
+        return ControlMap(checked, cmap.description)
+    table = cmap.table
     if table.ndim == 2 and table.shape[0] != model.num_regimes:
         raise ValueError("policy table has %d rows, one per regime needs %d"
                          % (table.shape[0], model.num_regimes))
@@ -417,10 +431,8 @@ class TrajectoryBatch:
         return np.sum(self.regimes[:, 1:] != self.regimes[:, :-1], axis=1)
 
     def occupation_fractions(self, num_regimes):
-        counts = np.array([
-            np.sum(self.regimes == k) for k in range(num_regimes)
-        ], dtype=float)
-        return counts / self.regimes.size
+        counts = [np.sum(self.regimes == k) for k in range(num_regimes)]
+        return np.array(counts, dtype=float) / self.regimes.size
 
     def write_csv(self, path):
         d = self.positions.shape[2]
@@ -487,16 +499,18 @@ def estimate_risk_sensitive_rate(model, policy, config, lambda_ref=None,
     if terminal_pair is not None:
         if grid is None:
             raise ValueError("terminal weighting needs the grid psi lives on")
-        interps = _psi_interpolators(grid, terminal_pair.eigenfunction)
-        log_psi0 = math.log(float(interps[k0](x0[None, :])[0]))
-    else:
-        interps = None
+        if not np.all(np.abs(x0) < grid.radius):
+            raise ValueError(
+                "terminal weighting needs psi(x0, k0) > 0: start x0=%s, k0=%d is "
+                "not inside the box of radius %g" % (x0.tolist(), k0, grid.radius))
+        psi = np.asarray(terminal_pair.eigenfunction, dtype=float)
+        log_psi0 = math.log(float(grid.interpolate(psi, x0[None, :], [k0])[0]))
 
     def set_sums(blocks):
         S, X, K, _, _ = _horizon_block(model, cmap, config, blocks, x0, k0)
-        if interps is not None:
+        if terminal_pair is not None:
             with np.errstate(divide="ignore"):
-                S = S + np.log(_psi_values(interps, X, K)) - log_psi0
+                S = S + np.log(grid.interpolate(psi, X, K)) - log_psi0
         return S
 
     parts = _map_sets(set_sums, _working_sets(config.paths),
@@ -522,7 +536,7 @@ def estimate_risk_sensitive_rate(model, policy, config, lambda_ref=None,
     details = {"x0": x0.tolist(), "k0": k0, "n_steps": config.n_steps,
                "actual_horizon": T, "control": cmap.description,
                "log_mean_exp": log_mean,
-               "terminal_weighted": interps is not None}
+               "terminal_weighted": terminal_pair is not None}
     if lambda_ref is not None:
         details["lambda_ref"] = float(lambda_ref)
         details["deviation"] = value - float(lambda_ref)
@@ -532,32 +546,8 @@ def estimate_risk_sensitive_rate(model, policy, config, lambda_ref=None,
                         details=details)
 
 
-def _psi_interpolators(grid, eigenfunction):
-    """Per-regime multilinear interpolants with Dirichlet zero padding."""
-    axes = [grid.axis_full for _ in range(grid.dim)]
-    full_shape = tuple(len(a) for a in axes)
-    interior = tuple(slice(1, -1) for _ in range(grid.dim))
-    interps = []
-    for k in range(eigenfunction.shape[0]):
-        vals = np.zeros(full_shape)
-        vals[interior] = eigenfunction[k].reshape(grid.interior_shape)
-        interps.append(RegularGridInterpolator(
-            axes, vals, method="linear", bounds_error=False, fill_value=0.0))
-    return interps
-
-
-def _psi_values(interps, X, K):
-    """Interpolated psi(X_i, K_i) row by row."""
-    vals = np.zeros(X.shape[0])
-    for k, interp in enumerate(interps):
-        sel = K == k
-        if sel.any():
-            vals[sel] = interp(X[sel])
-    return vals
-
-
-def _fk_block(model, cmap, config, blocks, starts, lam, interps,
-              r_inner, box_radius, cap_steps):
+def _fk_block(model, cmap, config, blocks, starts, lam, grid, psi,
+              r_inner, cap_steps):
     """Payoff and status, each (starts, paths of the set), of whole blocks,
     a list of (block, size), of every start.
 
@@ -592,7 +582,7 @@ def _fk_block(model, cmap, config, blocks, starts, lam, interps,
         Z, U = _draw(rngs, running, d)
         inner_thr, outer_ok = _step_once(
             model, cmap, X, K, A, config.step, sqh, Z, U, lam,
-            barrier=(r_inner, box_radius),
+            barrier=(r_inner, grid.radius),
         )
         hit = _row_norm(X) <= inner_thr
         stop = hit | ~outer_ok
@@ -608,7 +598,7 @@ def _fk_block(model, cmap, config, blocks, starts, lam, interps,
     hits = np.flatnonzero(status == 1)
     payoff = np.zeros(n)
     payoff[hits] = np.exp(hit_A[hits]) * np.maximum(
-        _psi_values(interps, hit_X[hits], hit_K[hits]), 0.0)
+        grid.interpolate(psi, hit_X[hits], hit_K[hits]), 0.0)
     # (block, start, path) rows to one (start, path) row per start
     cuts = edges[::n_starts][1:-1]
     return tuple(np.concatenate([v.reshape(n_starts, -1) for v in np.split(a, cuts)],
@@ -669,7 +659,6 @@ def feynman_kac_annulus(model, policy, eigenpair, grid, r_inner, start_points,
     cmap = _control_map(model, policy, grid)
     lam = float(eigenpair.eigenvalue)
     psi = np.asarray(eigenpair.eigenfunction, dtype=float)
-    interps = _psi_interpolators(grid, psi)
     cap_steps = int(round(1000.0 * config.horizon / config.step))
     starts = []
     for x, k in start_points:
@@ -682,7 +671,7 @@ def feynman_kac_annulus(model, policy, eigenpair, grid, r_inner, start_points,
         raise ValueError("need at least one start")
     parts = _map_sets(
         lambda blocks: _fk_block(model, cmap, config, blocks, starts, lam,
-                                 interps, r_inner, grid.radius, cap_steps),
+                                 grid, psi, r_inner, cap_steps),
         _working_sets(config.paths, len(starts)), resolve_workers(workers),
     )
     payoffs = np.concatenate([p[0] for p in parts], axis=1)
@@ -692,7 +681,7 @@ def feynman_kac_annulus(model, policy, eigenpair, grid, r_inner, start_points,
         est = float(np.mean(payoff))
         se = float(np.std(payoff, ddof=1)) / math.sqrt(config.paths) \
             if config.paths > 1 else math.inf
-        target = float(interps[k](x[None, :])[0])
+        target = float(grid.interpolate(psi, x[None, :], [k])[0])
         z = (est - target) / se if se > 0 else math.inf * np.sign(est - target)
         estimate = CostEstimate(
             value=est, std_error=se, paths=config.paths,
@@ -764,9 +753,7 @@ def mean_position_diagnostic(model, policy, config, horizons=None, x0=None,
     )
     snaps = np.ascontiguousarray(_row_norm(np.concatenate(parts)).T)
     times = [s * config.step for s in snap_steps]
-    estimates = []
-    values = []
-    errors = []
+    estimates, values, errors = [], [], []
     for i, T in enumerate(times):
         mean_abs = float(np.mean(snaps[i]))
         if not math.isfinite(mean_abs):

@@ -5,7 +5,8 @@ spectra instead of sparse inverse iteration, closed forms instead of grids,
 scalar ODEs instead of sampled paths, direct recursions instead of the vector
 simulator, a per-group Euler step instead of the fused step kernel, one
 block of paths at a time instead of working sets, a drift/cost/switching
-bracket evaluated from the model instead of rows of the assembled operator.
+bracket evaluated from the model instead of rows of the assembled operator,
+scipy's RegularGridInterpolator instead of the grid's multilinear lookup.
 Tests compare package output against these, never against the package
 itself.
 """
@@ -15,6 +16,7 @@ import math
 import numpy as np
 import scipy.linalg
 from scipy.integrate import solve_ivp
+from scipy.interpolate import RegularGridInterpolator
 
 import riskswitch as rs
 import riskswitch.simulate as simulate
@@ -205,8 +207,8 @@ def horizon_block(model, cmap, config, block, n_paths, x0, k0, keep_steps):
             np.stack([k for _, k in history], axis=1)[:, keep])
 
 
-def fk_block(model, cmap, config, block, n_paths, starts, lam, interps,
-             r_inner, box_radius, cap_steps):
+def fk_block(model, cmap, config, block, n_paths, starts, lam, grid, psi,
+             r_inner, cap_steps):
     """Payoff and status, each (starts, paths), of one block of every start,
     stepping each start's running paths on its own."""
     d = model.dim
@@ -226,11 +228,11 @@ def fk_block(model, cmap, config, block, n_paths, starts, lam, interps,
             U = rng.random(row.size)
             inner_thr, outer_ok = simulate._step_once(
                 model, cmap, X, K, A, config.step, sqh, Z, U, lam,
-                barrier=(r_inner, box_radius))
+                barrier=(r_inner, grid.radius))
             hit = np.linalg.norm(X, axis=1) <= inner_thr
             stop = hit | ~outer_ok
             payoff[i, row[hit]] = np.exp(A[hit]) * np.maximum(
-                simulate._psi_values(interps, X[hit], K[hit]), 0.0)
+                rgi_interpolate(grid, psi, X[hit], K[hit]), 0.0)
             status[i, row[stop]] = np.where(hit[stop], 1, 2)
             X, K, A, row = X[~stop], K[~stop], A[~stop], row[~stop]
         status[i, row] = 3
@@ -246,6 +248,25 @@ def horizon_per_block(model, cmap, config, blocks, x0, k0, keep_steps=()):
 def fk_per_block(model, cmap, config, blocks, *args):
     parts = [fk_block(model, cmap, config, b, n, *args) for b, n in blocks]
     return tuple(np.concatenate(p, axis=1) for p in zip(*parts))
+
+
+# ---------------------------------------------------------------------------
+# node-table lookup
+
+def rgi_interpolate(grid, table, X, K):
+    """Multilinear table values at (X_i, K_i): one scipy
+    RegularGridInterpolator per regime over the zero-padded node table,
+    filling 0 outside the box."""
+    vals = np.zeros(X.shape[0])
+    for k in range(len(table)):
+        full = np.zeros(grid.full_shape)
+        full[(slice(1, -1),) * grid.dim] = table[k].reshape(grid.interior_shape)
+        interp = RegularGridInterpolator([grid.axis_full] * grid.dim, full,
+                                         bounds_error=False, fill_value=0.0)
+        sel = K == k
+        if sel.any():
+            vals[sel] = interp(X[sel])
+    return vals
 
 
 # ---------------------------------------------------------------------------

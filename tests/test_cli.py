@@ -513,3 +513,21 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert os.path.exists(str(tmp_path / "solve.json"))
+
+
+def test_import_leaves_heavy_scipy_subpackages_unloaded():
+    # riskswitch uses scipy.sparse, sparse.linalg, sparse.csgraph and io only;
+    # each of these four would add dozens of modules to every CLI start
+    env = dict(os.environ)
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(riskswitch.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+    code = ("import sys, riskswitch as rs, riskswitch.cli\n"
+            "m = rs.make_builtin('bounded2d')\n"
+            "g = rs.grid_for_resolution(m.dim, 2.0, 2)\n"
+            "print(' '.join(p for p in ('scipy.interpolate', 'scipy.optimize',\n"
+            "                           'scipy.spatial', 'scipy.special')\n"
+            "               if p in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

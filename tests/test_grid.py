@@ -5,6 +5,8 @@ import pytest
 
 import riskswitch as rs
 
+import _oracles as orc
+
 
 def test_axis_and_spacing():
     g = rs.build_grid(1, 2.0, 9)
@@ -90,3 +92,41 @@ def test_grid_for_resolution():
         rs.grid_for_resolution(1, 1.05, 10)
     # fractional radius with integral tiling is accepted
     assert rs.grid_for_resolution(1, 1.5, 10).nodes_per_axis == 31
+
+
+@pytest.mark.parametrize("dim,radius,npu", [(1, 3.0, 10), (1, 2.0, 2), (2, 3.0, 5), (2, 1.0, 3)])
+def test_interpolate_equals_regular_grid_interpolator_bitwise(dim, radius, npu):
+    g = rs.grid_for_resolution(dim, radius, npu)
+    rng = np.random.default_rng(dim * 100 + npu)
+    table = rng.random((3, g.num_interior)) + 0.1
+    ax = g.axis_full
+    parts = [
+        rng.uniform(-radius, radius, (400, dim)),            # inside
+        rng.uniform(-1.5 * radius, 1.5 * radius, (400, dim)),  # inside and out
+        rng.choice(ax, (200, dim)),                          # nodes and corners
+    ]
+    for a in range(dim):
+        for face in (-radius, radius):
+            P = rng.uniform(-radius, radius, (50, dim))
+            P[:, a] = face                                   # box faces
+            parts.append(P)
+        P = rng.uniform(-radius, radius, (50, dim))
+        P[:, a] = rng.choice(ax, 50)                         # node lines
+        parts.append(P)
+    X = np.concatenate(parts)
+    X[:7, 0] = np.nan
+    X[7:9] = np.nan
+    X[9] = 2.0 * radius  # NaN wins over outside
+    X[9, 0] = np.nan
+    K = rng.integers(0, 3, X.shape[0])
+    got = g.interpolate(table, X, K)
+    ref = orc.rgi_interpolate(g, table, X, K)
+    np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+    assert np.isnan(got[:10]).all()
+    outside = np.any(np.abs(X) > radius, axis=1) & ~np.isnan(got)
+    assert outside.sum() > 100 and (got[outside] == 0.0).all()
+    # the boundary layer is zero, every interior node returns its table entry
+    nodes = g.interior_points()
+    for k in range(3):
+        np.testing.assert_array_equal(
+            g.interpolate(table, nodes, np.full(len(nodes), k)), table[k])

@@ -99,6 +99,37 @@ def test_control_and_regime_indices_checked_before_stepping(monkeypatch):
             call()
 
 
+def test_terminal_weighting_rejects_a_start_on_or_outside_the_box(monkeypatch):
+    m = rs.make_builtin("ou2")
+    g = rs.grid_for_resolution(1, 3.0, 5)
+    cfg = PathConfig(step=0.01, horizon=1.0, seed=0, paths=4)
+    ones = rs.EigenPair(eigenvalue=0.0, eigenfunction=np.ones((2, g.num_interior)),
+                        residual=0.0, iterations=0, shift=0.0)
+    monkeypatch.setattr(simulate, "_step_once", None)  # any step would fail
+    for x0 in ([3.0], [-3.5]):
+        with pytest.raises(ValueError, match=r"x0=\[%s\], k0=1 .* radius 3" % x0[0]):
+            rs.estimate_risk_sensitive_rate(m, 0, cfg, x0=x0, k0=1, grid=g,
+                                            terminal_pair=ones)
+
+
+def test_function_control_map_checked_on_every_call():
+    m = rs.make_builtin("ou2")  # two regimes, two controls
+    cfg = PathConfig(step=0.01, horizon=1.0, seed=3, paths=64)
+    bad = ControlMap(lambda X, K: np.where(X[:, 0] > 0.2, 3, 0))
+    with pytest.raises(ValueError, match=r"index 3 at state \[[0-9.]+\] regime [01] is outside \[0, 2\)"):
+        rs.simulate_paths(m, bad, cfg)
+    with pytest.raises(ValueError, match="index -1"):
+        rs.estimate_risk_sensitive_rate(m, ControlMap(lambda X, K: np.full(len(X), -1)), cfg)
+    # a valid function map steps exactly as the constant map it equals
+    fn = ControlMap(lambda X, K: np.ones(len(X), dtype=np.int64))
+    got, ref = rs.simulate_paths(m, fn, cfg), rs.simulate_paths(m, 1, cfg)
+    np.testing.assert_array_equal(got.positions, ref.positions)
+    np.testing.assert_array_equal(got.regimes, ref.regimes)
+    np.testing.assert_array_equal(got.integrated_cost, ref.integrated_cost)
+    assert (rs.estimate_risk_sensitive_rate(m, fn, cfg).value
+            == rs.estimate_risk_sensitive_rate(m, 1, cfg).value)
+
+
 def test_resolve_workers_env(monkeypatch):
     monkeypatch.delenv("RISKSWITCH_WORKERS", raising=False)
     assert resolve_workers(None) == 1
@@ -498,8 +529,7 @@ def test_set_steppers_match_per_block_oracle():
                           orc.horizon_per_block(m, cmap, cfg, blocks, x0, 1, [0, 3, 25])):
         np.testing.assert_array_equal(fused, ref)
     starts = [(np.array([1.0, 0.5]), 0), (np.array([-1.2, 1.0]), 1)]
-    fk_args = (starts, pair.eigenvalue, simulate._psi_interpolators(g, pair.eigenfunction),
-               0.5, g.radius, 10000)
+    fk_args = (starts, pair.eigenvalue, g, pair.eigenfunction, 0.5, 10000)
     fk_cfg = PathConfig(step=0.01, horizon=0.5, seed=16, paths=1)
     for fused, ref in zip(simulate._fk_block(m, cmap, fk_cfg, blocks, *fk_args),
                           orc.fk_per_block(m, cmap, fk_cfg, blocks, *fk_args)):
