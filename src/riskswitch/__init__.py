@@ -16,9 +16,8 @@ from .expressions import ExpressionError, compile_expression, load_model, model_
 from .grid import GridSpec, build_grid, grid_for_resolution
 from .model import (BUILTIN_MODELS, CertificateMode, LyapunovCertificate,
                     NonFiniteCoefficientError, SwitchingModel, ValidationReport,
-                    bounded_two_regime_2d_model, builtin_certificate, check_lyapunov,
-                    coefficients, dipped_cost_model, lq_model, make_builtin,
-                    two_regime_ou_model, validate_model)
+                    builtin_certificate, check_lyapunov, coefficients, make_builtin,
+                    validate_model)
 from .operator import DiscreteOperator, MonotonicityViolation, assemble, constant_policy
 from .simulate import (ControlMap, CostEstimate, Functional,
                        NonFiniteEstimateError, PathConfig, StepSizeError,
@@ -36,15 +35,14 @@ __all__ = [
     "NotFittedError", "NotIrreducibleError",
     "PathConfig", "RiskSensitiveController",
     "SemilinearSolution", "StepSizeError", "SweepResult", "SwitchingModel",
-    "TrajectoryBatch", "ValidationReport", "assemble",
-    "bounded_two_regime_2d_model", "build_grid", "builtin_certificate",
+    "TrajectoryBatch", "ValidationReport", "assemble", "build_grid", "builtin_certificate",
     "check_lyapunov", "coefficients", "compile_expression", "constant_policy",
-    "dipped_cost_model", "domain_sweep", "estimate_risk_sensitive_rate",
+    "domain_sweep", "estimate_risk_sensitive_rate",
     "feynman_kac_annulus", "fit_growth_bound", "grid_for_resolution",
-    "lambda_equals_optimal_value", "load_model", "lq_model", "make_builtin",
+    "lambda_equals_optimal_value", "load_model", "make_builtin",
     "mean_position_diagnostic", "minimizing_selector", "model_from_spec",
     "near_monotone_suite", "potential_monotonicity_check",
     "principal_eigenpair", "random_policies", "simulate_paths",
-    "solve_semilinear", "two_regime_ou_model", "uniqueness_check",
-    "validate_model", "validate_near_monotone", "verify_optimality",
+    "solve_semilinear", "uniqueness_check", "validate_model", "validate_near_monotone",
+    "verify_optimality",
 ]

@@ -107,7 +107,7 @@ def _write_meta(outdir, started, t0, args):
         "started_at": started,
         "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "duration_sec": time.time() - t0,
-        "workers": resolve_workers(getattr(args, "workers", None)),
+        "workers": args.workers,
         "version": __version__,
         "argv": sys.argv[1:],
         "usable_cpus": _usable_cpus(),
@@ -141,7 +141,7 @@ def _model_from_args(args):
             return load_model(args.model)
         except FileNotFoundError:
             raise UsageError("model config file not found: %s" % args.model)
-        except (json.JSONDecodeError, ExpressionError, KeyError) as exc:
+        except (json.JSONDecodeError, ExpressionError, KeyError, TypeError) as exc:
             raise UsageError("bad model config: %s" % exc)
     if not args.builtin:
         raise UsageError("provide --builtin NAME or --model FILE")
@@ -536,6 +536,9 @@ def main(argv=None):
     if getattr(args, "output_dir", None):
         os.makedirs(args.output_dir, exist_ok=True)
     try:
+        # resolved once, before any artifact is written; the commands and
+        # run_meta.json read the resolved count
+        args.workers = resolve_workers(getattr(args, "workers", None))
         code = args.func(args)
     except UsageError as exc:
         print(_canonical_json(_error_payload(exc, 2)), end="")

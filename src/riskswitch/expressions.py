@@ -1,121 +1,267 @@
-"""Tiny arithmetic expression grammar for model configuration files.
+"""Model specs: the expression grammar and the one compiler of every model.
 
-Grammar (whitelisted Python expression syntax):
+A spec is a JSON object (see README "JSON model configs"): ``dim``,
+``num_regimes``, ``controls``, optional named ``params``, ``drift`` (one
+expression per coordinate), ``diffusion`` (dim x dim), ``rates`` (N x N,
+rows summing to zero) and ``cost``; or ``{"builtin": name, "params": ...}``,
+which names one of the specs in :data:`riskswitch.model.BUILTIN_MODELS`.
 
-* binary operators ``+  -  *  /  ^`` (``^`` is exponentiation),
-* unary ``-``/``+``,
-* functions ``exp(u)``, ``sqrt(u)``, ``abs(u)``, ``min(u, v)``, ``max(u, v)``
-  (min/max are binary and apply elementwise),
-* variables ``x1 .. xd`` (state coordinates), ``k`` (regime index, 0-based),
-  ``xi`` (the control value),
-* numeric literals.
+Grammar (whitelisted Python expression syntax): ``+ - * / ^`` (``^`` is
+exponentiation), unary ``-``/``+``, ``exp sqrt abs tanh`` and binary
+``min max`` (elementwise), numeric literals, the coordinates ``x1 .. xd``,
+``k`` (regime, 0-based; not in the rates), ``xi`` (control value; not in the
+diffusion), and the spec's parameters: a number, or a list with one entry
+per regime that is read at regime ``k``.
 
-Expressions are compiled once and evaluated with numpy broadcasting, so a
-configured model satisfies the batch-first coefficient contract.
-
-Model configuration files are JSON objects in one of two forms::
-
-    {"builtin": "lq", "params": {"q": 0.1875, "controls": [1, 2]}}
-
-    {"name": "custom", "dim": 1, "num_regimes": 2,
-     "controls": [1.0, 2.0],
-     "drift": ["-(1 + k) * xi * x1"],
-     "diffusion": [["sqrt(2)"]],
-     "rates": [["-1", "1"], ["1", "-1"]],
-     "cost": "0.05 * (1 + k) * x1^2"}
-
-``drift`` lists one expression per coordinate; ``diffusion`` is a dim x dim
-nested list; ``rates`` is an N x N nested list (rows must sum to zero,
-validated at assembly/validation time); ``cost`` is a single expression.
+Each coefficient compiles once into one generated function of straight-line
+numpy code: one operation per node of its entries' expression DAG, each
+distinct subexpression computed once, and every subexpression without a
+variable folded at compile time.  Evaluation order and operand types are
+those of the expressions as written, so the values are bit for bit what
+evaluating each entry with numpy gives.  A coefficient that depends on
+neither x nor xi is tabulated once per regime and returned as a slice of a
+read-only broadcast view.
 """
 
 import ast
 import json
+import keyword
+import re
 
 import numpy as np
 
-from .model import SwitchingModel, make_builtin
+from .model import CertificateMode, LyapunovCertificate, SwitchingModel, make_builtin
 
 
 class ExpressionError(ValueError):
     pass
 
 
-_FUNCTIONS = {
-    "exp": (np.exp, 1),
-    "sqrt": (np.sqrt, 1),
-    "abs": (np.abs, 1),
-    "min": (np.minimum, 2),
-    "max": (np.maximum, 2),
-}
-
-_BINOPS = {
-    ast.Add: np.add,
-    ast.Sub: np.subtract,
-    ast.Mult: np.multiply,
-    ast.Div: np.divide,
-    ast.Pow: np.power,
-}
+_FUNCTIONS = {"exp": (np.exp, 1), "sqrt": (np.sqrt, 1), "abs": (np.abs, 1),
+              "tanh": (np.tanh, 1), "min": (np.minimum, 2), "max": (np.maximum, 2)}
+_BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "**"}
+# no leading underscore: generated names have one
+_PARAM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_VARIABLE = re.compile(r"x\d+\Z|k\Z|xi\Z")
+# rows of the broadcast view behind a tabulated coefficient (stride 0, no memory)
+_VIEW_ROWS = 1 << 40
 
 
-def _validate(node, names):
-    if isinstance(node, ast.Expression):
-        _validate(node.body, names)
-    elif isinstance(node, ast.BinOp):
-        if type(node.op) not in _BINOPS:
-            raise ExpressionError("operator %s is not in the grammar" % type(node.op).__name__)
-        _validate(node.left, names)
-        _validate(node.right, names)
-    elif isinstance(node, ast.UnaryOp):
-        if not isinstance(node.op, (ast.USub, ast.UAdd)):
-            raise ExpressionError("unary %s is not in the grammar" % type(node.op).__name__)
-        _validate(node.operand, names)
-    elif isinstance(node, ast.Call):
-        if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
-            raise ExpressionError("only exp, sqrt, abs, min, max may be called")
-        fn, arity = _FUNCTIONS[node.func.id]
-        if len(node.args) != arity or node.keywords:
-            raise ExpressionError(
-                "%s takes exactly %d positional argument(s)" % (node.func.id, arity)
-            )
-        for a in node.args:
-            _validate(a, names)
-    elif isinstance(node, ast.Name):
-        if node.id not in names:
-            raise ExpressionError(
-                "unknown variable %r (allowed: %s)" % (node.id, ", ".join(sorted(names)))
-            )
-    elif isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)):
-            raise ExpressionError("only numeric literals are allowed")
+def _parameters(spec_params, num_regimes):
+    """A spec's named parameters, each a float or a tuple of one float per regime."""
+    if not isinstance(spec_params, dict):
+        raise ExpressionError("'params' must be an object")
+    out = {}
+    for name, value in spec_params.items():
+        if not (isinstance(name, str) and _PARAM_NAME.match(name)) or keyword.iskeyword(name) \
+                or _VARIABLE.match(name) or name in _FUNCTIONS:
+            raise ExpressionError("parameter name %r must be an identifier that is not a "
+                                  "variable (x1.., k, xi) or a function" % (name,))
+        try:
+            arr = np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            arr = np.empty(0)
+        if arr.ndim == 0 or arr.shape == (num_regimes,):
+            out[name] = float(arr) if arr.ndim == 0 else tuple(arr.tolist())
+        else:
+            raise ExpressionError("parameter %s must be a number or a list of %d numbers, "
+                                  "one per regime; got %r" % (name, num_regimes, value))
+    return out
+
+
+class _Code:
+    """The expression DAG of one coefficient and the code it generates.
+
+    A node is (template, args, deps), ``deps`` the subset of {"x", "k",
+    "xi"} its value depends on; one without deps is folded into a constant
+    by the arithmetic the call would make.  A node used more than once gets
+    a temporary; all others are inlined, so their arrays are freed as soon
+    as their one consumer has run.
+    """
+
+    def __init__(self, params, variables):
+        self.params, self.variables = params, variables
+        self.env = {"__builtins__": {}, "_empty": np.empty, "_float": float}
+        self.env.update((name, fn) for name, (fn, _) in _FUNCTIONS.items())
+        self.bindings, self.nodes, self.uses, self.memo = [], [], [], {}
+
+    def _node(self, template, args=(), deps=None):
+        if deps is None:
+            deps = frozenset().union(*(self.nodes[a][2] for a in args))
+            if not deps:
+                text = template % tuple(self.nodes[a][0] for a in args)
+                try:
+                    value = eval(text, self.env)
+                except ArithmeticError as exc:
+                    raise ExpressionError("constant subexpression fails: %s" % exc) from None
+                if not isinstance(value, (int, float)):
+                    raise ExpressionError("constant %r is not a real number" % (value,))
+                return self._constant(value)
+        for a in args:
+            self.uses[a] += 1
+        self.nodes.append((template, args, deps))
+        self.uses.append(0)
+        return len(self.nodes) - 1
+
+    def _constant(self, value):
+        name = "_c%d" % len(self.env)
+        self.env[name] = value
+        return self._node(name, deps=frozenset())
+
+    def _name(self, name):
+        value = self.params.get(name)
+        if isinstance(value, float):
+            return self._constant(value)
+        if isinstance(value, tuple) and "k" in self.variables:
+            self.env["_p_" + name] = value
+            line, dep = "%s = _p_%s[_k]" % (name, name), "k"
+        elif name not in self.variables:
+            allowed = sorted(self.variables) + sorted(
+                p for p, v in self.params.items() if isinstance(v, float) or "k" in self.variables)
+            raise ExpressionError("unknown variable %r (allowed: %s)" % (name, ", ".join(allowed)))
+        elif name in ("k", "xi"):
+            line, dep = ("k = _float(_k)" if name == "k" else None), name
+        else:
+            line, dep = "%s = _X[:, %d]" % (name, int(name[1:]) - 1), "x"
+        if line:
+            self.bindings.append(line)
+        return self._node(name, deps=frozenset([dep]))
+
+    def operand(self, node):
+        key = ast.dump(node)
+        if key not in self.memo:
+            self.memo[key] = self._visit(node)
+        return self.memo[key]
+
+    def _visit(self, node):
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+            return self._node("(%%s %s %%s)" % _BINOPS[type(node.op)],
+                              (self.operand(node.left), self.operand(node.right)))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            return self._node("(-%s)" if isinstance(node.op, ast.USub) else "(+%s)",
+                              (self.operand(node.operand),))
+        if isinstance(node, ast.Call):
+            if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
+                raise ExpressionError("only %s may be called" % ", ".join(_FUNCTIONS))
+            arity = _FUNCTIONS[node.func.id][1]
+            if len(node.args) != arity or node.keywords:
+                raise ExpressionError("%s takes exactly %d positional argument(s)"
+                                      % (node.func.id, arity))
+            return self._node("%s(%s)" % (node.func.id, ", ".join(["%s"] * arity)),
+                              tuple(self.operand(a) for a in node.args))
+        if isinstance(node, ast.Name):
+            return self._name(node.id)
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return self._constant(node.value)
+        raise ExpressionError("syntax %s is not in the grammar"
+                              % type(getattr(node, "op", node)).__name__)
+
+    def entry(self, source):
+        if not isinstance(source, str):
+            raise ExpressionError("expression must be a string, got %r" % (source,))
+        try:
+            tree = ast.parse(source.replace("^", "**"), mode="eval")
+        except SyntaxError as exc:
+            raise ExpressionError("cannot parse expression %r: %s" % (source, exc)) from None
+        root = self.operand(tree.body)
+        self.uses[root] += 1
+        return root
+
+    def body(self, roots):
+        """Statements up to the entries, and the text of each entry."""
+        lines, names = list(self.bindings), {}
+
+        def text(i):
+            template, args, _ = self.nodes[i]
+            return names.get(i) or template % tuple(text(a) for a in args)
+
+        for i, (_, args, _) in enumerate(self.nodes):
+            if args and self.uses[i] > 1:
+                lines.append("_t%d = %s" % (i, text(i)))
+                names[i] = "_t%d" % i
+        return lines, [text(r) for r in roots]
+
+
+def _compile(sources, shape, dim, params, num_regimes, *variables):
+    """One function ``fn(X, [k,] [xi]) -> (n, *shape)`` of the entries
+    ``sources`` (row-major over ``shape``) at the states X (n, dim)."""
+    code = _Code(params, frozenset(["x%d" % (i + 1) for i in range(dim)] + list(variables)))
+    roots = [code.entry(s) for s in sources]
+    deps = frozenset().union(*(code.nodes[r][2] for r in roots))
+    body, texts = code.body(roots)
+    args = ", ".join(["_X"] + ["_k"] * ("k" in variables) + ["xi"] * ("xi" in variables))
+    if len(texts) == 1 and "x" in deps:
+        # a bare coordinate is returned as a copy, never as a view of X
+        text = "(+%s)" % texts[0] if _VARIABLE.match(texts[0]) else texts[0]
+        body.append("return " + text + "[:, None]" * len(shape))
     else:
-        raise ExpressionError("syntax %s is not in the grammar" % type(node).__name__)
+        body.append("_out = _empty((_X.shape[0], %s))" % "".join("%d, " % s for s in shape))
+        body += ["_out[:, %s] = %s" % (", ".join(map(str, index)), text)
+                 for index, text in zip(np.ndindex(*shape), texts)]
+        body.append("return _out")
+    fn = _define(args, body, code.env)
+    if "x" in deps or "xi" in deps:
+        return fn
+    regimes = range(num_regimes) if "k" in variables else [0]
+    views = [np.broadcast_to(fn(np.zeros((1, dim)), *[k] * ("k" in variables),
+                                *[0.0] * ("xi" in variables))[0], (_VIEW_ROWS,) + shape)
+             for k in regimes]
+    return _define(args, ["return _views[%s][:_X.shape[0]]" % ("_k" if "k" in variables else 0)],
+                   {"_views": views})
+
+
+def _define(args, body, env):
+    source = "def _fn(%s):\n%s\n" % (args, "\n".join("    " + line for line in body))
+    exec(compile(source, "<model-expression>", "exec"), env)
+    return env["_fn"]
 
 
 def compile_expression(source, dim):
-    """Compile one grammar expression into ``fn(X, k, xi) -> (n,)``."""
-    if not isinstance(source, str):
-        raise ExpressionError("expression must be a string, got %r" % (source,))
-    names = {"x%d" % (i + 1) for i in range(dim)} | {"k", "xi"}
+    """Compile one grammar expression into ``fn(X, k, xi) -> (n,)`` for
+    states X of shape (n, dim)."""
+    return _compile([source], (), dim, {}, 1, "k", "xi")
+
+
+def compile_model(spec, builtin=False):
+    """SwitchingModel of a full spec.
+
+    A custom model records the spec as ``params["config"]``.  A builtin
+    records its named parameters and controls instead, and carries the
+    Lyapunov certificate of its spec's ``certificate`` entry, if any.
+    """
     try:
-        tree = ast.parse(source.replace("^", "**"), mode="eval")
-    except SyntaxError as exc:
-        raise ExpressionError("cannot parse expression %r: %s" % (source, exc)) from None
-    _validate(tree, names)
-    code = compile(tree, "<model-expression>", "eval")
-    env_fns = {name: fn for name, (fn, _) in _FUNCTIONS.items()}
+        dim, num_regimes = int(spec["dim"]), int(spec["num_regimes"])
+        controls = [float(c) for c in spec["controls"]]
+        drift, diffusion, rates = spec["drift"], spec["diffusion"], spec["rates"]
+        cost = spec["cost"]
+    except KeyError as exc:
+        raise ExpressionError("model configuration is missing key %s" % exc) from None
+    if len(drift) != dim:
+        raise ExpressionError("drift must list %d expressions" % dim)
+    if len(diffusion) != dim or any(len(row) != dim for row in diffusion):
+        raise ExpressionError("diffusion must be a %dx%d nested list" % (dim, dim))
+    if len(rates) != num_regimes or any(len(row) != num_regimes for row in rates):
+        raise ExpressionError("rates must be a %dx%d nested list" % (num_regimes, num_regimes))
+    params = _parameters(spec.get("params", {}), num_regimes)
 
-    def fn(X, k, xi):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        local = {"x%d" % (i + 1): X[:, i] for i in range(dim)}
-        local["k"] = float(k)
-        local["xi"] = float(xi)
-        local.update(env_fns)
-        out = eval(code, {"__builtins__": {}}, local)
-        return np.broadcast_to(np.asarray(out, dtype=float), (X.shape[0],)).copy()
+    def function(sources, shape, *variables):
+        return _compile(sources, shape, dim, params, num_regimes, *variables)
 
-    fn.source = source
-    return fn
+    model = SwitchingModel(
+        name=str(spec.get("name", "custom")), dim=dim, num_regimes=num_regimes,
+        controls=controls, drift=function(drift, (dim,), "k", "xi"),
+        diffusion=function([s for row in diffusion for s in row], (dim, dim), "k"),
+        rates=function([s for row in rates for s in row], (num_regimes, num_regimes), "xi"),
+        cost=function([cost], (), "k", "xi"),
+        params=({**{name: list(v) if isinstance(v, tuple) else v for name, v in params.items()},
+                 "controls": controls} if builtin else {"config": dict(spec)}))
+    cert = spec.get("certificate") if builtin else None
+    if cert is not None:
+        object.__setattr__(model, "certificate", LyapunovCertificate(
+            lyap=function([cert["lyap"]], (), "k"), ell=function([cert["ell"]], (), "k"),
+            beta=float(cert["beta"]), compact_radius=float(cert["compact_radius"]),
+            mode=CertificateMode(cert["mode"])))
+    return model
 
 
 def model_from_spec(spec):
@@ -127,61 +273,7 @@ def model_from_spec(spec):
         if not isinstance(params, dict):
             raise ExpressionError("'params' must be an object")
         return make_builtin(spec["builtin"], **params)
-
-    try:
-        dim = int(spec["dim"])
-        num_regimes = int(spec["num_regimes"])
-        controls = [float(c) for c in spec["controls"]]
-        drift_src = spec["drift"]
-        diffusion_src = spec["diffusion"]
-        rates_src = spec["rates"]
-        cost_src = spec["cost"]
-    except KeyError as exc:
-        raise ExpressionError("model configuration is missing key %s" % exc) from None
-
-    if len(drift_src) != dim:
-        raise ExpressionError("drift must list %d expressions" % dim)
-    if len(diffusion_src) != dim or any(len(row) != dim for row in diffusion_src):
-        raise ExpressionError("diffusion must be a %dx%d nested list" % (dim, dim))
-    if len(rates_src) != num_regimes or any(len(row) != num_regimes for row in rates_src):
-        raise ExpressionError("rates must be a %dx%d nested list" % (num_regimes, num_regimes))
-
-    drift_fns = [compile_expression(s, dim) for s in drift_src]
-    diff_fns = [[compile_expression(s, dim) for s in row] for row in diffusion_src]
-    rate_fns = [[compile_expression(s, dim) for s in row] for row in rates_src]
-    cost_fn = compile_expression(cost_src, dim)
-
-    def drift(X, k, xi):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.stack([f(X, k, xi) for f in drift_fns], axis=1)
-
-    def diffusion(X, k):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        n = X.shape[0]
-        out = np.empty((n, dim, dim))
-        for i in range(dim):
-            for j in range(dim):
-                out[:, i, j] = diff_fns[i][j](X, k, 0.0)
-        return out
-
-    def rates(X, xi):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        n = X.shape[0]
-        out = np.empty((n, num_regimes, num_regimes))
-        for i in range(num_regimes):
-            for j in range(num_regimes):
-                out[:, i, j] = rate_fns[i][j](X, 0, xi)
-        return out
-
-    def cost(X, k, xi):
-        return cost_fn(X, k, xi)
-
-    name = str(spec.get("name", "custom"))
-    return SwitchingModel(
-        name=name, dim=dim, num_regimes=num_regimes, controls=controls,
-        drift=drift, diffusion=diffusion, rates=rates, cost=cost,
-        params={"config": {k: v for k, v in spec.items()}},
-    )
+    return compile_model(spec)
 
 
 def load_model(path):

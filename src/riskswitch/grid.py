@@ -69,11 +69,8 @@ class GridSpec:
     def interior_points(self):
         """All interior node coordinates, shape (num_interior, dim), row-major."""
         if self._points is None:
-            if self.dim == 1:
-                self._points = self.axis_interior[:, None].copy()
-            else:
-                mesh = np.meshgrid(*([self.axis_interior] * self.dim), indexing="ij")
-                self._points = np.stack([m.reshape(-1) for m in mesh], axis=1)
+            mesh = np.meshgrid(*([self.axis_interior] * self.dim), indexing="ij")
+            self._points = np.stack([m.reshape(-1) for m in mesh], axis=1)
         return self._points
 
     @property

@@ -16,13 +16,18 @@ All coefficient callables are batch-first: they receive states ``X`` of shape
 
 with ``k`` a regime index and ``xi`` one control value out of the finite
 ordered control set (the discretization of the compact control space).  A
-callable may return a read-only array (the builtin ``rates`` broadcast one
-constant matrix), so callers copy before they write.
+callable may return a read-only array (the builtins' diffusion and ``rates``
+are broadcast views of constant matrices), so callers copy before they write.
 
 The coefficient contract (finite values, generator rate matrices, a
 nonnegative cost) is enforced in :func:`coefficients`, which the
 discretization and every hypothesis check read; only the Monte Carlo step
-kernel calls the callables itself, one (regime, control) group at a time.
+kernel calls the callables itself, one (regime, control) group at a time,
+and checks the rates it draws regimes from.
+
+The builtin models are data: specs in the grammar of
+:mod:`riskswitch.expressions` (:data:`BUILTIN_MODELS`), compiled by the same
+compiler as a JSON model file.
 """
 
 import dataclasses
@@ -49,6 +54,9 @@ class SwitchingModel:
     rates: Callable
     cost: Callable
     params: dict = dataclasses.field(default_factory=dict)
+    # set by make_builtin only; dataclasses.replace (and so with_cost) resets it
+    certificate: Optional["LyapunovCertificate"] = dataclasses.field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "controls", np.asarray(self.controls, dtype=float))
@@ -365,11 +373,8 @@ class CertificateReport:
 
 def _full_grid_values(grid, fn, k):
     """fn evaluated on the full grid of a GridSpec, shape full_shape."""
-    if grid.dim == 1:
-        pts = grid.axis_full[:, None]
-    else:
-        mesh = np.meshgrid(*([grid.axis_full] * grid.dim), indexing="ij")
-        pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    mesh = np.meshgrid(*([grid.axis_full] * grid.dim), indexing="ij")
+    pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
     return np.asarray(fn(pts, k), dtype=float).reshape(grid.full_shape)
 
 
@@ -519,210 +524,91 @@ def check_lyapunov(model, certificate, grid):
 # Built-in models
 # --------------------------------------------------------------------------
 
-
-def lq_model(q=0.1875, controls=(1.0, 2.0)):
-    """1D linear drift -xi*x, sigma = sqrt(2), quadratic cost q*x^2.
-
-    Closed-form optimum over constant controls: the growth rate under control
-    xi is (xi - sqrt(xi^2 - 4q)) / 2, decreasing in xi, so the strongest
-    mean reversion is optimal.
-    """
-    q = float(q)
-    if q < 0:
-        raise ValueError("q must be >= 0")
-
-    def drift(X, k, xi):
-        return -xi * X
-
-    def diffusion(X, k):
-        n = X.shape[0]
-        return np.full((n, 1, 1), math.sqrt(2.0))
-
-    def rates(X, xi):
-        return np.zeros((X.shape[0], 1, 1))
-
-    def cost(X, k, xi):
-        return q * X[:, 0] ** 2
-
-    return SwitchingModel(
-        name="lq", dim=1, num_regimes=1, controls=np.asarray(controls, float),
-        drift=drift, diffusion=diffusion, rates=rates, cost=cost,
-        params={"q": q, "controls": list(np.asarray(controls, float))},
-    )
-
-
-def two_regime_ou_model(kappa=(1.0, 2.0), q=(0.05, 0.10), rho=1.0,
-                        controls=(1.0, 2.0)):
-    """1D two-regime mean-reverting model with constant symmetric switching.
-
-    Regime k has drift -kappa[k]*xi*x, sigma = sqrt(2), cost q[k]*x^2; the
-    regimes swap at constant rate rho in both directions.
-    """
-    kappa = np.asarray(kappa, float)
-    q = np.asarray(q, float)
-    rho = float(rho)
-    if kappa.size != 2 or q.size != 2:
-        raise ValueError("kappa and q must each have two entries")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    rate_matrix = np.array([[-rho, rho], [rho, -rho]])
-
-    def drift(X, k, xi):
-        return -kappa[k] * xi * X
-
-    def diffusion(X, k):
-        return np.full((X.shape[0], 1, 1), math.sqrt(2.0))
-
-    def rates(X, xi):
-        return np.broadcast_to(rate_matrix, (X.shape[0], 2, 2))
-
-    def cost(X, k, xi):
-        return q[k] * X[:, 0] ** 2
-
-    return SwitchingModel(
-        name="ou2", dim=1, num_regimes=2, controls=np.asarray(controls, float),
-        drift=drift, diffusion=diffusion, rates=rates, cost=cost,
-        params={"kappa": kappa.tolist(), "q": q.tolist(), "rho": rho,
-                "controls": list(np.asarray(controls, float))},
-    )
-
-
-def bounded_two_regime_2d_model(pull=3.0, cost_scale=0.12, rho=1.0,
-                                controls=(0.7, 1.0)):
-    """2D two-regime model with globally bounded coefficients.
-
-    Drift -pull*xi*x/sqrt(1+|x|^2) saturates (inward, magnitude <= pull*xi),
-    sigma = sqrt(2) I, constant symmetric switching at rate rho, bounded cost
-    cost_scale*|x|^2/(1+|x|^2).  Admits the exponential certificate
-    V = exp(theta*sqrt(1+|x|^2)) with a constant decay rate.
-    """
-    pull = float(pull)
-    cost_scale = float(cost_scale)
-    rho = float(rho)
-    rate_matrix = np.array([[-rho, rho], [rho, -rho]])
-
-    def drift(X, k, xi):
-        r2 = np.einsum("nd,nd->n", X, X)
-        return -pull * xi * X / np.sqrt(1.0 + r2)[:, None]
-
-    def diffusion(X, k):
-        n = X.shape[0]
-        out = np.zeros((n, 2, 2))
-        out[:, 0, 0] = math.sqrt(2.0)
-        out[:, 1, 1] = math.sqrt(2.0)
-        return out
-
-    def rates(X, xi):
-        return np.broadcast_to(rate_matrix, (X.shape[0], 2, 2))
-
-    def cost(X, k, xi):
-        r2 = np.einsum("nd,nd->n", X, X)
-        return cost_scale * r2 / (1.0 + r2)
-
-    return SwitchingModel(
-        name="bounded2d", dim=2, num_regimes=2, controls=np.asarray(controls, float),
-        drift=drift, diffusion=diffusion, rates=rates, cost=cost,
-        params={"pull": pull, "cost_scale": cost_scale, "rho": rho,
-                "controls": list(np.asarray(controls, float))},
-    )
-
-
-def dipped_cost_model(pull=2.0, tail=1.0, dip=(0.95, 0.80), width=2.0, rho=0.5,
-                      controls=(1.0, 2.0)):
-    """1D two-regime bounded model whose cost dips only near the origin.
-
-    Drift -pull*tanh(xi*x) is bounded with vanishing outward component, the
-    cost rises from tail-dip[k] at the origin to the plateau ``tail`` in the
-    tails (so cheap states form a compact set), and regimes swap at constant
-    rate rho.  Tuned so the optimal growth rate sits well below ``tail``.
-    """
-    pull = float(pull)
-    tail = float(tail)
-    dip = np.asarray(dip, float)
-    width = float(width)
-    rho = float(rho)
-    if np.any(dip <= 0) or np.any(dip > tail):
-        raise ValueError("dip depths must lie in (0, tail]")
-    rate_matrix = np.array([[-rho, rho], [rho, -rho]])
-
-    def drift(X, k, xi):
-        return -pull * np.tanh(xi * X)
-
-    def diffusion(X, k):
-        return np.full((X.shape[0], 1, 1), math.sqrt(2.0))
-
-    def rates(X, xi):
-        return np.broadcast_to(rate_matrix, (X.shape[0], 2, 2))
-
-    def cost(X, k, xi):
-        return tail - dip[k] * np.exp(-X[:, 0] ** 2 / width)
-
-    return SwitchingModel(
-        name="dip", dim=1, num_regimes=2, controls=np.asarray(controls, float),
-        drift=drift, diffusion=diffusion, rates=rates, cost=cost,
-        params={"pull": pull, "tail": tail, "dip": dip.tolist(), "width": width,
-                "rho": rho, "controls": list(np.asarray(controls, float))},
-    )
-
-
+# Each builtin is a spec in the grammar of :mod:`riskswitch.expressions`; its
+# ``params`` are the defaults that ``make_builtin`` and ``--param`` override,
+# its ``certificate`` the shipped Lyapunov certificate: candidate ``lyap``
+# (>= 1), decay rate ``ell``, slack ``beta`` on {|x| <= compact_radius}.
 BUILTIN_MODELS = {
-    "lq": lq_model,
-    "ou2": two_regime_ou_model,
-    "bounded2d": bounded_two_regime_2d_model,
-    "dip": dipped_cost_model,
+    # the growth rate under a constant control is (xi - sqrt(xi^2 - 4q)) / 2,
+    # decreasing in xi; V = exp(x^2/4) exceeds the cost by x^2/16 - 1 at q = 3/16
+    "lq": {
+        "name": "lq", "dim": 1, "num_regimes": 1, "controls": [1.0, 2.0],
+        "params": {"q": 0.1875},
+        "drift": ["-xi * x1"], "diffusion": [["sqrt(2)"]], "rates": [["0"]],
+        "cost": "q * x1^2",
+        "certificate": {"lyap": "exp(x1^2 / 4)", "ell": "x1^2 / 4 - 1",
+                        "beta": 2.0, "compact_radius": 2.0, "mode": "inf_compact"},
+    },
+    "ou2": {
+        "name": "ou2", "dim": 1, "num_regimes": 2, "controls": [1.0, 2.0],
+        "params": {"kappa": [1.0, 2.0], "q": [0.05, 0.10], "rho": 1.0},
+        "drift": ["-kappa * xi * x1"], "diffusion": [["sqrt(2)"]],
+        "rates": [["-rho", "rho"], ["rho", "-rho"]], "cost": "q * x1^2",
+        "certificate": {"lyap": "exp(x1^2 / 8)", "ell": "x1^2 / 8",
+                        "beta": 0.5, "compact_radius": 2.0, "mode": "inf_compact"},
+    },
+    # every coefficient globally bounded; a constant certificate rate
+    # dominates the bounded cost (geometric mode)
+    "bounded2d": {
+        "name": "bounded2d", "dim": 2, "num_regimes": 2, "controls": [0.7, 1.0],
+        "params": {"pull": 3.0, "cost_scale": 0.12, "rho": 1.0},
+        "drift": ["-pull * xi * x1 / sqrt(1 + (x1^2 + x2^2))",
+                  "-pull * xi * x2 / sqrt(1 + (x1^2 + x2^2))"],
+        "diffusion": [["sqrt(2)", "0"], ["0", "sqrt(2)"]],
+        "rates": [["-rho", "rho"], ["rho", "-rho"]],
+        "cost": "cost_scale * (x1^2 + x2^2) / (1 + (x1^2 + x2^2))",
+        "certificate": {"lyap": "exp(0.5 * sqrt(1 + (x1^2 + x2^2)))", "ell": "0.15",
+                        "beta": 2.5, "compact_radius": 2.0, "mode": "geometric"},
+    },
+    # the cost rises from tail - dip[k] at the origin to the plateau ``tail``,
+    # so cheap states form a compact set and the optimal rate sits below ``tail``
+    "dip": {
+        "name": "dip", "dim": 1, "num_regimes": 2, "controls": [1.0, 2.0],
+        "params": {"pull": 2.0, "tail": 1.0, "dip": [0.95, 0.80], "width": 2.0, "rho": 0.5},
+        "drift": ["-pull * tanh(xi * x1)"], "diffusion": [["sqrt(2)"]],
+        "rates": [["-rho", "rho"], ["rho", "-rho"]], "cost": "tail - dip * exp(-x1^2 / width)",
+    },
 }
 
 
 def make_builtin(name, **params):
-    """Instantiate a built-in model by name with optional parameter overrides."""
+    """Compile a builtin's spec with ``params`` overriding its named
+    parameters (a number by a number, a per-regime list by a list) and its
+    ``controls``; an unknown parameter name is a ``TypeError``."""
+    from .expressions import compile_model  # the compiler imports this module
+
     try:
-        factory = BUILTIN_MODELS[name]
+        spec = BUILTIN_MODELS[name]
     except KeyError:
         raise ValueError(
             "unknown builtin model %r (available: %s)" % (name, ", ".join(sorted(BUILTIN_MODELS)))
         ) from None
-    return factory(**params)
+    defaults = {**spec["params"], "controls": spec["controls"]}
+    for key, value in params.items():
+        if key not in defaults:
+            raise TypeError("builtin %r has no parameter %r (parameters: %s)"
+                            % (name, key, ", ".join(sorted(defaults))))
+        if key != "controls" and np.ndim(value) != np.ndim(defaults[key]):
+            raise ValueError("parameter %s of builtin %r takes %s" % (key, name, "a list of %d "
+                             "numbers, one per regime" % spec["num_regimes"]
+                             if np.ndim(defaults[key]) else "a number"))
+    p = {**defaults, **params}
+    model = compile_model({**spec, "controls": p.pop("controls"), "params": p}, builtin=True)
+    p = model.params
+    if name == "lq" and p["q"] < 0:
+        raise ValueError("q must be >= 0")
+    if name == "ou2" and p["rho"] <= 0:
+        raise ValueError("rho must be positive")
+    if name == "dip" and any(d <= 0 or d > p["tail"] for d in p["dip"]):
+        raise ValueError("dip depths must lie in (0, tail]")
+    return model
 
 
 def builtin_certificate(model):
-    """Shipped Lyapunov certificate for a built-in model, or None.
+    """The Lyapunov certificate of a builtin's spec, compiled, or None.
 
-    * lq:  V = exp(x^2/4), rate x^2/4 - 1, beta = 2 on {|x| <= 2}
-      (inf-compact mode; the excess over the quadratic cost is x^2/16 - 1
-      for the default q = 3/16).
-    * ou2: V = exp(x^2/8), rate x^2/8, beta = 0.5 on {|x| <= 2}.
-    * bounded2d: V = exp(theta*sqrt(1+|x|^2)) with theta = 1/2, constant rate
-      0.15 dominating the bounded cost, beta = 2.5 on {|x| <= 2}
-      (geometric mode).
+    Only :func:`make_builtin` attaches one; a model from a JSON spec (whatever
+    its name) and any model derived with ``with_cost`` or
+    ``dataclasses.replace`` carry none.
     """
-    name = model.name.split("-")[0]
-    if name == "lq":
-        def lyap(X, k):
-            return np.exp(X[:, 0] ** 2 / 4.0)
-
-        def ell(X, k):
-            return X[:, 0] ** 2 / 4.0 - 1.0
-
-        return LyapunovCertificate(lyap, ell, beta=2.0, compact_radius=2.0,
-                                   mode=CertificateMode.INF_COMPACT)
-    if name == "ou2":
-        def lyap(X, k):
-            return np.exp(X[:, 0] ** 2 / 8.0)
-
-        def ell(X, k):
-            return X[:, 0] ** 2 / 8.0
-
-        return LyapunovCertificate(lyap, ell, beta=0.5, compact_radius=2.0,
-                                   mode=CertificateMode.INF_COMPACT)
-    if name == "bounded2d":
-        theta = 0.5
-
-        def lyap(X, k):
-            return np.exp(theta * np.sqrt(1.0 + np.einsum("nd,nd->n", X, X)))
-
-        def ell(X, k):
-            return np.full(X.shape[0], 0.15)
-
-        return LyapunovCertificate(lyap, ell, beta=2.5, compact_radius=2.0,
-                                   mode=CertificateMode.GEOMETRIC)
-    return None
+    return model.certificate

@@ -46,6 +46,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .model import NonFiniteCoefficientError
+
 BLOCK = 4096
 # rows stepped as one working set (whole blocks; a wider block is a set alone):
 # fastest per thread on ou2, and no slower than larger sets on bounded2d
@@ -217,11 +219,16 @@ class ControlMap:
 
 
 def resolve_workers(workers=None):
+    """``workers``, else RISKSWITCH_WORKERS, else 1, as an integer >= 1."""
+    source = "worker count" if workers is not None else "RISKSWITCH_WORKERS"
     if workers is None:
         workers = os.environ.get("RISKSWITCH_WORKERS", "1")
-    w = int(workers)
+    try:
+        w = int(workers)
+    except (TypeError, ValueError):
+        w = 0
     if w < 1:
-        raise ValueError("worker count must be >= 1")
+        raise ValueError("%s must be an integer >= 1, got %r" % (source, workers))
     return w
 
 
@@ -328,6 +335,21 @@ def _group_coefficients(model, xs, k, c, step):
     return b, sig, cost, m[:, k, :]
 
 
+def _check_rates(model, X, K, key, rate):
+    """Raise :class:`NonFiniteCoefficientError` at the first row whose rates
+    (``rate`` (N, n), row K of each matrix) are not finite: a NaN rate would
+    compare false in the regime draw.  (A NaN drift, diffusion or cost
+    reaches the state or the cost integral, where the estimators report it.)
+    One sum decides whether to look: it is finite unless an entry is not."""
+    if math.isfinite(np.add.reduce(rate, axis=None)):
+        return
+    bad = np.argwhere(~np.isfinite(rate.T))  # (row, regime), rows first
+    if len(bad):
+        i, j = bad[0]
+        raise NonFiniteCoefficientError(
+            "rates", X[i], K[i], float(model.controls[key[i] % model.num_controls]), rate[j, i])
+
+
 def _step_once(model, cmap, X, K, S, step, sqh, Z, U, cost_shift, barrier=None):
     """One Euler + switching step over all rows of (X, K), in place.
 
@@ -361,6 +383,7 @@ def _step_once(model, cmap, X, K, S, step, sqh, Z, U, cost_shift, barrier=None):
                 model, X[rows], k, c, step)
             for j in range(N):
                 rate[j][rows] = rk[:, j]
+    _check_rates(model, X, K, key, rate)
     S += step * (cost - cost_shift)
     xn = X + step * b + sqh * np.einsum("pij,pj->pi", sig, Z)
     inner_thr = outer_ok = None

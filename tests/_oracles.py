@@ -6,7 +6,8 @@ scalar ODEs instead of sampled paths, direct recursions instead of the vector
 simulator, a per-group Euler step instead of the fused step kernel, one
 block of paths at a time instead of working sets, a drift/cost/switching
 bracket evaluated from the model instead of rows of the assembled operator,
-scipy's RegularGridInterpolator instead of the grid's multilinear lookup.
+scipy's RegularGridInterpolator instead of the grid's multilinear lookup,
+hand-written numpy closures instead of the builtin specs' generated code.
 Tests compare package output against these, never against the package
 itself.
 """
@@ -379,3 +380,129 @@ def random_instance(rng, dim=None, num_regimes=None):
     grid = rs.build_grid(dim, radius, npa)
     assert N * grid.num_interior <= 200
     return model, grid
+
+
+# ---------------------------------------------------------------------------
+# the builtin models and certificates as hand-written closures (the factories
+# the specs in riskswitch.model.BUILTIN_MODELS replaced)
+
+def lq_model(q=0.1875, controls=(1.0, 2.0)):
+    q = float(q)
+
+    def drift(X, k, xi):
+        return -xi * X
+
+    def diffusion(X, k):
+        return np.full((X.shape[0], 1, 1), math.sqrt(2.0))
+
+    def rates(X, xi):
+        return np.zeros((X.shape[0], 1, 1))
+
+    def cost(X, k, xi):
+        return q * X[:, 0] ** 2
+
+    return rs.SwitchingModel(
+        name="lq", dim=1, num_regimes=1, controls=np.asarray(controls, float),
+        drift=drift, diffusion=diffusion, rates=rates, cost=cost,
+        params={"q": q, "controls": list(np.asarray(controls, float))})
+
+
+def two_regime_ou_model(kappa=(1.0, 2.0), q=(0.05, 0.10), rho=1.0, controls=(1.0, 2.0)):
+    kappa = np.asarray(kappa, float)
+    q = np.asarray(q, float)
+    rho = float(rho)
+    rate_matrix = np.array([[-rho, rho], [rho, -rho]])
+
+    def drift(X, k, xi):
+        return -kappa[k] * xi * X
+
+    def diffusion(X, k):
+        return np.full((X.shape[0], 1, 1), math.sqrt(2.0))
+
+    def rates(X, xi):
+        return np.broadcast_to(rate_matrix, (X.shape[0], 2, 2))
+
+    def cost(X, k, xi):
+        return q[k] * X[:, 0] ** 2
+
+    return rs.SwitchingModel(
+        name="ou2", dim=1, num_regimes=2, controls=np.asarray(controls, float),
+        drift=drift, diffusion=diffusion, rates=rates, cost=cost,
+        params={"kappa": kappa.tolist(), "q": q.tolist(), "rho": rho,
+                "controls": list(np.asarray(controls, float))})
+
+
+def bounded_two_regime_2d_model(pull=3.0, cost_scale=0.12, rho=1.0, controls=(0.7, 1.0)):
+    pull = float(pull)
+    cost_scale = float(cost_scale)
+    rho = float(rho)
+    rate_matrix = np.array([[-rho, rho], [rho, -rho]])
+
+    def drift(X, k, xi):
+        r2 = np.einsum("nd,nd->n", X, X)
+        return -pull * xi * X / np.sqrt(1.0 + r2)[:, None]
+
+    def diffusion(X, k):
+        out = np.zeros((X.shape[0], 2, 2))
+        out[:, 0, 0] = math.sqrt(2.0)
+        out[:, 1, 1] = math.sqrt(2.0)
+        return out
+
+    def rates(X, xi):
+        return np.broadcast_to(rate_matrix, (X.shape[0], 2, 2))
+
+    def cost(X, k, xi):
+        r2 = np.einsum("nd,nd->n", X, X)
+        return cost_scale * r2 / (1.0 + r2)
+
+    return rs.SwitchingModel(
+        name="bounded2d", dim=2, num_regimes=2, controls=np.asarray(controls, float),
+        drift=drift, diffusion=diffusion, rates=rates, cost=cost,
+        params={"pull": pull, "cost_scale": cost_scale, "rho": rho,
+                "controls": list(np.asarray(controls, float))})
+
+
+def dipped_cost_model(pull=2.0, tail=1.0, dip=(0.95, 0.80), width=2.0, rho=0.5,
+                      controls=(1.0, 2.0)):
+    pull = float(pull)
+    tail = float(tail)
+    dip = np.asarray(dip, float)
+    width = float(width)
+    rho = float(rho)
+    rate_matrix = np.array([[-rho, rho], [rho, -rho]])
+
+    def drift(X, k, xi):
+        return -pull * np.tanh(xi * X)
+
+    def diffusion(X, k):
+        return np.full((X.shape[0], 1, 1), math.sqrt(2.0))
+
+    def rates(X, xi):
+        return np.broadcast_to(rate_matrix, (X.shape[0], 2, 2))
+
+    def cost(X, k, xi):
+        return tail - dip[k] * np.exp(-X[:, 0] ** 2 / width)
+
+    return rs.SwitchingModel(
+        name="dip", dim=1, num_regimes=2, controls=np.asarray(controls, float),
+        drift=drift, diffusion=diffusion, rates=rates, cost=cost,
+        params={"pull": pull, "tail": tail, "dip": dip.tolist(), "width": width,
+                "rho": rho, "controls": list(np.asarray(controls, float))})
+
+
+BUILTIN_CLOSURES = {"lq": lq_model, "ou2": two_regime_ou_model,
+                    "bounded2d": bounded_two_regime_2d_model, "dip": dipped_cost_model}
+
+
+def builtin_certificate(name):
+    """(lyap, ell, beta, compact_radius, mode) of a builtin's certificate, or None."""
+    if name == "lq":
+        return (lambda X, k: np.exp(X[:, 0] ** 2 / 4.0),
+                lambda X, k: X[:, 0] ** 2 / 4.0 - 1.0, 2.0, 2.0, "inf_compact")
+    if name == "ou2":
+        return (lambda X, k: np.exp(X[:, 0] ** 2 / 8.0),
+                lambda X, k: X[:, 0] ** 2 / 8.0, 0.5, 2.0, "inf_compact")
+    if name == "bounded2d":
+        return (lambda X, k: np.exp(0.5 * np.sqrt(1.0 + np.einsum("nd,nd->n", X, X))),
+                lambda X, k: np.full(X.shape[0], 0.15), 2.5, 2.0, "geometric")
+    return None

@@ -449,6 +449,70 @@ def test_non_finite_coefficient_exits_3(tmp_path, command, coefficient):
     assert not os.path.exists(d + "/%s.json" % command)
 
 
+@pytest.mark.parametrize("functional", ["rate", "mean-position", "paths"])
+def test_simulate_non_finite_rates_exit_3(tmp_path, functional):
+    # sqrt(x1) is NaN for x1 < 0; a NaN rate compares false in the regime
+    # draw, so the step kernel must stop instead of drawing wrong regimes
+    cfg = write_spec(tmp_path, num_regimes=2, controls=[1.0, 2.0],
+                     rates=[["-sqrt(x1)", "sqrt(x1)"], ["sqrt(x1)", "-sqrt(x1)"]])
+    d = str(tmp_path / "out")
+    with pytest.warns(RuntimeWarning):
+        code, out = run(["simulate", "--model", cfg, "--functional", functional,
+                         "--paths", "256", "--horizon", "1", "--step", "0.01",
+                         "--output-dir", d])
+    assert code == 3
+    err = json.loads(out)["error"]
+    assert err["type"] == "NonFiniteCoefficientError"
+    assert err["message"].startswith("rates is not finite at x=[-")
+    assert "(regime 0, control 1): nan" in err["message"]
+    assert os.listdir(d) == []
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+def test_invalid_worker_count_exits_2_before_any_artifact(tmp_path, monkeypatch,
+                                                            command, value):
+    monkeypatch.setenv("RISKSWITCH_WORKERS", value)
+    d = str(tmp_path / "out")
+    argv = [command, "--builtin", "lq", "--output-dir", d]
+    argv += (["--radius", "2", "--nodes-per-unit", "10"] if command == "solve" else
+             ["--paths", "8", "--horizon", "1", "--step", "0.01"])
+    code, out = run(argv)
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "ValueError"
+    assert "RISKSWITCH_WORKERS must be an integer >= 1, got '%s'" % value in err["message"]
+    assert os.listdir(d) == []
+    if command == "simulate":
+        code, out = run(argv + ["--workers", "0"])
+        assert code == 2
+        assert "worker count must be an integer >= 1, got 0" in out
+
+
+def test_certificate_belongs_to_the_builtin_not_the_name(tmp_path):
+    # a JSON model named like a builtin gets no builtin certificate, and the
+    # builtin itself keeps its own
+    cfg = write_spec(tmp_path, name="lq", drift=["-2 * x1"])
+    d = str(tmp_path / "custom")
+    code, _ = run(["validate", "--model", cfg, "--output-dir", d])
+    assert code == 0
+    assert "certificate" not in load(d + "/validate.json")["checks"]
+    code, _ = run(["validate", "--builtin", "lq", "--output-dir", str(tmp_path / "lq")])
+    assert code == 0
+    cert = load(str(tmp_path / "lq" / "validate.json"))["checks"]["certificate"]
+    assert cert["status"] == "pass" and cert["mode"] == "inf_compact"
+
+
+@pytest.mark.parametrize("argv", [["--builtin", "lq", "--param", "theta=1"],
+                                  ["--builtin", "ou2", "--param", "q=0.05"]])
+def test_bad_builtin_param_exits_2(tmp_path, argv):
+    d = str(tmp_path / "out")
+    code, out = run(["validate", "--output-dir", d] + argv)
+    assert code == 2
+    assert json.loads(out)["exit_code"] == 2
+    assert os.listdir(d) == []
+
+
 def test_validate_negative_cost_exits_2(tmp_path):
     cfg = write_spec(tmp_path, cost="0.05*x1^2 - 1")
     d = str(tmp_path / "out")

@@ -56,6 +56,8 @@ def test_constant_expression_broadcasts():
     "[1, 2]",
     "x1 % 2",
     "x1 // 2",
+    "x1 + 1 / 0",        # a constant subexpression is evaluated at compile time
+    "(-8) ^ 0.5",        # complex, not real
 ])
 def test_grammar_rejections(src):
     with pytest.raises(ExpressionError):
@@ -143,3 +145,56 @@ def test_load_model_roundtrip(tmp_path):
 
     with pytest.raises(OSError):
         load_model(tmp_path / "missing.json")
+
+
+def test_tanh():
+    f = compile_expression("tanh(2 * x1)", 1)
+    X = np.array([[0.3], [-4.0]])
+    assert f(X, 0, 0.0).tobytes() == np.tanh(2 * X[:, 0]).tobytes()
+
+
+PARAMETRIZED = dict(CUSTOM, params={"kappa": [1.0, 2.0], "q": 0.05, "rho": 1.5},
+                    drift=["-kappa * xi * x1"], rates=[["-rho", "rho"], ["rho", "-rho"]],
+                    cost="q * (1 + k) * x1^2")
+
+
+def test_named_and_per_regime_parameters():
+    m = model_from_spec(PARAMETRIZED)
+    X = np.array([[2.0], [-1.0]])
+    for k, kappa in enumerate([1.0, 2.0]):
+        assert m.drift(X, k, 1.5).tobytes() == (-kappa * 1.5 * X).tobytes()
+    assert m.cost(X, 1, 1.0).tobytes() == (0.05 * 2.0 * X[:, 0] ** 2).tobytes()
+    np.testing.assert_array_equal(m.rates(X, 2.0)[1], [[-1.5, 1.5], [1.5, -1.5]])
+    assert m.params == {"config": PARAMETRIZED}
+
+
+@pytest.mark.parametrize("name", ["x1", "x3", "k", "xi", "exp", "tanh", "min", "_a", "if", "a-b"])
+def test_parameter_named_like_a_variable_or_function_rejected(name):
+    with pytest.raises(ExpressionError, match="parameter name"):
+        model_from_spec(dict(CUSTOM, params={name: 1.0}))
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"params": {"kappa": [1.0, 2.0, 3.0]}}, "one per regime"),
+    ({"params": {"kappa": "fast"}}, "one per regime"),
+    ({"params": [1.0]}, "params"),
+    # the rates take no regime, so no per-regime parameter; the diffusion no control
+    ({"params": {"r": [1.0, 2.0]}, "rates": [["-r", "r"], ["1", "-1"]]}, "unknown variable 'r'"),
+    ({"rates": [["-1 - k", "1 + k"], ["1", "-1"]]}, "unknown variable 'k'"),
+    ({"diffusion": [["sqrt(xi)"]]}, "unknown variable 'xi'"),
+    ({"cost": "q * x1^2"}, "unknown variable 'q'"),
+])
+def test_parameter_and_variable_errors(overrides, message):
+    with pytest.raises(ExpressionError, match=message):
+        model_from_spec(dict(CUSTOM, **overrides))
+
+
+def test_shared_subexpressions_and_a_bare_coordinate():
+    f = compile_expression("x1 / sqrt(1 + x1^2) + sqrt(1 + x1^2)", 1)
+    X = np.array([[0.5], [3.0]])
+    s = np.sqrt(1 + X[:, 0] ** 2)
+    assert f(X, 0, 0.0).tobytes() == (X[:, 0] / s + s).tobytes()
+    g = compile_expression("x1", 1)
+    out = g(X, 0, 0.0)
+    out[:] = 7.0  # a copy, never a view of the states
+    assert X[0, 0] == 0.5

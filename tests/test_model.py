@@ -1,6 +1,7 @@
 """Model hypothesis validation and Lyapunov certificate checking."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -246,3 +247,89 @@ def test_certificate_dim3_not_implemented():
         beta=1.0, compact_radius=1.0, mode=CertificateMode.INF_COMPACT)
     with pytest.raises(NotImplementedError):
         rs.check_lyapunov(m, cert, rs.build_grid(3, 1.0, 5))
+
+
+# the builtins are specs compiled by riskswitch.expressions; their values must
+# be, bit for bit, those of the hand-written closures they replaced
+OVERRIDES = {
+    "lq": {"q": 0.3, "controls": (0.5, 1.5, 3.0)},
+    "ou2": {"kappa": (0.5, 3.0), "q": (0.02, 0.2), "rho": 2.5},
+    "bounded2d": {"pull": 1.5, "cost_scale": 0.3, "rho": 0.4, "controls": (0.5,)},
+    "dip": {"pull": 1.0, "tail": 2.0, "dip": (1.5, 0.3), "width": 0.5, "rho": 1.5},
+}
+
+
+def assert_same_coefficients(m, ref, rng):
+    def same(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+    for n in (1, 5, 300):
+        X = rng.normal(scale=3.0, size=(n, ref.dim))
+        X[0] = 0.0
+        for k in range(ref.num_regimes):
+            same(m.diffusion(X, k), ref.diffusion(X, k))
+            for xi in ref.controls:
+                same(m.drift(X, k, float(xi)), ref.drift(X, k, float(xi)))
+                same(m.cost(X, k, float(xi)), ref.cost(X, k, float(xi)))
+        for xi in ref.controls:
+            same(m.rates(X, float(xi)), ref.rates(X, float(xi)))
+
+
+@pytest.mark.parametrize("overridden", [False, True])
+@pytest.mark.parametrize("name", sorted(rs.BUILTIN_MODELS))
+def test_builtin_specs_equal_the_closures_bitwise(name, overridden):
+    params = OVERRIDES[name] if overridden else {}
+    m, ref = rs.make_builtin(name, **params), orc.BUILTIN_CLOSURES[name](**params)
+    assert m.params == ref.params and list(m.params) == list(ref.params)
+    np.testing.assert_array_equal(m.controls, ref.controls)
+    assert_same_coefficients(m, ref, np.random.default_rng(5))
+    cert, expected = builtin_certificate(m), orc.builtin_certificate(name)
+    assert (cert is None) == (expected is None)
+    if cert is not None:
+        lyap, ell, beta, radius, mode = expected
+        X = np.random.default_rng(6).normal(scale=3.0, size=(50, m.dim))
+        for k in range(m.num_regimes):
+            assert cert.lyap(X, k).tobytes() == lyap(X, k).tobytes()
+            assert cert.ell(X, k).tobytes() == ell(X, k).tobytes()
+        assert (cert.beta, cert.compact_radius, cert.mode.value) == (beta, radius, mode)
+
+
+@pytest.mark.parametrize("name", sorted(rs.BUILTIN_MODELS))
+def test_builtin_spec_round_trips_through_json(name):
+    spec = json.loads(json.dumps(rs.BUILTIN_MODELS[name]))
+    m = rs.model_from_spec(spec)
+    assert m.name == name
+    assert_same_coefficients(m, rs.make_builtin(name), np.random.default_rng(8))
+    # a spec read from JSON is a custom model, whatever its name
+    assert builtin_certificate(m) is None
+
+
+def test_only_make_builtin_attaches_a_certificate():
+    m = rs.make_builtin("ou2")
+    assert builtin_certificate(m) is not None
+    assert builtin_certificate(m.with_cost(lambda X, k, xi: np.zeros(len(X)))) is None
+    assert builtin_certificate(dataclasses.replace(m, name="ou2")) is None
+    assert builtin_certificate(rs.make_builtin("dip")) is None
+
+
+def test_builtin_override_errors():
+    with pytest.raises(TypeError, match="no parameter 'theta'"):
+        rs.make_builtin("bounded2d", theta=1.0)
+    with pytest.raises(ValueError, match="one per regime"):
+        rs.make_builtin("ou2", q=0.05)
+    with pytest.raises(ValueError, match="kappa"):
+        rs.make_builtin("ou2", kappa=(1.0, 2.0, 3.0))
+    with pytest.raises(ValueError, match="a number"):
+        rs.make_builtin("lq", q=(0.1,))
+    with pytest.raises(ValueError, match="rho must be positive"):
+        rs.make_builtin("ou2", rho=0.0)
+
+
+def test_constant_coefficients_are_read_only_views():
+    m = rs.make_builtin("bounded2d")
+    X = np.zeros((7, 2))
+    for out in (m.diffusion(X, 1), m.rates(X, 0.7)):
+        assert out.shape == (7, 2, 2) and not out.flags.writeable
+    np.testing.assert_array_equal(m.rates(X, 0.7)[3], [[-1.0, 1.0], [1.0, -1.0]])
