@@ -30,14 +30,14 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .eigen import (NoConvergenceError, NotIrreducibleError, domain_sweep,
-                    solve_semilinear)
+from .eigen import (MAX_POLICY_ITERS, PI_TOL, NoConvergenceError,
+                    NotIrreducibleError, domain_sweep, solve_semilinear)
 from .expressions import ExpressionError, load_model
 from .grid import grid_for_resolution
 from .model import (NonFiniteCoefficientError, builtin_certificate,
                     check_lyapunov, make_builtin, validate_model)
 from .operator import MonotonicityViolation
-from .simulate import (BLOCK, SET_ROWS, ControlMap, NonFiniteEstimateError,
+from .simulate import (BLOCK, SET_ROWS, NonFiniteEstimateError,
                        PathConfig, StepSizeError, _usable_cpus,
                        estimate_risk_sensitive_rate, feynman_kac_annulus,
                        mean_position_diagnostic, resolve_workers, simulate_paths)
@@ -52,6 +52,13 @@ NUMERIC_ERRORS = (NonFiniteCoefficientError, MonotonicityViolation,
 
 class UsageError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Parse errors are usage errors (subparsers share the class)."""
+
+    def error(self, message):
+        raise UsageError("%s: %s" % (self.prog, message))
 
 
 def _sanitize(obj):
@@ -166,9 +173,8 @@ def _model_config(args, model):
     return cfg
 
 
-def _grid_for(args, model, radius=None):
-    r = radius if radius is not None else args.radius
-    return grid_for_resolution(model.dim, r, args.nodes_per_unit)
+def _grid_for(args, model):
+    return grid_for_resolution(model.dim, args.radius, args.nodes_per_unit)
 
 
 def _policy_histogram(policy, n_controls):
@@ -269,7 +275,6 @@ def cmd_simulate(args):
     config_sim = PathConfig(step=args.step, horizon=args.horizon,
                             seed=args.seed, paths=args.paths)
     x0 = _parse_floats(args.x0) if args.x0 else None
-    control = ControlMap.constant(args.control_index)
     config = {"command": "simulate", "model": _model_config(args, model),
               "functional": args.functional, "step": args.step,
               "horizon": args.horizon, "paths": args.paths,
@@ -277,18 +282,18 @@ def cmd_simulate(args):
               "lambda_ref": args.lambda_ref, "seed": args.seed}
     if args.functional == "rate":
         est = estimate_risk_sensitive_rate(
-            model, control, config_sim, lambda_ref=args.lambda_ref,
+            model, args.control_index, config_sim, lambda_ref=args.lambda_ref,
             x0=x0, k0=args.k0, workers=args.workers)
         _emit(args.output_dir, "estimate.json", config, est.as_dict())
         return 0
     if args.functional == "mean-position":
         report = mean_position_diagnostic(
-            model, control, config_sim, x0=x0, k0=args.k0, workers=args.workers)
+            model, args.control_index, config_sim, x0=x0, k0=args.k0, workers=args.workers)
         _emit(args.output_dir, "diagnostic.json", config,
               {**report.as_dict(), "estimates": [e.as_dict() for e in report.estimates]})
         return 0 if report.passed else 1
     if args.functional == "paths":
-        batch = simulate_paths(model, control, config_sim, x0=x0, k0=args.k0,
+        batch = simulate_paths(model, args.control_index, config_sim, x0=x0, k0=args.k0,
                                workers=args.workers)
         batch.write_csv("%s/paths.csv" % args.output_dir)
         _emit(args.output_dir, "paths.json", config, {
@@ -441,7 +446,7 @@ def cmd_validate(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="riskswitch",
         description="Risk-sensitive control of regime-switching diffusions: "
                     "eigensolver, Monte Carlo, and verification checks.",
@@ -453,8 +458,8 @@ def build_parser():
     _add_common(p)
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--nodes-per-unit", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-11)
-    p.add_argument("--max-policy-iters", type=int, default=60)
+    p.add_argument("--tol", type=float, default=PI_TOL)
+    p.add_argument("--max-policy-iters", type=int, default=MAX_POLICY_ITERS)
     p.add_argument("--dump-operator", metavar="FILE.mtx",
                    help="dump the final assembled operator in Matrix Market format")
     p.set_defaults(func=cmd_solve)
@@ -464,7 +469,7 @@ def build_parser():
     _add_common(p)
     p.add_argument("--radii", required=True, help="comma-separated increasing radii")
     p.add_argument("--nodes-per-unit", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-11)
+    p.add_argument("--tol", type=float, default=PI_TOL)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="Monte Carlo functionals under a constant control")
@@ -490,8 +495,8 @@ def build_parser():
     _add_workers(p)
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--nodes-per-unit", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-11)
-    p.add_argument("--max-policy-iters", type=int, default=60)
+    p.add_argument("--tol", type=float, default=PI_TOL)
+    p.add_argument("--max-policy-iters", type=int, default=MAX_POLICY_ITERS)
     p.add_argument("--samples", type=int, default=256)
     p.add_argument("--alt-policies", type=int, default=5,
                    help="random alternative policies for the optimality check")
@@ -531,11 +536,10 @@ def _error_payload(exc, code):
 def main(argv=None):
     t0 = time.time()
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "output_dir", None):
-        os.makedirs(args.output_dir, exist_ok=True)
     try:
+        args = build_parser().parse_args(argv)
+        if getattr(args, "output_dir", None):
+            os.makedirs(args.output_dir, exist_ok=True)
         # resolved once, before any artifact is written; the commands and
         # run_meta.json read the resolved count
         args.workers = resolve_workers(getattr(args, "workers", None))
@@ -546,7 +550,7 @@ def main(argv=None):
     except NUMERIC_ERRORS as exc:
         print(_canonical_json(_error_payload(exc, 3)), end="")
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, NotImplementedError) as exc:
         print(_canonical_json(_error_payload(exc, 2)), end="")
         return 2
     try:

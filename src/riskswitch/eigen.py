@@ -39,6 +39,8 @@ from .operator import DiscreteOperator, assemble, constant_policy
 DEFAULT_RESIDUAL_TOL = 1e-10
 LAMBDA_TOL = 1e-10  # eigenvalues that should agree
 PSI_TOL = 1e-8  # eigenfunctions that should agree, in relative sup norm
+PI_TOL = 1e-11  # policy iteration stops once lambda moves by at most this
+MAX_POLICY_ITERS = 60  # and after at most this many evaluated policies
 # Inverse iteration has stalled when its residual has not improved on the
 # best one for this many iterations, the best being at roundoff level.
 STALL_ITERATIONS = 20
@@ -215,7 +217,8 @@ class SemilinearSolution:
     oscillated: bool
 
 
-def solve_semilinear(model, grid, tol=1e-11, max_policy_iters=60, eig_tol=None):
+def solve_semilinear(model, grid, tol=PI_TOL, max_policy_iters=MAX_POLICY_ITERS,
+                     eig_tol=None):
     """Howard policy iteration for the minimal principal eigenvalue.
 
     Starts from the constant lowest-index policy; alternates policy evaluation
@@ -285,7 +288,7 @@ class SweepResult:
         return [e.eigenvalue for e in self.entries]
 
 
-def domain_sweep(model, radii, nodes_per_unit, tol=1e-11):
+def domain_sweep(model, radii, nodes_per_unit, tol=PI_TOL):
     """Solve on a strictly increasing ladder of box radii at fixed node density.
 
     Returns per-radius eigenvalues/policies, a strict-monotonicity certificate,

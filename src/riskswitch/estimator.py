@@ -9,8 +9,9 @@ without depending on any such library.
 
 import numpy as np
 
-from .eigen import solve_semilinear
+from .eigen import MAX_POLICY_ITERS, PI_TOL, solve_semilinear
 from .grid import build_grid
+from .simulate import ControlMap
 
 
 class NotFittedError(RuntimeError):
@@ -37,8 +38,8 @@ class RiskSensitiveController:
     trace_ : per-iteration eigenvalue trace
     """
 
-    def __init__(self, model, radius=5.0, nodes_per_axis=201, tol=1e-11,
-                 max_policy_iters=60):
+    def __init__(self, model, radius=5.0, nodes_per_axis=201, tol=PI_TOL,
+                 max_policy_iters=MAX_POLICY_ITERS):
         self.model = model
         self.radius = radius
         self.nodes_per_axis = nodes_per_axis
@@ -74,18 +75,15 @@ class RiskSensitiveController:
 
     def predict(self, X, regimes=0):
         """Control values at states ``X`` (n, dim) for the given regime(s)."""
-        self._check_fitted()
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        K = np.broadcast_to(np.asarray(regimes, dtype=np.int64), (X.shape[0],))
-        nodes = self.grid_.nearest_interior_index(X)
-        return np.asarray(self.model.controls)[self.policy_[K, nodes]]
+        return np.asarray(self.model.controls)[self.predict_index(X, regimes)]
 
     def predict_index(self, X, regimes=0):
-        """Control indices rather than control values."""
+        """Control indices rather than control values, read through the
+        policy's :class:`ControlMap` as the Monte Carlo drivers read it."""
         self._check_fitted()
         X = np.atleast_2d(np.asarray(X, dtype=float))
         K = np.broadcast_to(np.asarray(regimes, dtype=np.int64), (X.shape[0],))
-        return self.policy_[K, self.grid_.nearest_interior_index(X)]
+        return ControlMap(self.policy_, self.grid_).control_indices(X, K)
 
     def score(self):
         """Negative eigenvalue: larger is better (lower certified growth rate)."""

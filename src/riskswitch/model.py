@@ -23,7 +23,7 @@ The coefficient contract (finite values, generator rate matrices, a
 nonnegative cost) is enforced in :func:`coefficients`, which the
 discretization and every hypothesis check read; only the Monte Carlo step
 kernel calls the callables itself, one (regime, control) group at a time,
-and checks the rates it draws regimes from.
+and checks the off-diagonal rates it draws regimes from, never the diagonal.
 
 The builtin models are data: specs in the grammar of
 :mod:`riskswitch.expressions` (:data:`BUILTIN_MODELS`), compiled by the same
@@ -216,12 +216,7 @@ def _check_rate_matrices(m, where):
     offdiag = m.copy()
     idx = np.arange(n)
     offdiag[..., idx, idx] = 0.0
-    if np.any(offdiag < -RATE_ROW_SUM_TOL * scale):
-        bad = np.argwhere(offdiag < -RATE_ROW_SUM_TOL * scale)[0]
-        raise ValueError(
-            "rates has a negative off-diagonal entry at %s (%s): %g"
-            % (bad.tolist(), where, offdiag[tuple(bad)])
-        )
+    _refuse_negative_rates(offdiag, scale, lambda bad: "%s (%s)" % (bad, where))
     rowsum = m.sum(axis=-1)
     worst = float(np.max(np.abs(rowsum)))
     if worst > RATE_ROW_SUM_TOL * scale:
@@ -229,6 +224,15 @@ def _check_rate_matrices(m, where):
             "rates rows must sum to zero: worst |row sum| = %g at %s (tolerance %g)"
             % (worst, where, RATE_ROW_SUM_TOL * scale)
         )
+
+
+def _refuse_negative_rates(offdiag, scale, where):
+    """Reject an off-diagonal rate (``offdiag``: diagonal zeroed) below
+    -RATE_ROW_SUM_TOL * ``scale``; ``where(index)`` names the first one."""
+    bad = np.argwhere(offdiag < -RATE_ROW_SUM_TOL * scale)
+    if len(bad):
+        raise ValueError("rates has a negative off-diagonal entry at %s: %g"
+                         % (where(bad[0].tolist()), offdiag[tuple(bad[0])]))
 
 
 def validate_model(model, box_radius, samples=256, seed=0, ellipticity_floor=1e-10):

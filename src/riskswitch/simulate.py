@@ -3,9 +3,11 @@
 Path generation is Euler-Maruyama for the continuous component plus a
 per-step categorical draw for the regime: from regime k the chain moves to
 j != k with probability ``step * rates[k, j]`` and stays put otherwise, which
-matches the jump mechanism to first order in the step.  The step invariant
-``step * (total leave rate) <= 0.5`` is enforced at runtime against the
-states actually visited; breaching it aborts with the offending state.
+matches the jump mechanism to first order in the step; the diagonal of the
+rate matrix is never read.  The drawn rates are checked at the states
+actually visited: a NaN or infinite one, a negative one, or a leave
+probability (the sum of the move probabilities) above 0.5 aborts with the
+offending state.
 
 Reproducibility contract: paths are organized into fixed blocks of 4096.
 Block ``b`` draws from a Philox generator keyed by the seed with counter
@@ -46,7 +48,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .model import NonFiniteCoefficientError
+from .model import NonFiniteCoefficientError, _refuse_negative_rates
 
 BLOCK = 4096
 # rows stepped as one working set (whole blocks; a wider block is a set alone):
@@ -76,17 +78,18 @@ class StepSizeError(RuntimeError):
 
 
 class NonFiniteEstimateError(RuntimeError):
-    """A Monte Carlo estimate of some functional came out NaN or infinite."""
+    """A Monte Carlo estimate of some functional came out NaN or infinite;
+    ``path_values`` are its values per path."""
 
-    def __init__(self, functional, value, bad_paths, paths):
+    def __init__(self, functional, value, path_values):
         self.functional = functional
         self.value = value
-        self.bad_paths = bad_paths
-        self.paths = paths
+        self.bad_paths = int(np.count_nonzero(~np.isfinite(path_values)))
+        self.paths = len(path_values)
         super().__init__(
             "%s estimate %s is not finite: %d of %d path values are not finite; "
             "check the model's coefficients at the states the paths visit"
-            % (functional.value, value, bad_paths, paths)
+            % (functional.value, value, self.bad_paths, self.paths)
         )
 
 
@@ -94,6 +97,7 @@ class Functional(enum.Enum):
     RISK_SENSITIVE_RATE = "risk_sensitive_rate"
     FEYNMAN_KAC_ANNULUS = "feynman_kac_annulus"
     MEAN_ABS_POSITION = "mean_abs_position"
+    PATHS = "paths"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -159,50 +163,44 @@ class CostEstimate:
 
 
 class ControlMap:
-    """Resolves the control index for each path from its current (x, k).
+    """A stationary Markov policy, as data.
 
-    Wraps either a constant control index or a policy table over a grid with
-    nearest-node lookup (constant extension outside the box).  ``table`` holds
-    the indices such a map returns; it is None for a custom function, whose
-    indices the Monte Carlo drivers check on every call.
+    ``table`` is one control index, shape (1,), used everywhere (``grid``
+    None), or a (num_regimes, num_interior) table of control indices read at
+    the interior node of ``grid`` nearest each state, with constant extension
+    outside the box.  The Monte Carlo drivers check it against the model
+    once, before the first step.
     """
 
-    def __init__(self, fn, description="custom"):
-        self._fn = fn
-        self.description = description
-        self.table = None
+    def __init__(self, table, grid=None):
+        table = np.asarray(table, dtype=np.int64)  # a function raises TypeError
+        if grid is None and table.shape != (1,):
+            raise ValueError("a policy table needs a grid for node lookup")
+        if grid is not None and (table.ndim != 2 or table.shape[1] != grid.num_interior):
+            raise ValueError(
+                "policy table must have shape (num_regimes, %d), got %s"
+                % (grid.num_interior, table.shape))
+        self.table = table
+        self.grid = grid
+
+    @property
+    def description(self):
+        return "constant:%d" % self.table[0] if self.grid is None else "table"
 
     def control_indices(self, X, K):
-        return np.asarray(self._fn(X, K), dtype=np.int64)
+        """Control index of each state X (n, dim) in regime K (n,)."""
+        if self.grid is None:
+            return np.full(len(K), self.table[0])
+        nodes = self.grid.nearest_interior_index(X)
+        return self.table.reshape(-1)[np.asarray(K) * self.table.shape[1] + nodes]
 
     @classmethod
     def constant(cls, control_index):
-        ci = int(control_index)
-
-        def fn(X, K):
-            return np.full(np.atleast_2d(X).shape[0], ci, dtype=np.int64)
-
-        cmap = cls(fn, description="constant:%d" % ci)
-        cmap.table = np.array([ci])
-        return cmap
+        return cls([int(control_index)])
 
     @classmethod
     def from_policy(cls, policy, grid):
-        policy = np.asarray(policy, dtype=np.int64)
-        if policy.ndim != 2 or policy.shape[1] != grid.num_interior:
-            raise ValueError(
-                "policy table must have shape (num_regimes, %d), got %s"
-                % (grid.num_interior, policy.shape))
-        flat = policy.reshape(-1)
-        width = policy.shape[1]
-
-        def fn(X, K):
-            nodes = grid.nearest_interior_index(X)
-            return flat[np.asarray(K, dtype=np.int64) * width + nodes]
-
-        cmap = cls(fn, description="table")
-        cmap.table = policy
-        return cmap
+        return cls(policy, grid)
 
     @classmethod
     def coerce(cls, policy_or_control, grid=None):
@@ -210,11 +208,8 @@ class ControlMap:
             return policy_or_control
         if isinstance(policy_or_control, (int, np.integer)):
             return cls.constant(policy_or_control)
-        arr = np.asarray(policy_or_control)
-        if arr.ndim == 2:
-            if grid is None:
-                raise ValueError("a policy table needs a grid for node lookup")
-            return cls.from_policy(arr, grid)
+        if np.ndim(policy_or_control) == 2:
+            return cls.from_policy(policy_or_control, grid)
         raise TypeError("expected ControlMap, control index, or policy table")
 
 
@@ -278,25 +273,14 @@ def _draw(rngs, counts, d):
 
 
 def _control_map(model, policy_or_control, grid):
-    """:meth:`ControlMap.coerce`, checked against ``model``: a constant or a
-    policy table once, before any step (one row per regime, every index names
-    a control); a custom function map on every call."""
+    """:meth:`ControlMap.coerce`, checked against ``model`` once, before any
+    step: a table's rows and grid fit the model, and its indices name controls."""
     cmap = ControlMap.coerce(policy_or_control, grid=grid)
-    if cmap.table is None:
-        def checked(X, K):
-            idx = np.broadcast_to(cmap.control_indices(X, K), K.shape)
-            bad = np.flatnonzero((idx < 0) | (idx >= model.num_controls))
-            if bad.size:
-                i = bad[0]
-                raise ValueError("control index %d at state %s regime %d is outside [0, %d)"
-                                 % (idx[i], X[i].tolist(), K[i], model.num_controls))
-            return idx
-
-        return ControlMap(checked, cmap.description)
     table = cmap.table
-    if table.ndim == 2 and table.shape[0] != model.num_regimes:
-        raise ValueError("policy table has %d rows, one per regime needs %d"
-                         % (table.shape[0], model.num_regimes))
+    if cmap.grid is not None and (len(table), cmap.grid.dim) != (model.num_regimes, model.dim):
+        raise ValueError("policy table has %d rows, one per regime needs %d; its grid is "
+                         "%d-D, the model %d-D"
+                         % (len(table), model.num_regimes, cmap.grid.dim, model.dim))
     bad = table[(table < 0) | (table >= model.num_controls)]
     if bad.size:
         raise ValueError("control index %d is outside [0, %d)" % (bad[0], model.num_controls))
@@ -319,35 +303,38 @@ def _row_norm(x):
     return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
-def _group_coefficients(model, xs, k, c, step):
-    """Drift, diffusion, cost and leave rates (row k of the rate matrix) of
-    one (regime, control) group, after the step-size guard on its rows."""
+def _group_coefficients(model, xs, k, c):
+    """Drift, diffusion, cost and rates (row k of the rate matrix, (N, rows))
+    of one (regime, control) group."""
     xi = float(model.controls[c])
     g = xs.shape[0]
     b = np.asarray(model.drift(xs, k, xi), dtype=float).reshape(g, -1)
     sig = np.asarray(model.diffusion(xs, k), dtype=float)
     cost = np.asarray(model.cost(xs, k, xi), dtype=float).reshape(-1)
     m = np.asarray(model.rates(xs, xi), dtype=float)
-    leave = -m[:, k, k]
-    worst = int(np.argmax(leave))
-    if step * leave[worst] > MAX_LEAVE_PROBABILITY + 1e-12:
-        raise StepSizeError(step, float(leave[worst]), xs[worst], k)
-    return b, sig, cost, m[:, k, :]
+    return b, sig, cost, m[:, k, :].T
 
 
-def _check_rates(model, X, K, key, rate):
-    """Raise :class:`NonFiniteCoefficientError` at the first row whose rates
-    (``rate`` (N, n), row K of each matrix) are not finite: a NaN rate would
-    compare false in the regime draw.  (A NaN drift, diffusion or cost
-    reaches the state or the cost integral, where the estimators report it.)
-    One sum decides whether to look: it is finite unless an entry is not."""
-    if math.isfinite(np.add.reduce(rate, axis=None)):
-        return
-    bad = np.argwhere(~np.isfinite(rate.T))  # (row, regime), rows first
+def _refuse_rates(model, X, K, key, present, rate, here, leave, step):
+    """Refuse the rates a step draws regimes from (``rate`` (N, n), row K of
+    each matrix, off its diagonal): a NaN or infinite one, which compares
+    false in the draw, a negative one, or a leave probability above
+    MAX_LEAVE_PROBABILITY at the worst row of a (regime, control) group."""
+    off = np.where(here, 0.0, rate).T  # (n, N), diagonal zeroed
+    xi = model.controls[key % model.num_controls]
+    bad = np.argwhere(~np.isfinite(off))
     if len(bad):
         i, j = bad[0]
-        raise NonFiniteCoefficientError(
-            "rates", X[i], K[i], float(model.controls[key[i] % model.num_controls]), rate[j, i])
+        raise NonFiniteCoefficientError("rates", X[i], K[i], xi[i], off[i, j])
+    _refuse_negative_rates(
+        off, max(1.0, float(np.max(np.abs(off)))),
+        lambda ij: "[%d, %d] (control %g at x=%s)" % (K[ij[0]], ij[1], xi[ij[0]],
+                                                      X[ij[0]].tolist()))
+    for kc in present:
+        rows = np.flatnonzero(key == kc)
+        worst = rows[np.argmax(leave[rows])]
+        if leave[worst] > MAX_LEAVE_PROBABILITY + 1e-12:
+            raise StepSizeError(step, float(np.sum(off[worst])), X[worst], K[worst])
 
 
 def _step_once(model, cmap, X, K, S, step, sqh, Z, U, cost_shift, barrier=None):
@@ -369,8 +356,7 @@ def _step_once(model, cmap, X, K, S, step, sqh, Z, U, cost_shift, barrier=None):
     present = np.flatnonzero(np.bincount(key)).tolist()
     if len(present) == 1:
         k, c = divmod(present[0], nc)
-        b, sig, cost, rate = _group_coefficients(model, X, k, c, step)
-        rate = rate.T
+        b, sig, cost, rate = _group_coefficients(model, X, k, c)
     else:
         b = np.empty((n, d))
         sig = np.empty((n, d, d))
@@ -379,11 +365,18 @@ def _step_once(model, cmap, X, K, S, step, sqh, Z, U, cost_shift, barrier=None):
         for kc in present:
             rows = np.flatnonzero(key == kc)
             k, c = divmod(kc, nc)
-            b[rows], sig[rows], cost[rows], rk = _group_coefficients(
-                model, X[rows], k, c, step)
-            for j in range(N):
-                rate[j][rows] = rk[:, j]
-    _check_rates(model, X, K, key, rate)
+            b[rows], sig[rows], cost[rows], rk = _group_coefficients(model, X[rows], k, c)
+            rate[:, rows] = rk
+    # From regime k the chain moves to j != k with probability step * rates[k, j]
+    # and stays with one minus their sum; sums run column by column.  A min and
+    # a max catch a rate that is not finite, negative or leaves too often.
+    here = K == np.arange(N)[:, None]
+    move = np.where(here, 0.0, step * rate)
+    leave = move[0]
+    for p in move[1:]:
+        leave = leave + p
+    if not (move.min() >= 0.0 and leave.max() <= MAX_LEAVE_PROBABILITY + 1e-12):
+        _refuse_rates(model, X, K, key, present, rate, here, leave, step)
     S += step * (cost - cost_shift)
     xn = X + step * b + sqh * np.einsum("pij,pj->pi", sig, Z)
     inner_thr = outer_ok = None
@@ -396,13 +389,6 @@ def _step_once(model, cmap, X, K, S, step, sqh, Z, U, cost_shift, barrier=None):
             np.abs(xn) < box_radius - BGK_BETA * sqh * _row_norm(sig), axis=1
         )
     # Next regime: the number of cumulative one-step probabilities below U.
-    # From regime k the chain moves to j with probability step * rates[k, j]
-    # and stays with one minus their sum; sums run column by column.
-    here = [K == j for j in range(N)]
-    move = [np.where(here[j], 0.0, step * rate[j]) for j in range(N)]
-    leave = move[0]
-    for p in move[1:]:
-        leave = leave + p
     stay = 1.0 - leave
     cum = np.where(here[0], stay, move[0])
     nk = (U > cum).astype(np.int64)
@@ -470,7 +456,8 @@ class TrajectoryBatch:
 
 def simulate_paths(model, policy_or_control, config, x0=None, k0=0,
                    workers=None, grid=None):
-    """Full trajectory recording; use the estimators for large path counts."""
+    """Full trajectory recording; use the estimators for large path counts.
+    A NaN or infinite state or cost raises :class:`NonFiniteEstimateError`."""
     cmap = _control_map(model, policy_or_control, grid)
     x0, k0 = _coerce_start(model, x0, k0)
     n_entries = config.paths * (config.n_steps + 1) * model.dim
@@ -485,6 +472,9 @@ def simulate_paths(model, policy_or_control, config, x0=None, k0=0,
         _working_sets(config.paths), resolve_workers(workers),
     )
     S, pos, reg = (np.concatenate([p[i] for p in parts]) for i in (0, 3, 4))
+    ends = S + pos[:, -1].sum(axis=1)  # a NaN or infinite value lasts to the end
+    if not np.isfinite(ends).all():
+        raise NonFiniteEstimateError(Functional.PATHS, math.nan, ends)
     times = np.arange(config.n_steps + 1) * config.step
     return TrajectoryBatch(times=times, positions=pos, regimes=reg,
                            integrated_cost=S, config=config)
@@ -543,9 +533,7 @@ def estimate_risk_sensitive_rate(model, policy, config, lambda_ref=None,
     log_mean, w, mean_w = _logmeanexp(S)
     value = log_mean / T
     if not math.isfinite(value):
-        raise NonFiniteEstimateError(Functional.RISK_SENSITIVE_RATE, value,
-                                     int(np.count_nonzero(~np.isfinite(S))),
-                                     config.paths)
+        raise NonFiniteEstimateError(Functional.RISK_SENSITIVE_RATE, value, S)
     if config.paths > 1:
         se = float(np.std(w, ddof=1)) / (mean_w * math.sqrt(config.paths)) / T
     else:
@@ -593,11 +581,11 @@ def _fk_block(model, cmap, config, blocks, starts, lam, grid, psi,
     A = np.zeros(n)
     row = np.arange(n)
     # status: 0 = running, 1 = hit inner ball, 2 = left box, 3 = capped;
-    # a hit row keeps its hitting state and exponent for the payoff
+    # a row keeps its state and exponent where it stopped for the payoff
     status = np.zeros(n, dtype=np.int8)
-    hit_X = np.zeros((n, d))
-    hit_K = np.zeros(n, dtype=np.int64)
-    hit_A = np.zeros(n)
+    end_X = np.zeros((n, d))
+    end_K = np.zeros(n, dtype=np.int64)
+    end_A = np.zeros(n)
     sqh = math.sqrt(config.step)
     for _ in range(cap_steps):
         if row.size == 0:
@@ -611,17 +599,21 @@ def _fk_block(model, cmap, config, blocks, starts, lam, grid, psi,
         stop = hit | ~outer_ok
         if not stop.any():
             continue
-        done = row[hit]
-        hit_X[done], hit_K[done], hit_A[done] = X[hit], K[hit], A[hit]
-        status[row[stop]] = np.where(hit[stop], 1, 2)
+        done = row[stop]
+        end_X[done], end_K[done], end_A[done] = X[stop], K[stop], A[stop]
+        status[done] = np.where(hit[stop], 1, 2)
         keep = ~stop
         X, K, A, row = X[keep], K[keep], A[keep], row[keep]
         running = np.diff(np.searchsorted(row, edges)).tolist()
     status[row] = 3
+    end_X[row], end_A[row] = X, A
     hits = np.flatnonzero(status == 1)
     payoff = np.zeros(n)
-    payoff[hits] = np.exp(hit_A[hits]) * np.maximum(
-        grid.interpolate(psi, hit_X[hits], hit_K[hits]), 0.0)
+    payoff[hits] = np.exp(end_A[hits]) * np.maximum(
+        grid.interpolate(psi, end_X[hits], end_K[hits]), 0.0)
+    # a NaN state compares false, so it stops as a box exit: a row that stops
+    # or is cut with a NaN or infinite state or exponent gets a NaN payoff
+    payoff[~(np.isfinite(end_A) & np.isfinite(end_X).all(axis=1))] = np.nan
     # (block, start, path) rows to one (start, path) row per start
     cuts = edges[::n_starts][1:-1]
     return tuple(np.concatenate([v.reshape(n_starts, -1) for v in np.split(a, cuts)],
@@ -675,7 +667,9 @@ def feynman_kac_annulus(model, policy, eigenpair, grid, r_inner, start_points,
     Box exits contribute zero (the eigenfunction vanishes on the boundary).
     Barriers are shifted by the discrete-monitoring correction to cancel the
     leading sqrt(step) crossing bias.  Paths still running after 1000 nominal
-    horizons are cut, counted, and reported separately.
+    horizons are cut, counted, and reported separately.  A path that stops or
+    is cut with a NaN or infinite state or exponent raises
+    :class:`NonFiniteEstimateError`, as does a NaN or infinite estimate.
     """
     if not r_inner < grid.radius:
         raise ValueError("inner radius must be smaller than the box radius")
@@ -702,6 +696,8 @@ def feynman_kac_annulus(model, policy, eigenpair, grid, r_inner, start_points,
     results = []
     for (x, k), payoff, status in zip(starts, payoffs, statuses):
         est = float(np.mean(payoff))
+        if not math.isfinite(est):
+            raise NonFiniteEstimateError(Functional.FEYNMAN_KAC_ANNULUS, est, payoff)
         se = float(np.std(payoff, ddof=1)) / math.sqrt(config.paths) \
             if config.paths > 1 else math.inf
         target = float(grid.interpolate(psi, x[None, :], [k])[0])
@@ -780,9 +776,7 @@ def mean_position_diagnostic(model, policy, config, horizons=None, x0=None,
     for i, T in enumerate(times):
         mean_abs = float(np.mean(snaps[i]))
         if not math.isfinite(mean_abs):
-            raise NonFiniteEstimateError(
-                Functional.MEAN_ABS_POSITION, mean_abs,
-                int(np.count_nonzero(~np.isfinite(snaps[i]))), config.paths)
+            raise NonFiniteEstimateError(Functional.MEAN_ABS_POSITION, mean_abs, snaps[i])
         se = float(np.std(snaps[i], ddof=1)) / math.sqrt(config.paths) \
             if config.paths > 1 else math.inf
         values.append(mean_abs / T)

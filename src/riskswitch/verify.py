@@ -13,11 +13,11 @@ import dataclasses
 
 import numpy as np
 
-from .eigen import (LAMBDA_TOL, PSI_TOL, domain_sweep, minimizing_selector,
+from .eigen import (LAMBDA_TOL, PI_TOL, PSI_TOL, domain_sweep, minimizing_selector,
                     principal_eigenpair, solve_semilinear, verification_tol)
 from .model import coefficients
 from .operator import assemble, constant_policy
-from .simulate import ControlMap, estimate_risk_sensitive_rate
+from .simulate import estimate_risk_sensitive_rate
 
 
 @dataclasses.dataclass
@@ -270,7 +270,7 @@ class NearMonotoneReport:
         }
 
 
-def near_monotone_suite(model, radii, tol=1e-11, nodes_per_unit=20,
+def near_monotone_suite(model, radii, tol=PI_TOL, nodes_per_unit=20,
                         epsilon=0.01, samples=512, seed=0):
     """Certificate-free pipeline for bounded-coefficient models.
 
@@ -377,20 +377,16 @@ def lambda_equals_optimal_value(model, grid, policy_sample_count, config,
         model, grid, eig_tol=eig_tol)
     lam_star = sol.eigenpair.eigenvalue
     opt_est = estimate_risk_sensitive_rate(
-        model, ControlMap.from_policy(sol.policy, grid), config,
-        lambda_ref=lam_star, workers=workers, grid=grid,
-        terminal_pair=sol.eigenpair,
-    )
+        model, sol.policy, config, lambda_ref=lam_star, workers=workers, grid=grid,
+        terminal_pair=sol.eigenpair)
     opt_dev = abs(opt_est.value - lam_star)
     opt_ok = bool(opt_est.unreliable or opt_dev <= 3.0 * opt_est.std_error)
     entries = []
     for p in random_policies(model, grid, policy_sample_count, seed=seed):
         pair = principal_eigenpair(sol.operator.with_policy(p), tol=eig_tol)
         est = estimate_risk_sensitive_rate(
-            model, ControlMap.from_policy(p, grid), config,
-            lambda_ref=lam_star, workers=workers, grid=grid,
-            terminal_pair=sol.eigenpair,
-        )
+            model, p, config, lambda_ref=lam_star, workers=workers, grid=grid,
+            terminal_pair=sol.eigenpair)
         eig_ok = bool(pair.eigenvalue >= lam_star - LAMBDA_TOL)
         rate_ok = bool(est.unreliable
                        or est.value >= lam_star - 3.0 * est.std_error)

@@ -244,6 +244,48 @@ def test_simulate_step_too_large_for_switching(tmp_path):
     assert json.loads(out)["error"]["type"] == "StepSizeError"
 
 
+def test_simulate_negative_rate_exits_2(tmp_path):
+    d = str(tmp_path / "out")
+    code, out = run(["simulate", "--builtin", "bounded2d", "--param", "rho=-1",
+                     "--step", "0.01", "--horizon", "1", "--paths", "8",
+                     "--output-dir", d])
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "ValueError"
+    assert err["message"] == ("rates has a negative off-diagonal entry at [0, 1] "
+                              "(control 0.7 at x=[0.0, 0.0]): -1")
+    assert os.listdir(d) == []
+
+
+def test_simulate_leave_probability_of_the_drawn_rates_exits_3(tmp_path):
+    # the diagonal says 0.1, the draw leaves at the off-diagonal rate 100
+    cfg = write_spec(tmp_path, num_regimes=2, rates=[["-0.1", "100"], ["100", "-0.1"]])
+    d = str(tmp_path / "out")
+    code, out = run(["simulate", "--model", cfg, "--functional", "paths",
+                     "--step", "0.01", "--horizon", "1", "--paths", "100",
+                     "--output-dir", d])
+    assert code == 3
+    err = json.loads(out)["error"]
+    assert err["type"] == "StepSizeError"
+    assert err["message"].startswith("step 0.01 * switching rate 100 = 1 > 0.50 at state [0.] "
+                                     "regime 0")
+    assert os.listdir(d) == []
+
+
+def test_simulate_paths_non_finite_exits_3(tmp_path):
+    cfg = write_spec(tmp_path, drift=["-x1 + 0.1 * sqrt(x1)"])
+    d = str(tmp_path / "out")
+    with pytest.warns(RuntimeWarning):  # sqrt of a negative state
+        code, out = run(["simulate", "--model", cfg, "--functional", "paths",
+                         "--paths", "64", "--horizon", "1", "--step", "0.01",
+                         "--output-dir", d])
+    assert code == 3
+    err = json.loads(out)["error"]
+    assert err["type"] == "NonFiniteEstimateError"
+    assert err["message"].startswith("paths estimate nan is not finite: ")
+    assert os.listdir(d) == []
+
+
 def test_simulate_worker_count_invisible_in_output(tmp_path):
     texts = []
     for w in ("1", "2", "8"):
@@ -595,3 +637,44 @@ def test_import_leaves_heavy_scipy_subpackages_unloaded():
                           text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_three_dimensional_model_exits_2(tmp_path, command):
+    cfg = write_spec(tmp_path, dim=3, drift=["-x1", "-x2", "-x3"],
+                     diffusion=[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                     cost="0.05 * (x1^2 + x2^2 + x3^2)")
+    d = str(tmp_path / "out")
+    code, out = run([command, "--model", cfg, "--radius", "1", "--nodes-per-unit", "2",
+                     "--output-dir", d])
+    assert code == 2
+    assert json.loads(out) == {"error": {"type": "NotImplementedError",
+                                         "message": "assembly is implemented for dim <= 2"},
+                               "exit_code": 2}
+    assert os.listdir(d) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--builtin", "lq", "--nodes-per-unit", "10"],
+     "riskswitch solve: the following arguments are required: --radius"),
+    (["solve", "--builtin", "lq", "--radius", "abc", "--nodes-per-unit", "10"],
+     "riskswitch solve: argument --radius: invalid float value: 'abc'"),
+    (["simplify"], "riskswitch: argument command: invalid choice: 'simplify'"),
+])
+def test_parser_errors_exit_2_as_json(tmp_path, capsys, argv, message):
+    d = str(tmp_path / "out")
+    code, out = run(argv + ["--output-dir", d])
+    assert code == 2
+    err = json.loads(out)
+    assert err["exit_code"] == 2
+    assert err["error"]["type"] == "UsageError"
+    assert err["error"]["message"].startswith(message)
+    assert capsys.readouterr().err == ""
+    assert not os.path.exists(d)
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--nodes-per-unit" in capsys.readouterr().out

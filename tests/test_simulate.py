@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -99,6 +100,16 @@ def test_control_and_regime_indices_checked_before_stepping(monkeypatch):
             call()
 
 
+def test_policy_table_on_a_grid_of_another_dimension_refused(monkeypatch):
+    # a 1-D grid would read a 2-D state at its first coordinate only
+    m = rs.make_builtin("bounded2d")
+    g = rs.grid_for_resolution(1, 2.0, 5)
+    cfg = PathConfig(step=0.01, horizon=1.0, seed=0, paths=4)
+    monkeypatch.setattr(simulate, "_step_once", None)  # any step would fail
+    with pytest.raises(ValueError, match="its grid is 1-D, the model 2-D"):
+        rs.simulate_paths(m, np.zeros((2, g.num_interior), dtype=np.int64), cfg, grid=g)
+
+
 def test_terminal_weighting_rejects_a_start_on_or_outside_the_box(monkeypatch):
     m = rs.make_builtin("ou2")
     g = rs.grid_for_resolution(1, 3.0, 5)
@@ -112,22 +123,40 @@ def test_terminal_weighting_rejects_a_start_on_or_outside_the_box(monkeypatch):
                                             terminal_pair=ones)
 
 
-def test_function_control_map_checked_on_every_call():
-    m = rs.make_builtin("ou2")  # two regimes, two controls
+def test_function_control_map_refused():
+    m = rs.make_builtin("ou2")
     cfg = PathConfig(step=0.01, horizon=1.0, seed=3, paths=64)
-    bad = ControlMap(lambda X, K: np.where(X[:, 0] > 0.2, 3, 0))
-    with pytest.raises(ValueError, match=r"index 3 at state \[[0-9.]+\] regime [01] is outside \[0, 2\)"):
-        rs.simulate_paths(m, bad, cfg)
-    with pytest.raises(ValueError, match="index -1"):
-        rs.estimate_risk_sensitive_rate(m, ControlMap(lambda X, K: np.full(len(X), -1)), cfg)
-    # a valid function map steps exactly as the constant map it equals
-    fn = ControlMap(lambda X, K: np.ones(len(X), dtype=np.int64))
-    got, ref = rs.simulate_paths(m, fn, cfg), rs.simulate_paths(m, 1, cfg)
-    np.testing.assert_array_equal(got.positions, ref.positions)
-    np.testing.assert_array_equal(got.regimes, ref.regimes)
-    np.testing.assert_array_equal(got.integrated_cost, ref.integrated_cost)
-    assert (rs.estimate_risk_sensitive_rate(m, fn, cfg).value
-            == rs.estimate_risk_sensitive_rate(m, 1, cfg).value)
+
+    def fn(X, K):
+        return np.ones(len(X), dtype=np.int64)
+
+    for call in (lambda: ControlMap(fn), lambda: ControlMap.coerce(fn),
+                 lambda: rs.simulate_paths(m, fn, cfg)):
+        with pytest.raises(TypeError):
+            call()
+
+
+@pytest.mark.parametrize("policy", ["constant", "table"])
+def test_control_map_pickles_and_steps_like_the_original(policy):
+    m = rs.make_builtin("ou2")
+    g = rs.grid_for_resolution(1, 3.0, 10)
+    cmap = (ControlMap.constant(1) if policy == "constant"
+            else ControlMap.from_policy(mixed_table(m, g), g))
+    loaded = pickle.loads(pickle.dumps(cmap))
+    assert loaded.description == cmap.description
+    np.testing.assert_array_equal(loaded.table, cmap.table)
+    pair = rs.solve_semilinear(m, g).eigenpair
+    rate_cfg = PathConfig(step=0.05, horizon=1.0, seed=8, paths=300)
+    fk_cfg = PathConfig(step=0.01, horizon=0.5, seed=9, paths=200)
+    starts = [(np.array([1.0]), 0), (np.array([-1.5]), 1)]
+    runs = [(rs.estimate_risk_sensitive_rate(m, c, rate_cfg, x0=[0.5], grid=g,
+                                             terminal_pair=pair),
+             rs.feynman_kac_annulus(m, c, pair, g, 0.5, starts, fk_cfg))
+            for c in (cmap, loaded)]
+    (rate, fk), (loaded_rate, loaded_fk) = runs
+    assert (rate.value, rate.std_error, rate.ess) == \
+        (loaded_rate.value, loaded_rate.std_error, loaded_rate.ess)
+    assert fk_outputs(fk) == fk_outputs(loaded_fk)
 
 
 def test_resolve_workers_env(monkeypatch):
@@ -149,6 +178,26 @@ def test_step_size_guard():
     assert exc.value.rate == pytest.approx(2.0)
     assert exc.value.step == pytest.approx(0.3)
     assert "reduce the step" in str(exc.value)
+
+
+def test_negative_drawn_rate_refused():
+    # a negative off-diagonal rate would be a negative move probability
+    m = rs.make_builtin("bounded2d", rho=-1.0)
+    cfg = PathConfig(step=0.01, horizon=1.0, seed=0, paths=8)
+    with pytest.raises(ValueError, match=r"^rates has a negative off-diagonal entry at "
+                       r"\[0, 1\] \(control 0.7 at x=\[0.0, 0.0\]\): -1$"):
+        rs.simulate_paths(m, 0, cfg)
+
+
+def test_leave_probability_guard_reads_the_drawn_rates():
+    # the diagonal disagrees with its row: the draw leaves at rate 100, so the
+    # guard must see step * 100 = 1, not step * 0.1
+    m = with_rates(rs.make_builtin("ou2"), [[-0.1, 100.0], [100.0, -0.1]])
+    cfg = PathConfig(step=0.01, horizon=1.0, seed=0, paths=100)
+    with pytest.raises(StepSizeError) as exc:
+        rs.simulate_paths(m, 0, cfg)
+    assert (exc.value.step * exc.value.rate, exc.value.rate, exc.value.regime) == (1.0, 100.0, 0)
+    assert exc.value.state.tolist() == [0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +408,53 @@ def test_annulus_start_validation():
         rs.feynman_kac_annulus(m, 0, ones, g, 0.5, [(np.array([3.5]), 0)], cfg)
     with pytest.raises(ValueError, match="inner radius"):
         rs.feynman_kac_annulus(m, 0, ones, g, 4.0, [(np.array([1.0]), 0)], cfg)
+
+
+def nan_beyond(coefficient, limit):
+    """ou2 with ``coefficient`` (drift or cost) NaN at states x1 > ``limit``."""
+    base = rs.make_builtin("ou2")
+    fn = getattr(base, coefficient)
+
+    def masked(X, k, xi):
+        values = np.array(fn(X, k, xi), dtype=float)
+        values[X[:, 0] > limit] = np.nan
+        return values
+
+    return dataclasses.replace(base, **{coefficient: masked})
+
+
+@pytest.mark.parametrize("coefficient", ["drift", "cost"])
+def test_fk_refuses_rows_that_stop_with_non_finite_values(coefficient):
+    # a NaN state compares false against both barriers, so it stops as a box
+    # exit; a NaN exponent reaches exits too: both must not count as payoff 0
+    m = nan_beyond(coefficient, 1.2)
+    g = rs.grid_for_resolution(1, 3.0, 10)
+    pair = rs.solve_semilinear(rs.make_builtin("ou2"), g).eigenpair
+    cfg = PathConfig(step=0.01, horizon=0.5, seed=2, paths=400)
+    with pytest.raises(
+            rs.NonFiniteEstimateError,
+            match=r"^feynman_kac_annulus estimate nan is not finite: [1-9][0-9]* of 400 "):
+        rs.feynman_kac_annulus(m, 0, pair, g, 0.5, [(np.array([1.0]), 0)], cfg)
+
+
+def test_fk_refuses_capped_rows_with_a_non_finite_exponent():
+    # paths that never move are cut at the cap with a NaN exponent
+    still = dataclasses.replace(
+        driftless(), diffusion=lambda X, k: np.zeros((X.shape[0], 1, 1)),
+        cost=lambda X, k, x: np.full(X.shape[0], np.nan))
+    g = rs.grid_for_resolution(1, 3.0, 10)
+    ones = rs.EigenPair(eigenvalue=0.0, eigenfunction=np.ones((1, g.num_interior)),
+                        residual=0.0, iterations=0, shift=0.0)
+    cfg = PathConfig(step=0.01, horizon=0.01, seed=0, paths=16)
+    with pytest.raises(rs.NonFiniteEstimateError, match="16 of 16 "):
+        rs.feynman_kac_annulus(still, 0, ones, g, 0.5, [(np.array([1.0]), 0)], cfg)
+
+
+def test_recorded_paths_refuse_non_finite_values():
+    cfg = PathConfig(step=0.01, horizon=1.0, seed=0, paths=64)
+    with pytest.raises(
+            rs.NonFiniteEstimateError, match=r"^paths estimate nan is not finite: [1-9]"):
+        rs.simulate_paths(nan_beyond("drift", 1.2), 0, cfg, x0=[1.0])
 
 
 def fk_outputs(report):
