@@ -11,7 +11,6 @@ from .eigen import (EigenPair, NoConvergenceError, NotIrreducibleError,
                     SemilinearSolution, SweepResult, domain_sweep,
                     minimizing_selector, potential_monotonicity_check,
                     principal_eigenpair, solve_semilinear, uniqueness_check)
-from .estimator import NotFittedError, RiskSensitiveController
 from .expressions import ExpressionError, compile_expression, load_model, model_from_spec
 from .grid import GridSpec, build_grid, grid_for_resolution
 from .model import (BUILTIN_MODELS, CertificateMode, LyapunovCertificate,
@@ -32,8 +31,7 @@ __all__ = [
     "DiscreteOperator", "EigenPair", "ExpressionError", "Functional",
     "GridSpec", "GrowthBound", "LyapunovCertificate", "MonotonicityViolation",
     "NoConvergenceError", "NonFiniteCoefficientError", "NonFiniteEstimateError",
-    "NotFittedError", "NotIrreducibleError",
-    "PathConfig", "RiskSensitiveController",
+    "NotIrreducibleError", "PathConfig",
     "SemilinearSolution", "StepSizeError", "SweepResult", "SwitchingModel",
     "TrajectoryBatch", "ValidationReport", "assemble", "build_grid", "builtin_certificate",
     "check_lyapunov", "coefficients", "compile_expression", "constant_policy",

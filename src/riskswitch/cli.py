@@ -127,11 +127,27 @@ def _write_meta(outdir, started, t0, args):
     _write_json("%s/run_meta.json" % outdir, meta)
 
 
+def _checked(convert, nonnegative=False):
+    """argparse type: ``convert(text)``, finite and, if ``nonnegative``, >= 0.
+    Named after ``convert``, so bad text still reads "invalid float value"."""
+    def parse(text):
+        value = convert(text)
+        if not -math.inf < value < math.inf or nonnegative and value < 0:
+            raise argparse.ArgumentTypeError("expected a finite number%s, got %r"
+                                             % (" >= 0" if nonnegative else "", text))
+        return value
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_FINITE, _TOLERANCE, _COUNT = _checked(float), _checked(float, True), _checked(int, True)
+
+
 def _parse_floats(text):
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise UsageError("expected comma-separated numbers, got %r" % text)
+        return [_FINITE(v) for v in text.split(",") if v.strip() != ""]
+    except (ValueError, argparse.ArgumentTypeError):
+        raise UsageError("expected comma-separated finite numbers, got %r" % text)
 
 
 def _parse_param(text):
@@ -200,7 +216,7 @@ def _add_model_flags(p):
     group.add_argument("--model", help="path to a JSON model config")
     p.add_argument("--param", action="append", metavar="KEY=VALUE",
                    help="builtin parameter override, repeatable")
-    p.add_argument("--q", type=float, help="shortcut for the cost coefficient q")
+    p.add_argument("--q", type=_FINITE, help="shortcut for the cost coefficient q")
     p.add_argument("--controls", help="comma-separated control set, e.g. 1,2")
 
 
@@ -456,9 +472,9 @@ def build_parser():
     p = sub.add_parser("solve", help="policy-iteration eigensolve on one box")
     _add_model_flags(p)
     _add_common(p)
-    p.add_argument("--radius", type=float, required=True)
+    p.add_argument("--radius", type=_FINITE, required=True)
     p.add_argument("--nodes-per-unit", type=int, required=True)
-    p.add_argument("--tol", type=float, default=PI_TOL)
+    p.add_argument("--tol", type=_TOLERANCE, default=PI_TOL)
     p.add_argument("--max-policy-iters", type=int, default=MAX_POLICY_ITERS)
     p.add_argument("--dump-operator", metavar="FILE.mtx",
                    help="dump the final assembled operator in Matrix Market format")
@@ -469,7 +485,7 @@ def build_parser():
     _add_common(p)
     p.add_argument("--radii", required=True, help="comma-separated increasing radii")
     p.add_argument("--nodes-per-unit", type=int, required=True)
-    p.add_argument("--tol", type=float, default=PI_TOL)
+    p.add_argument("--tol", type=_TOLERANCE, default=PI_TOL)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="Monte Carlo functionals under a constant control")
@@ -479,13 +495,13 @@ def build_parser():
     _add_workers(p)
     p.add_argument("--functional", choices=["rate", "mean-position", "paths"],
                    default="rate")
-    p.add_argument("--step", type=float, required=True)
-    p.add_argument("--horizon", type=float, required=True)
+    p.add_argument("--step", type=_FINITE, required=True)
+    p.add_argument("--horizon", type=_FINITE, required=True)
     p.add_argument("--paths", type=int, required=True)
     p.add_argument("--control-index", type=int, default=0)
     p.add_argument("--x0", help="comma-separated start state (default origin)")
     p.add_argument("--k0", type=int, default=0)
-    p.add_argument("--lambda-ref", type=float, default=None)
+    p.add_argument("--lambda-ref", type=_FINITE, default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="full verification pipeline")
@@ -493,25 +509,25 @@ def build_parser():
     _add_common(p)
     p.add_argument("--seed", type=int, default=0)
     _add_workers(p)
-    p.add_argument("--radius", type=float, required=True)
+    p.add_argument("--radius", type=_FINITE, required=True)
     p.add_argument("--nodes-per-unit", type=int, required=True)
-    p.add_argument("--tol", type=float, default=PI_TOL)
+    p.add_argument("--tol", type=_TOLERANCE, default=PI_TOL)
     p.add_argument("--max-policy-iters", type=int, default=MAX_POLICY_ITERS)
     p.add_argument("--samples", type=int, default=256)
-    p.add_argument("--alt-policies", type=int, default=5,
+    p.add_argument("--alt-policies", type=_COUNT, default=5,
                    help="random alternative policies for the optimality check")
-    p.add_argument("--rate-policies", type=int, default=2,
+    p.add_argument("--rate-policies", type=_COUNT, default=2,
                    help="random policies for the Monte Carlo rate check")
     p.add_argument("--skip-simulation", action="store_true",
                    help="run only the PDE-side checks")
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--horizon", type=float, default=5.0)
-    p.add_argument("--fk-horizon", type=float, default=2.0)
+    p.add_argument("--step", type=_FINITE, default=1e-3)
+    p.add_argument("--horizon", type=_FINITE, default=5.0)
+    p.add_argument("--fk-horizon", type=_FINITE, default=2.0)
     p.add_argument("--paths", type=int, default=20000)
-    p.add_argument("--inner-radius", type=float, default=0.5)
+    p.add_argument("--inner-radius", type=_FINITE, default=0.5)
     p.add_argument("--starts",
                    help="semicolon-separated x1,..,xd:regime start points")
-    p.add_argument("--lambda-ref", type=float, default=None,
+    p.add_argument("--lambda-ref", type=_FINITE, default=None,
                    help="override the eigenvalue used in the Feynman-Kac check")
     p.set_defaults(func=cmd_verify)
 
@@ -519,7 +535,7 @@ def build_parser():
     _add_model_flags(p)
     _add_common(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--radius", type=float, default=5.0)
+    p.add_argument("--radius", type=_FINITE, default=5.0)
     p.add_argument("--nodes-per-unit", type=int, default=10)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--near-monotone", action="store_true")

@@ -36,9 +36,9 @@ class GridSpec:
     def __init__(self, dim, radius, nodes_per_axis):
         if dim < 1:
             raise ValueError("dim must be >= 1, got %r" % (dim,))
-        if not radius > 0:
-            raise ValueError("radius must be positive, got %r" % (radius,))
-        n = int(nodes_per_axis)
+        if not 0 < radius < np.inf:
+            raise ValueError("radius must be positive and finite, got %r" % (radius,))
+        n = int(nodes_per_axis) if abs(nodes_per_axis) < np.inf else None
         if n != nodes_per_axis:
             raise ValueError("nodes_per_axis must be an integer, got %r" % (nodes_per_axis,))
         if n < 3:
@@ -146,9 +146,9 @@ def grid_for_resolution(dim, radius, nodes_per_unit):
     the resulting axis has ``2 * radius * nodes_per_unit + 1`` nodes (odd).
     """
     cells = radius * nodes_per_unit
-    if abs(cells - round(cells)) > 1e-9:
+    if not np.isfinite(cells) or abs(cells - round(cells)) > 1e-9:
         raise ValueError(
-            "radius * nodes_per_unit must be an integer (got radius=%g, nodes_per_unit=%g)"
+            "radius * nodes_per_unit must be a finite integer (got radius=%g, nodes_per_unit=%g)"
             % (radius, nodes_per_unit)
         )
     return GridSpec(dim, radius, 2 * int(round(cells)) + 1)

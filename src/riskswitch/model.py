@@ -258,8 +258,10 @@ def validate_model(model, box_radius, samples=256, seed=0, ellipticity_floor=1e-
     coefficient contract (a non-finite value, a malformed rate matrix, a
     negative cost) raises instead of being reported.
     """
-    rng = np.random.default_rng(seed)
     R = float(box_radius)
+    if not 0 < R < math.inf:
+        raise ValueError("box_radius must be positive and finite, got %r" % (box_radius,))
+    rng = np.random.default_rng(seed)
     d = model.dim
     half = samples // 2
     X_in = rng.uniform(-R / 2.0, R / 2.0, size=(half, d))

@@ -168,7 +168,7 @@ def _constant_policy_operator(grid, co, neigh, ci):
     outflow = np.zeros(N * M)
     m = co.rates[ci]
     for k in range(N):
-        row0 = k * M + nodes
+        row0 = grid.row_index(k, nodes)
         a_mat = co.covariance[k]
         b = co.drift[k, ci]
         c = co.cost[k, ci]
@@ -215,7 +215,7 @@ def _constant_policy_operator(grid, co, neigh, ci):
         diag[row0] += m[:, k, k]
         for j in range(N):
             if j != k:
-                entries.append((row0, j * M + nodes, m[:, k, j]))
+                entries.append((row0, grid.row_index(j, nodes), m[:, k, j]))
         cost_vec[row0] = c
 
     # cost is added to the diagonal last, as its own term; no coupling sits on

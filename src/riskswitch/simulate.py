@@ -110,10 +110,12 @@ class PathConfig:
     paths: int
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError("step must be positive")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.step < math.inf:
+            raise ValueError("step must be positive and finite")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
+        if not self.horizon / self.step < math.inf:
+            raise ValueError("horizon / step must be finite")
         if self.paths < 1:
             raise ValueError("paths must be >= 1")
         if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
@@ -192,7 +194,7 @@ class ControlMap:
         if self.grid is None:
             return np.full(len(K), self.table[0])
         nodes = self.grid.nearest_interior_index(X)
-        return self.table.reshape(-1)[np.asarray(K) * self.table.shape[1] + nodes]
+        return self.table.reshape(-1)[self.grid.row_index(np.asarray(K), nodes)]
 
     @classmethod
     def constant(cls, control_index):

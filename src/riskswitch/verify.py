@@ -150,6 +150,8 @@ def verify_optimality(model, grid, alt_policies=(), solution=None, eig_tol=None)
 
 
 def random_policies(model, grid, count, seed=0):
+    if count < 0:
+        raise ValueError("count must be >= 0, got %r" % (count,))
     rng = np.random.default_rng(seed)
     return [
         rng.integers(0, model.num_controls, size=(model.num_regimes, grid.num_interior))

@@ -673,6 +673,41 @@ def test_parser_errors_exit_2_as_json(tmp_path, capsys, argv, message):
     assert not os.path.exists(d)
 
 
+OU2_SIMULATE = ["simulate", "--builtin", "ou2", "--paths", "16"]
+OU2_VERIFY = ["verify", "--builtin", "ou2", "--radius", "4", "--nodes-per-unit", "10",
+              "--paths", "16"]
+LQ_SOLVE = ["solve", "--builtin", "lq", "--nodes-per-unit", "10"]
+
+
+@pytest.mark.parametrize("argv", [
+    LQ_SOLVE + ["--radius", "inf"],
+    ["sweep", "--builtin", "lq", "--nodes-per-unit", "10", "--radii", "2,inf"],
+    ["validate", "--builtin", "lq", "--radius", "inf"],
+    ["validate", "--builtin", "lq", "--radius", "nan"],
+    OU2_SIMULATE + ["--step", "0.01", "--horizon", "inf"],
+    OU2_SIMULATE + ["--step", "1e-300", "--horizon", "1e300"],
+    OU2_VERIFY + ["--fk-horizon", "inf"],
+    OU2_SIMULATE + ["--step", "0.01", "--horizon", "1", "--lambda-ref", "nan"],
+    OU2_VERIFY + ["--lambda-ref", "nan"],
+    OU2_SIMULATE + ["--step", "inf", "--horizon", "1"],
+    OU2_SIMULATE + ["--step", "0.01", "--horizon", "1", "--x0", "nan"],
+    LQ_SOLVE + ["--radius", "2", "--q", "inf"],
+    LQ_SOLVE + ["--radius", "2", "--param", "q=nan"],
+    LQ_SOLVE + ["--radius", "2", "--tol", "-1"],
+    LQ_SOLVE + ["--radius", "2", "--tol", "nan"],
+    OU2_VERIFY + ["--alt-policies", "-1", "--skip-simulation"],
+    OU2_VERIFY + ["--rate-policies", "-1"],
+], ids=lambda argv: " ".join(argv))
+def test_non_finite_number_or_negative_count_exits_2(tmp_path, capsys, argv):
+    d = tmp_path / "out"
+    code, out = run(argv + ["--output-dir", str(d)])
+    assert code == 2
+    err = json.loads(out)
+    assert set(err) == {"error", "exit_code"} and err["exit_code"] == 2
+    assert capsys.readouterr().err == ""
+    assert list(d.glob("*.json")) == []
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--help"])

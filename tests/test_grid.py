@@ -94,6 +94,20 @@ def test_grid_for_resolution():
     assert rs.grid_for_resolution(1, 1.5, 10).nodes_per_axis == 31
 
 
+@pytest.mark.parametrize("make, args, match", [
+    (rs.GridSpec, (1, np.inf, 5), "radius must be positive and finite"),
+    (rs.GridSpec, (1, np.nan, 5), "radius must be positive and finite"),
+    (rs.GridSpec, (1, 1.0, np.inf), "nodes_per_axis must be an integer"),
+    (rs.GridSpec, (1, 1.0, np.nan), "nodes_per_axis must be an integer"),
+    (rs.grid_for_resolution, (1, np.inf, 10), "must be a finite integer"),
+    (rs.grid_for_resolution, (1, np.nan, 10), "must be a finite integer"),
+    (rs.grid_for_resolution, (1, 2.0, np.inf), "must be a finite integer"),
+])
+def test_non_finite_radius_or_node_density_refused(make, args, match):
+    with pytest.raises(ValueError, match=match):
+        make(*args)
+
+
 @pytest.mark.parametrize("dim,radius,npu", [(1, 3.0, 10), (1, 2.0, 2), (2, 3.0, 5), (2, 1.0, 3)])
 def test_interpolate_equals_regular_grid_interpolator_bitwise(dim, radius, npu):
     g = rs.grid_for_resolution(dim, radius, npu)

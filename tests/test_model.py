@@ -141,6 +141,12 @@ def test_validate_model_flags_reducible_switching():
     assert not rep.results["switching_irreducible"].passed
 
 
+@pytest.mark.parametrize("radius", [np.inf, np.nan, 0.0, -1.0])
+def test_validate_model_refuses_a_box_radius_not_finite_and_positive(radius):
+    with pytest.raises(ValueError, match="box_radius must be positive and finite"):
+        rs.validate_model(rs.make_builtin("lq"), box_radius=radius, samples=16)
+
+
 def test_validate_model_rejects_malformed_rates():
     m = rs.make_builtin("ou2")
 

@@ -58,6 +58,17 @@ def test_path_config_validation():
     assert cfg.as_dict()["paths"] == 10
 
 
+@pytest.mark.parametrize("step, horizon, match", [
+    (np.inf, 1.0, "step must be positive and finite"),
+    (np.nan, 1.0, "step must be positive and finite"),
+    (0.1, np.inf, "horizon must be positive and finite"),
+    (1e-300, 1e300, "horizon / step must be finite"),
+])
+def test_path_config_refuses_non_finite_values(step, horizon, match):
+    with pytest.raises(ValueError, match=match):
+        PathConfig(step=step, horizon=horizon, seed=0, paths=10)
+
+
 def test_control_map_coercion():
     g = rs.grid_for_resolution(1, 2.0, 5)
     cm = ControlMap.coerce(1)

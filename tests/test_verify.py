@@ -87,6 +87,12 @@ def test_random_policies_seeded_and_in_range(lq_setup):
         assert p.min() >= 0 and p.max() < model.num_controls
 
 
+def test_random_policies_refuse_a_negative_count(lq_setup):
+    model, grid, _ = lq_setup
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        random_policies(model, grid, -1)
+
+
 def test_verification_tol_tracks_matrix_norm():
     model = make_builtin("ou2")
     tols = []
