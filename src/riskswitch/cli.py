@@ -226,11 +226,12 @@ def _add_common(p):
 
 def _add_workers(p):
     p.add_argument("--workers", type=int, default=None,
-                   help="most worker threads (default: RISKSWITCH_WORKERS or "
+                   help="most worker processes (default: RISKSWITCH_WORKERS or "
                         "1); blocks of %d paths fix the random streams and "
-                        "working sets of up to %d rows the scheduling; threads, "
-                        "at most one per usable CPU, take whole sets only when "
-                        "there is more than one" % (BLOCK, SET_ROWS))
+                        "working sets of up to %d rows the scheduling; forked "
+                        "processes, at most one per usable CPU, take whole sets "
+                        "only when there is more than one; without the fork "
+                        "start method the run is serial" % (BLOCK, SET_ROWS))
 
 
 def cmd_solve(args):

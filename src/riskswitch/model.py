@@ -153,6 +153,10 @@ class NonFiniteCoefficientError(RuntimeError):
                "any" if control is None else "%g" % control, self.value)
         )
 
+    def __reduce__(self):  # rebuilt whole when raised in a worker process
+        return type(self), (self.coefficient, self.state, self.regime, self.control,
+                            self.value)
+
 
 @dataclasses.dataclass(frozen=True)
 class Coefficients:

@@ -15,10 +15,15 @@ Block ``b`` draws from a Philox generator keyed by the seed with counter
 index) and never of scheduling.  Blocks fix the random streams; working sets
 fix the scheduling.  Consecutive whole blocks, up to SET_ROWS rows, are
 stepped as one set of rows in block order, each block drawing for its own
-rows in row order.  Threads (at most one per usable CPU) take whole sets, and
-only when a run has more than one; results are reduced in block order, so
+rows in row order; with p = min(workers, usable CPUs) a set also holds at
+most a p-th of the rows, down to one block.  Forked processes (at most one
+per usable CPU) take whole sets, and only when a run has more than one;
+without the ``fork`` start method, or while the calling process runs other
+threads, a run is stepped serially.  Results are reduced in block order, so
 estimates are bitwise identical for any worker count.  Reductions over paths
-use numpy's pairwise summation in path-index order.
+use numpy's pairwise summation in path-index order.  Errors do not depend
+on the worker count either: a run that fails in a pool is stepped again in
+the sets of one worker, and raises that run's error.
 
 The Feynman-Kac check adds its starts to the set, ordered by (block, start,
 path).  Each start keeps its own generator for each block, keyed exactly as
@@ -44,15 +49,14 @@ import dataclasses
 import enum
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .model import NonFiniteCoefficientError, _refuse_negative_rates
 
 BLOCK = 4096
-# rows stepped as one working set (whole blocks; a wider block is a set alone):
-# fastest per thread on ou2, and no slower than larger sets on bounded2d
+# most rows stepped as one working set (whole blocks; a wider block is a set
+# alone): fastest per worker process on ou2, no slower than larger sets on bounded2d
 SET_ROWS = 4 * BLOCK
 # Broadie-Glasserman-Kou continuity correction for discretely monitored
 # barriers: shift each barrier by 0.5826 * sigma_normal * sqrt(step)
@@ -75,6 +79,9 @@ class StepSizeError(RuntimeError):
             "reduce the step" % (step, rate, step * rate, MAX_LEAVE_PROBABILITY,
                                  np.array2string(self.state, precision=4), regime)
         )
+
+    def __reduce__(self):  # rebuilt whole when raised in a worker process
+        return type(self), (self.step, self.rate, self.state, self.regime)
 
 
 class NonFiniteEstimateError(RuntimeError):
@@ -235,13 +242,23 @@ def _block_generator(seed, block_index):
     )
 
 
-def _working_sets(paths, width=1):
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _working_sets(paths, width=1, workers=1):
     """Consecutive whole blocks, as lists of (block, size), grouped into
-    working sets of at most SET_ROWS rows at ``width`` rows per path."""
+    working sets at ``width`` rows per path: at most SET_ROWS rows, and at
+    most a p-th of the rows for p = min(workers, usable CPUs), but never less
+    than one block."""
+    p = min(workers, _usable_cpus())
+    cap = min(SET_ROWS, max(BLOCK * width, -(-paths * width // p)))
     sets, rows = [], 0
     for b, lo in enumerate(range(0, paths, BLOCK)):
         n = min(BLOCK, paths - lo)
-        if not sets or rows + n * width > SET_ROWS:
+        if not sets or rows + n * width > cap:
             sets.append([])
             rows = 0
         sets[-1].append((b, n))
@@ -249,20 +266,51 @@ def _working_sets(paths, width=1):
     return sets
 
 
-def _usable_cpus():
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+# (fn, sets) of the running pool, set in each forked process by its initializer
+_POOL_TASK = None
 
 
-def _map_sets(fn, sets, workers):
-    # threads take whole sets; beyond the usable CPUs they only add
-    # interpreter-lock hand-offs, and a run of one set starts no pool
-    threads = min(workers, _usable_cpus(), len(sets))
-    if threads == 1:
-        return [fn(s) for s in sets]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, sets))
+def _adopt_task(fn, sets):
+    global _POOL_TASK
+    _POOL_TASK = fn, sets
+
+
+def _run_set(index):
+    fn, sets = _POOL_TASK
+    return fn(sets[index])
+
+
+def _map_sets(fn, workers, paths, width=1):
+    """``fn`` over the working sets of ``paths`` paths at ``width`` rows per
+    path, results in set order.
+
+    Forked processes take whole sets: one per set, at most one per usable CPU
+    and at most ``workers``.  They inherit ``fn`` (closure, model, policy and
+    psi table alike), so nothing is pickled but a set index out and its
+    result back.  A run of one set starts no pool; nor does a run without
+    ``fork``, or one called while other threads run, since a forked child
+    would keep any lock those threads hold.  A run that fails in the pool is
+    stepped again serially in the sets of one worker, so that it fails, or
+    succeeds, as it does at one worker.
+    """
+    workers = resolve_workers(workers)
+    sets = _working_sets(paths, width, workers)
+    procs = min(workers, _usable_cpus(), len(sets))
+    if procs > 1:
+        import multiprocessing
+        import threading
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and threading.active_count() == 1):
+            from concurrent.futures import ProcessPoolExecutor
+            try:
+                with ProcessPoolExecutor(procs, mp_context=multiprocessing.get_context("fork"),
+                                         initializer=_adopt_task, initargs=(fn, sets)) as ex:
+                    return list(ex.map(_run_set, range(len(sets))))
+            except Exception:
+                # which state an error names depends on the sets; stepping the
+                # sets of one worker again raises the one-worker run's error
+                sets = _working_sets(paths, width)
+    return [fn(s) for s in sets]
 
 
 def _draw(rngs, counts, d):
@@ -471,7 +519,7 @@ def simulate_paths(model, policy_or_control, config, x0=None, k0=0,
     parts = _map_sets(
         lambda blocks: _horizon_block(model, cmap, config, blocks, x0, k0,
                                       range(config.n_steps + 1)),
-        _working_sets(config.paths), resolve_workers(workers),
+        workers, config.paths,
     )
     S, pos, reg = (np.concatenate([p[i] for p in parts]) for i in (0, 3, 4))
     ends = S + pos[:, -1].sum(axis=1)  # a NaN or infinite value lasts to the end
@@ -528,8 +576,7 @@ def estimate_risk_sensitive_rate(model, policy, config, lambda_ref=None,
                 S = S + np.log(grid.interpolate(psi, X, K)) - log_psi0
         return S
 
-    parts = _map_sets(set_sums, _working_sets(config.paths),
-                      resolve_workers(workers))
+    parts = _map_sets(set_sums, workers, config.paths)
     S = np.concatenate(parts)
     T = config.actual_horizon
     log_mean, w, mean_w = _logmeanexp(S)
@@ -678,7 +725,11 @@ def feynman_kac_annulus(model, policy, eigenpair, grid, r_inner, start_points,
     cmap = _control_map(model, policy, grid)
     lam = float(eigenpair.eigenvalue)
     psi = np.asarray(eigenpair.eigenfunction, dtype=float)
-    cap_steps = int(round(1000.0 * config.horizon / config.step))
+    cap = 1000.0 * config.horizon / config.step
+    if not cap < math.inf:
+        raise ValueError("the Feynman-Kac step cap, 1000 * horizon / step, is not finite "
+                         "at horizon %g and step %g" % (config.horizon, config.step))
+    cap_steps = int(round(cap))
     starts = []
     for x, k in start_points:
         x, k = _coerce_start(model, x, k)
@@ -691,7 +742,7 @@ def feynman_kac_annulus(model, policy, eigenpair, grid, r_inner, start_points,
     parts = _map_sets(
         lambda blocks: _fk_block(model, cmap, config, blocks, starts, lam,
                                  grid, psi, r_inner, cap_steps),
-        _working_sets(config.paths, len(starts)), resolve_workers(workers),
+        workers, config.paths, len(starts),
     )
     payoffs = np.concatenate([p[0] for p in parts], axis=1)
     statuses = np.concatenate([p[1] for p in parts], axis=1)
@@ -770,7 +821,7 @@ def mean_position_diagnostic(model, policy, config, horizons=None, x0=None,
     parts = _map_sets(
         lambda blocks: _horizon_block(model, cmap, config, blocks, x0, k0,
                                       snap_steps)[3],
-        _working_sets(config.paths), resolve_workers(workers),
+        workers, config.paths,
     )
     snaps = np.ascontiguousarray(_row_norm(np.concatenate(parts)).T)
     times = [s * config.step for s in snap_steps]

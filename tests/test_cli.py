@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 
 import riskswitch
 import riskswitch.eigen as eigen_mod
+import riskswitch.simulate as simulate_mod
 from riskswitch.cli import main
 
 
@@ -270,6 +272,40 @@ def test_simulate_leave_probability_of_the_drawn_rates_exits_3(tmp_path):
     assert err["message"].startswith("step 0.01 * switching rate 100 = 1 > 0.50 at state [0.] "
                                      "regime 0")
     assert os.listdir(d) == []
+
+
+WORKER_ERRORS = {
+    "step_size": (["--builtin", "ou2", "--step", "0.6", "--horizon", "1.2"],
+                  3, "StepSizeError"),
+    "nan_rate": (["--step", "0.01", "--horizon", "1"], 3, "NonFiniteCoefficientError"),
+    "negative_rate": (["--builtin", "bounded2d", "--param", "rho=-1", "--step", "0.01",
+                       "--horizon", "1"], 2, "ValueError"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # sqrt of a negative state
+@pytest.mark.parametrize("case", sorted(WORKER_ERRORS))
+def test_worker_process_errors_exit_as_at_one_worker(tmp_path, monkeypatch, capfd, case):
+    # two working sets stepped in two processes: the error raised in a worker
+    # prints the JSON error of the one-worker run, with no traceback
+    monkeypatch.setattr(simulate_mod, "_usable_cpus", lambda: 2)
+    argv, exit_code, error_type = WORKER_ERRORS[case]
+    if case == "nan_rate":
+        argv = argv + ["--model", write_spec(
+            tmp_path, num_regimes=2,
+            rates=[["-sqrt(x1)", "sqrt(x1)"], ["sqrt(x1)", "-sqrt(x1)"]])]
+    outs = []
+    for w in ("1", "2"):
+        d = str(tmp_path / ("w" + w))
+        outs.append(run(["simulate"] + argv + ["--functional", "rate", "--paths", "8192",
+                                               "--workers", w, "--output-dir", d]))
+        assert os.listdir(d) == []
+    assert outs[0] == outs[1]
+    code, out = outs[0]
+    assert code == exit_code
+    assert json.loads(out)["error"]["type"] == error_type
+    assert "Traceback" not in capfd.readouterr().err
+    assert multiprocessing.active_children() == []
 
 
 def test_simulate_paths_non_finite_exits_3(tmp_path):

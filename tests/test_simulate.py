@@ -1,15 +1,19 @@
 """Monte Carlo engine: stepping, functionals, reproducibility, diagnostics."""
 
+import concurrent.futures
 import dataclasses
 import math
+import multiprocessing
 import os
 import pickle
+import threading
 
 import numpy as np
 import pytest
 
 import riskswitch as rs
 from riskswitch import PathConfig, StepSizeError
+from riskswitch.model import NonFiniteCoefficientError
 from riskswitch.simulate import ControlMap, resolve_workers
 import riskswitch.simulate as simulate
 
@@ -421,6 +425,19 @@ def test_annulus_start_validation():
         rs.feynman_kac_annulus(m, 0, ones, g, 4.0, [(np.array([1.0]), 0)], cfg)
 
 
+@pytest.mark.parametrize("step, horizon", [(1e10, 1e306), (1e-300, 1e6)])
+def test_fk_refuses_a_step_cap_that_is_not_finite(step, horizon):
+    # horizon / step is finite, 1000 * horizon / step is not
+    m = rs.make_builtin("lq")
+    g = rs.grid_for_resolution(1, 3.0, 10)
+    ones = rs.EigenPair(eigenvalue=0.0, eigenfunction=np.ones((1, g.num_interior)),
+                        residual=0.0, iterations=0, shift=0.0)
+    cfg = PathConfig(step=step, horizon=horizon, seed=0, paths=4)
+    with pytest.raises(ValueError, match=r"^the Feynman-Kac step cap, 1000 \* horizon / "
+                                         r"step, is not finite at horizon "):
+        rs.feynman_kac_annulus(m, 0, ones, g, 0.5, [(np.array([1.0]), 0)], cfg)
+
+
 def nan_beyond(coefficient, limit):
     """ou2 with ``coefficient`` (drift or cost) NaN at states x1 > ``limit``."""
     base = rs.make_builtin("ou2")
@@ -643,52 +660,192 @@ def test_set_steppers_match_per_block_oracle():
         np.testing.assert_array_equal(fused, ref)
 
 
-def test_worker_count_never_changes_multi_set_results(monkeypatch):
-    # two working sets per run, so any worker count above one starts threads
+@pytest.fixture
+def four_cpus(monkeypatch):
+    """Size pools for four usable CPUs, whatever the machine has."""
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 4)
+
+
+def multi_set_outputs(m, g, table, pair, starts, w):
+    """Every Monte Carlo entry point on runs of two or more working sets at
+    two workers or more."""
+    rate_cfg = PathConfig(step=0.05, horizon=1.0, seed=12, paths=5 * simulate.BLOCK + 17)
+    fk_cfg = PathConfig(step=0.01, horizon=0.5, seed=13, paths=9000)
+    est = rs.estimate_risk_sensitive_rate(m, table, rate_cfg, workers=w, grid=g)
+    batch = rs.simulate_paths(m, table, rate_cfg, workers=w, grid=g)
+    mean_pos = rs.mean_position_diagnostic(m, table, rate_cfg, workers=w, grid=g)
+    fk = rs.feynman_kac_annulus(m, table, pair, g, 0.5, starts, fk_cfg, workers=w)
+    sets = [simulate._working_sets(rate_cfg.paths, 1, w)] * 3 + \
+        [simulate._working_sets(fk_cfg.paths, len(starts), w)]
+    return ((est.value, est.std_error, est.ess),
+            (batch.positions.tobytes(), batch.regimes.tobytes(),
+             batch.integrated_cost.tobytes()),
+            (mean_pos.values, mean_pos.std_errors), fk_outputs(fk)), sets
+
+
+def test_worker_count_never_changes_multi_set_results(monkeypatch, four_cpus):
+    # pools of min(workers, CPUs, sets) processes; the results are bitwise
+    # those of one process stepping every set
     pools = []
 
-    class CountingPool(simulate.ThreadPoolExecutor):
-        def __init__(self, max_workers):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
             pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
+            super().__init__(max_workers, **kwargs)
 
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     m = rs.make_builtin("ou2")
     g = rs.grid_for_resolution(1, 3.0, 10)
     pair = rs.solve_semilinear(m, g).eigenpair
     table = mixed_table(m, g)
     starts = [(np.array([1.0]), 0), (np.array([-1.5]), 1)]
-    rate_cfg = PathConfig(step=0.05, horizon=1.0, seed=12, paths=5 * simulate.BLOCK + 17)
-    fk_cfg = PathConfig(step=0.01, horizon=0.5, seed=13, paths=9000)
-    assert len(simulate._working_sets(rate_cfg.paths)) == 2
-    assert len(simulate._working_sets(fk_cfg.paths, len(starts))) == 2
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", CountingPool)
     outs = []
     for w in (1, 2, 8):
         pools.clear()
-        est = rs.estimate_risk_sensitive_rate(m, table, rate_cfg, workers=w, grid=g)
-        fk = rs.feynman_kac_annulus(m, table, pair, g, 0.5, starts, fk_cfg, workers=w)
-        outs.append(((est.value, est.std_error, est.ess), fk_outputs(fk)))
-        threads = min(w, simulate._usable_cpus(), 2)
-        assert pools == ([threads] * 2 if threads > 1 else [])
+        out, sets = multi_set_outputs(m, g, table, pair, starts, w)
+        outs.append(out)
+        sizes = [min(w, 4, len(s)) for s in sets]
+        assert pools == [n for n in sizes if n > 1]
+    # workers, CPUs and sets each bound a pool at some worker count
+    assert sizes == [4, 4, 4, 3]
     assert outs[0] == outs[1] == outs[2]
 
 
-def test_one_set_run_starts_no_thread_pool(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a run of one working set started a thread pool")
+def test_one_set_or_one_worker_starts_no_pool(monkeypatch, four_cpus):
+    # recorded, not only raised: a run that fails in a pool is stepped again
+    # serially, which would hide the raise
+    started = []
 
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", no_pool)
+    def no_pool(*args, **kwargs):
+        started.append(args)
+        raise AssertionError("a run of one working set or one worker, or with another "
+                             "thread running, started a pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     m = rs.make_builtin("ou2")
     g = rs.grid_for_resolution(1, 3.0, 10)
     pair = rs.solve_semilinear(m, g).eigenpair
     starts = [(np.array([1.0]), 0), (np.array([-1.5]), 1)]
-    cfg = PathConfig(step=0.05, horizon=1.0, seed=14, paths=2 * simulate.BLOCK)
-    assert len(simulate._working_sets(cfg.paths, len(starts))) == 1
+    cfg = PathConfig(step=0.05, horizon=1.0, seed=14, paths=simulate.BLOCK)
+    assert len(simulate._working_sets(cfg.paths, len(starts), 8)) == 1
     rs.estimate_risk_sensitive_rate(m, 0, cfg, workers=8)
     rs.simulate_paths(m, 0, cfg, workers=8)
     rs.mean_position_diagnostic(m, 0, cfg, workers=8)
     rs.feynman_kac_annulus(m, 0, pair, g, 0.5, starts,
                            dataclasses.replace(cfg, step=0.01, horizon=0.5), workers=8)
+    multi_set_outputs(m, g, mixed_table(m, g), pair, starts, 1)
+    # a fork copies only the calling thread, so another running thread
+    # makes a multi-set run serial
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(60,))
+    waiter.start()
+    try:
+        two = rs.estimate_risk_sensitive_rate(m, 0, dataclasses.replace(cfg, paths=2 * cfg.paths),
+                                              workers=2)
+    finally:
+        release.set()
+        waiter.join(10)
+    assert not waiter.is_alive()
+    assert len(simulate._working_sets(2 * cfg.paths, 1, 2)) == 2
+    assert math.isfinite(two.value)
+    assert started == []
+
+
+def test_working_sets_split_rows_between_workers(four_cpus):
+    # one set per worker down to one block a set, and SET_ROWS at most; at
+    # one worker the sets are those of a cap of SET_ROWS alone
+    B = simulate.BLOCK
+    assert simulate._working_sets(2 * B) == [[(0, B), (1, B)]]
+    assert simulate._working_sets(2 * B, 1, 2) == [[(0, B)], [(1, B)]]
+    assert simulate._working_sets(2 * B, 2, 8) == [[(0, B)], [(1, B)]]
+    assert simulate._working_sets(B + 5, 1, 8) == [[(0, B)], [(1, 5)]]
+    assert simulate._working_sets(10 * B, 1, 2) == \
+        [[(b, B) for b in range(i, min(i + 4, 10))] for i in (0, 4, 8)]
+    assert simulate._working_sets(6 * B + 1, 1, 1) == \
+        [[(b, B) for b in range(4)], [(4, B), (5, B), (6, 1)]]
+
+
+def fast_beyond(model, radius, rate):
+    """``model`` with switching rate ``rate`` at states |x1| > ``radius``."""
+    base = model.rates
+
+    def rates(X, xi):
+        m = np.array(base(X, xi), dtype=float)
+        far = np.abs(X[:, 0]) > radius
+        m[far] *= rate / -m[far, 0, 0][:, None, None]
+        return m
+
+    return dataclasses.replace(model, rates=rates)
+
+
+def failing_runs():
+    """(model, config) pairs that raise while stepping two blocks: at the first
+    step and row 0 of block 0, or (``far_step_size``) where the worst row
+    of a set, and so the state the error names, depends on the sets."""
+    ou2 = rs.make_builtin("ou2")
+    paths = 2 * simulate.BLOCK
+    return {
+        "step_size": (ou2, PathConfig(step=0.6, horizon=1.2, seed=1, paths=paths)),
+        "far_step_size": (fast_beyond(ou2, 1.5, 100.0),
+                          PathConfig(step=0.01, horizon=1.0, seed=0, paths=paths)),
+        "nan_rate": (with_rates(ou2, [[-1.0, math.nan], [1.0, -1.0]]),
+                     PathConfig(step=0.01, horizon=1.0, seed=2, paths=paths)),
+        "negative_rate": (rs.make_builtin("bounded2d", rho=-1.0),
+                          PathConfig(step=0.01, horizon=1.0, seed=3, paths=paths)),
+    }
+
+
+def described(exc):
+    return type(exc), str(exc), repr(sorted(vars(exc).items()))
+
+
+@pytest.mark.parametrize("driver", ["rate", "paths"])
+@pytest.mark.parametrize("case", ["step_size", "far_step_size", "nan_rate",
+                                  "negative_rate"])
+def test_worker_errors_cross_the_process_boundary_intact(case, driver, monkeypatch):
+    # an error raised in a worker process reaches the caller as the error the
+    # one-worker run raises, never as a broken pool, and leaves no process behind
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+    m, cfg = failing_runs()[case]
+    run = {"rate": rs.estimate_risk_sensitive_rate, "paths": rs.simulate_paths}[driver]
+    errors = []
+    for w in (1, 2):
+        with pytest.raises(Exception) as exc:
+            run(m, 0, cfg, workers=w)
+        errors.append(described(exc.value))
+        assert multiprocessing.active_children() == []
+    assert errors[0] == errors[1]
+    assert errors[0][0] is {"step_size": StepSizeError, "far_step_size": StepSizeError,
+                            "negative_rate": ValueError,
+                            "nan_rate": NonFiniteCoefficientError}[case]
+
+
+def test_worker_errors_pickle_whole():
+    for exc in (StepSizeError(0.6, 1.0, np.array([0.5]), 1),
+                NonFiniteCoefficientError("rates", [0.0, -1.0], 1, 2.0, math.nan),
+                NonFiniteCoefficientError("diffusion", [1.0], 0, None, math.inf)):
+        assert described(pickle.loads(pickle.dumps(exc))) == described(exc)
+
+
+def test_no_process_outlives_a_driver(monkeypatch):
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+    m = rs.make_builtin("ou2")
+    g = rs.grid_for_resolution(1, 3.0, 10)
+    pair = rs.solve_semilinear(m, g).eigenpair
+    cfg = PathConfig(step=0.05, horizon=1.0, seed=15, paths=2 * simulate.BLOCK)
+    fk_cfg = dataclasses.replace(cfg, step=0.01, horizon=0.5)
+    runs = [lambda: rs.estimate_risk_sensitive_rate(m, 0, cfg, workers=2),
+            lambda: rs.simulate_paths(m, 0, cfg, workers=2),
+            lambda: rs.mean_position_diagnostic(m, 0, cfg, workers=2),
+            lambda: rs.feynman_kac_annulus(m, 0, pair, g, 0.5, [(np.array([1.0]), 0)],
+                                           fk_cfg, workers=2)]
+    for run in runs:
+        run()
+        assert multiprocessing.active_children() == []
+    with pytest.raises(StepSizeError):
+        rs.feynman_kac_annulus(m, 0, pair, g, 0.5, [(np.array([1.0]), 0)],
+                               dataclasses.replace(fk_cfg, step=0.6), workers=2)
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
