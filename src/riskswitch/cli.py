@@ -36,7 +36,7 @@ from .expressions import ExpressionError, load_model
 from .grid import grid_for_resolution
 from .model import (NonFiniteCoefficientError, builtin_certificate,
                     check_lyapunov, make_builtin, validate_model)
-from .operator import MonotonicityViolation
+from .operator import MonotonicityViolation, assemble, constant_policy
 from .simulate import (BLOCK, SET_ROWS, NonFiniteEstimateError,
                        PathConfig, StepSizeError, _usable_cpus,
                        estimate_risk_sensitive_rate, feynman_kac_annulus,
@@ -246,6 +246,7 @@ def cmd_solve(args):
               "tol": args.tol, "max_policy_iters": args.max_policy_iters}
     body = {
         "lambda": sol.eigenpair.eigenvalue,
+        "bracket": sol.bracket,
         "radius": args.radius,
         "iterations": sol.policy_iterations,
         "residual": sol.eigenpair.residual,
@@ -271,7 +272,7 @@ def cmd_sweep(args):
               "tol": args.tol}
     body = {
         "entries": [
-            {"radius": e.radius, "lambda": e.eigenvalue,
+            {"radius": e.radius, "lambda": e.eigenvalue, "bracket": e.bracket,
              "iterations": e.iterations, "converged": e.converged,
              "policy_histogram": _policy_histogram(e.policy, model.num_controls),
              "residual": e.eigenpair.residual}
@@ -390,14 +391,17 @@ def cmd_verify(args):
         model, grid.radius, args.samples, args.seed,
         max(args.nodes_per_unit // 4, 8))
 
-    eig_tol = verification_eig_tol(model, grid)
+    # one assembled stack sets the verification tolerance and serves
+    # policy iteration
+    op = assemble(model, grid, constant_policy(grid, model.num_regimes))
+    eig_tol = verification_eig_tol(op)
     sol = solve_semilinear(model, grid, tol=args.tol,
                            max_policy_iters=args.max_policy_iters,
-                           eig_tol=eig_tol)
+                           eig_tol=eig_tol, operator=op)
     if not sol.converged:
         failed.append("policy_iteration")
     alt = random_policies(model, grid, args.alt_policies, seed=args.seed)
-    opt = verify_optimality(model, grid, alt, solution=sol, eig_tol=eig_tol)
+    opt = verify_optimality(model, grid, alt, solution=sol)
     checks["optimality"] = opt.as_dict()
     if not opt.passed:
         failed.append("optimality")
@@ -516,7 +520,9 @@ def build_parser():
     p.add_argument("--max-policy-iters", type=int, default=MAX_POLICY_ITERS)
     p.add_argument("--samples", type=int, default=256)
     p.add_argument("--alt-policies", type=_COUNT, default=5,
-                   help="random alternative policies for the optimality check")
+                   help="random policies reported with their certified lower "
+                        "bound; the optimality certificate covers every "
+                        "table policy")
     p.add_argument("--rate-policies", type=_COUNT, default=2,
                    help="random policies for the Monte Carlo rate check")
     p.add_argument("--skip-simulation", action="store_true",

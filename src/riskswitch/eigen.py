@@ -18,7 +18,9 @@ evaluate the current policy's eigenpair, re-decide every (node, regime)
 control to the one whose operator row, applied to the current eigenfunction,
 is smallest, and repeat; the rows scored are the rows evaluated next.  The
 eigenvalue trace is non-increasing; on a policy cycle or an exhausted budget
-the evaluated policy with the smallest eigenvalue is returned.
+the evaluated policy with the smallest eigenvalue is returned.  The returned
+positive eigenfunction certifies the result over every table policy by one
+Collatz-Wielandt bracket (:func:`collatz_wielandt_bounds`).
 
 Domains are nested boxes: a domain sweep over strictly increasing radii at a
 fixed node density yields strictly increasing eigenvalues (a proper principal
@@ -199,14 +201,93 @@ def minimizing_selector(op, psi):
     on the control, so this minimizes the upwinded drift, cost and switching
     bracket.
     """
+    return np.argmin(_control_scores(op, psi), axis=0).reshape(op.num_regimes, -1)
+
+
+def _control_scores(op, psi):
+    """``op.stacked @ psi`` with one row per control: (A_c psi)_r at [c, r]."""
+    psi = np.asarray(psi, dtype=float).reshape(-1)
+    return (op.stacked @ psi).reshape(-1, op.shape[0])
+
+
+@dataclasses.dataclass(frozen=True)
+class Bracket:
+    """``lower <= lambda_pi`` for every table policy pi, and ``upper`` bounds
+    the eigenvalue of the policy the bracket was taken at from above."""
+
+    lower: float
+    upper: float
+
+    def gap(self, eigenvalue):
+        """How far the bracket reaches from ``eigenvalue`` on either side."""
+        return max(eigenvalue - self.lower, self.upper - eigenvalue)
+
+
+@dataclasses.dataclass
+class RatioBounds:
+    """Enclosures ``lo <= (stacked @ psi)_s / psi_r <= hi`` of each stacked row.
+
+    Stacked row ``s = c * n + r`` is row r of A_c, so a table policy's rows
+    are gathered by ``operator.stacked_rows``.  ``scores`` is the product
+    ``stacked @ psi`` the ratios are taken from, one row per control.
+    """
+
+    operator: DiscreteOperator
+    scores: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def selector(self):
+        """:func:`minimizing_selector` of ``operator`` against the same psi."""
+        return np.argmin(self.scores, axis=0).reshape(self.operator.num_regimes, -1)
+
+    def lower(self, policy=None):
+        """Lower bound on lambda_policy, or on every table policy's eigenvalue."""
+        lo = self.lo if policy is None else self.lo[self.operator.stacked_rows(policy)]
+        return float(lo.min())
+
+    def upper(self, policy):
+        """Upper bound on lambda_policy."""
+        return float(self.hi[self.operator.stacked_rows(policy)].max())
+
+    def bracket(self, policy):
+        return Bracket(lower=self.lower(), upper=self.upper(policy))
+
+
+def collatz_wielandt_bounds(op, psi):
+    """Certified Collatz-Wielandt bounds from one positive function table.
+
+    For psi > 0 and any table policy pi, the Metzler matrix A_pi has
+    min_r (A_pi psi)_r / psi_r <= lambda_pi <= max_r (A_pi psi)_r / psi_r.
+    Every row of A_pi is a row of some A_c, so the minimum over all stacked
+    rows bounds every one of the C^(N*M) table policies from below at once,
+    and a policy's rows, gathered, bound its own eigenvalue from above.  The
+    product is the selector's ``op.stacked @ psi``, kept, so
+    :meth:`RatioBounds.selector` needs no second one.  The computed ratio of
+    stacked row s is widened by ``(nnz_s + 2) * eps * (|stacked| psi)_s /
+    psi_r``, which exceeds the rounding error of a sum of nnz_s products and
+    one division, so the bounds hold for the stored matrix, not only up to
+    rounding.
+    """
     n = op.shape[0]
-    scores = (op.stacked @ np.asarray(psi, dtype=float).reshape(-1)).reshape(-1, n)
-    return np.argmin(scores, axis=0).reshape(op.num_regimes, -1)
+    scores = _control_scores(op, psi)
+    psi = np.asarray(psi, dtype=float).reshape(-1)
+    ratio = scores / psi
+    magnitude = (abs(op.stacked) @ psi).reshape(-1, n) / psi
+    nnz = np.diff(op.stacked.indptr).reshape(-1, n)
+    slack = (nnz + 2) * np.finfo(float).eps * magnitude
+    return RatioBounds(operator=op, scores=scores, lo=(ratio - slack).reshape(-1),
+                       hi=(ratio + slack).reshape(-1))
 
 
 @dataclasses.dataclass
 class SemilinearSolution:
-    """Policy iteration's result; ``operator`` is the operator of ``policy``."""
+    """Policy iteration's result; ``operator`` is the operator of ``policy``.
+
+    ``bracket`` is the Collatz-Wielandt bracket of the returned pair: no
+    table policy has an eigenvalue below ``bracket.lower``, and ``policy``'s
+    is at most ``bracket.upper``.
+    """
 
     eigenpair: EigenPair
     policy: np.ndarray
@@ -215,23 +296,28 @@ class SemilinearSolution:
     policy_iterations: int
     converged: bool
     oscillated: bool
+    bracket: Bracket
 
 
 def solve_semilinear(model, grid, tol=PI_TOL, max_policy_iters=MAX_POLICY_ITERS,
-                     eig_tol=None):
+                     eig_tol=None, operator=None):
     """Howard policy iteration for the minimal principal eigenvalue.
 
     Starts from the constant lowest-index policy; alternates policy evaluation
     (principal eigenpair of the frozen-policy operator) with the minimizing
-    selector, assembling once and gathering each later policy's rows.
-    Converges when the policy repeats or the eigenvalue stabilizes within
-    ``tol``.  On a cycle (``oscillated=True``, counted as converged) or
-    an exhausted budget (``converged=False``) the evaluated policy with the
-    smallest eigenvalue is returned with its eigenpair and operator.
+    selector, gathering each policy's rows from one assembled stack:
+    ``operator``, an operator of ``assemble(model, grid, ...)`` for any
+    policy, or a fresh assembly when it is None.  Converges when the policy
+    repeats or the eigenvalue stabilizes within ``tol``.  On a cycle
+    (``oscillated=True``, counted as converged) or an exhausted budget
+    (``converged=False``) the evaluated policy with the smallest eigenvalue
+    is returned with its eigenpair, operator and
+    :func:`collatz_wielandt_bounds` bracket.
     """
     if max_policy_iters < 1:
         raise ValueError("max_policy_iters must be >= 1")
-    op = assemble(model, grid, constant_policy(grid, model.num_regimes, 0))
+    start = constant_policy(grid, model.num_regimes, 0)
+    op = assemble(model, grid, start) if operator is None else operator.with_policy(start)
     seen = set()
     trace = []
     warm = None
@@ -261,6 +347,7 @@ def solve_semilinear(model, grid, tol=PI_TOL, max_policy_iters=MAX_POLICY_ITERS,
     return SemilinearSolution(
         eigenpair=pair, policy=np.asarray(op.policy), operator=op, eigenvalue_trace=trace,
         policy_iterations=it, converged=converged or oscillated, oscillated=oscillated,
+        bracket=collatz_wielandt_bounds(op, pair.eigenfunction).bracket(op.policy),
     )
 
 
@@ -273,6 +360,7 @@ class SweepEntry:
     converged: bool
     eigenpair: EigenPair
     grid: GridSpec
+    bracket: Bracket
 
 
 @dataclasses.dataclass
@@ -309,7 +397,7 @@ def domain_sweep(model, radii, nodes_per_unit, tol=PI_TOL):
         entries.append(SweepEntry(
             radius=r, eigenvalue=sol.eigenpair.eigenvalue, policy=sol.policy,
             iterations=sol.policy_iterations, converged=sol.converged,
-            eigenpair=sol.eigenpair, grid=grid,
+            eigenpair=sol.eigenpair, grid=grid, bracket=sol.bracket,
         ))
     lams = [e.eigenvalue for e in entries]
     increments = [b - a for a, b in zip(lams, lams[1:])]

@@ -80,10 +80,10 @@ class DiscreteOperator:
     def shape(self):
         return self.matrix.shape
 
-    def with_policy(self, policy):
-        """Operator of another table policy, gathered from ``stacked``.
+    def stacked_rows(self, policy):
+        """Rows of ``stacked`` that make up a table policy's operator.
 
-        Row ``r`` is row ``r`` of A_{policy[r]}; no model call is made.
+        Row ``r`` of A_policy is row ``policy[r] * n + r`` of ``stacked``.
         Raises ``ValueError`` for a table of the wrong shape or with control
         indices out of range.
         """
@@ -98,8 +98,16 @@ class DiscreteOperator:
         if policy.min() < 0 or policy.max() >= num_controls:
             raise ValueError("policy table contains control indices outside [0, %d)"
                              % num_controls)
-        policy = policy.astype(np.int64)
-        rows = policy.reshape(-1) * n + np.arange(n)
+        return policy.reshape(-1).astype(np.int64) * n + np.arange(n)
+
+    def with_policy(self, policy):
+        """Operator of another table policy, gathered from ``stacked``.
+
+        Row ``r`` is row ``r`` of A_{policy[r]}; no model call is made.
+        Raises ``ValueError`` as :meth:`stacked_rows` does.
+        """
+        rows = self.stacked_rows(policy)
+        policy = np.asarray(policy).astype(np.int64)
         return dataclasses.replace(
             self, matrix=self.stacked[rows], policy=policy,
             cost_vector=self.stacked_cost[rows],

@@ -1,8 +1,9 @@
 """End-to-end checks tying the eigensolver and the simulator together.
 
-Three families: optimality of the extracted policy (every alternative policy
-has a weakly larger principal eigenvalue; the optimal one reproduces its own
-eigenpair), agreement of the solved eigenvalue with Monte Carlo risk-
+Three families: optimality of the extracted policy (one Collatz-Wielandt
+bracket on the solved eigenfunction bounds every table policy's principal
+eigenvalue from below and the solved policy's from above, with no
+eigensolve), agreement of the solved eigenvalue with Monte Carlo risk-
 sensitive rates, and the near-monotone mode (bounded coefficients, uniform
 switching floor, vanishing radial drift) where no Lyapunov certificate is
 needed and the cost's sub-level set at the computed value must stay inside
@@ -13,7 +14,7 @@ import dataclasses
 
 import numpy as np
 
-from .eigen import (LAMBDA_TOL, PI_TOL, PSI_TOL, domain_sweep, minimizing_selector,
+from .eigen import (LAMBDA_TOL, PI_TOL, Bracket, collatz_wielandt_bounds, domain_sweep,
                     principal_eigenpair, solve_semilinear, verification_tol)
 from .model import coefficients
 from .operator import assemble, constant_policy
@@ -66,18 +67,20 @@ def fit_growth_bound(grid, eigenpair, lyap=None):
 
 @dataclasses.dataclass
 class PolicyExcess:
-    eigenvalue: float
-    excess: float
+    lower_bound: float
+    excess_lower_bound: float
     ok: bool
 
 
 @dataclasses.dataclass
 class OptimalityReport:
+    """``min_excess`` is the smallest certified lower bound on lambda_pi -
+    lambda_star over the supplied policies (inf when none is supplied)."""
+
     lambda_star: float
     excesses: list
     min_excess: float
-    resolve_lambda_error: float
-    resolve_psi_error: float
+    bracket: Bracket
     fixed_point_ok: bool
     passed: bool
 
@@ -85,67 +88,62 @@ class OptimalityReport:
         return {
             "lambda_star": self.lambda_star,
             "min_excess": self.min_excess,
-            "alt_policies": [{"eigenvalue": e.eigenvalue, "excess": e.excess,
-                              "ok": e.ok} for e in self.excesses],
-            "resolve_lambda_error": self.resolve_lambda_error,
-            "resolve_psi_error": self.resolve_psi_error,
+            "alt_policies": [dataclasses.asdict(e) for e in self.excesses],
+            "bracket": dataclasses.asdict(self.bracket),
             "fixed_point_ok": self.fixed_point_ok,
             "passed": self.passed,
         }
 
 
-def verification_eig_tol(model, grid):
-    """:func:`verification_tol` of the constant lowest-index policy's operator.
+def verification_eig_tol(op):
+    """:func:`verification_tol` of the constant lowest-index policy's operator,
+    gathered from the stack of ``op``, an operator of any policy.
 
     The solver's default tolerance leaves ~1e-10 of noise in lambda, which
     would swamp comparisons against ``LAMBDA_TOL``.
     """
-    return verification_tol(
-        assemble(model, grid, constant_policy(grid, model.num_regimes)))
+    return verification_tol(op.with_policy(np.zeros_like(op.policy)))
 
 
-def verify_optimality(model, grid, alt_policies=(), solution=None, eig_tol=None):
-    """No alternative policy beats the solved one; the solution is a fixed point.
+def _verification_solve(model, grid):
+    """Policy iteration at :func:`verification_eig_tol`, from one assembly."""
+    op = assemble(model, grid, constant_policy(grid, model.num_regimes))
+    return solve_semilinear(model, grid, eig_tol=verification_eig_tol(op), operator=op)
 
-    For every supplied policy the frozen-policy eigenvalue must exceed the
-    solved lambda minus ``LAMBDA_TOL``; its operator is gathered from the
-    solution's operator.  Re-solving under the extracted policy must
-    reproduce the eigenpair (lambda within ``LAMBDA_TOL``, eigenfunction
-    within ``PSI_TOL`` relative sup-norm), and the minimizing selector
-    applied to the solved eigenfunction must map back to a policy of equal
-    eigenvalue.  Internal eigensolves run at ``eig_tol``, defaulting to
+
+def verify_optimality(model, grid, alt_policies=(), solution=None):
+    """The solved policy is optimal over every table policy, by one product.
+
+    The solved eigenfunction's :func:`collatz_wielandt_bounds` bracket [L, U]
+    passes when max(lambda* - L, U - lambda*) <= ``LAMBDA_TOL``, which proves
+    |lambda* - min_pi lambda_pi| <= ``LAMBDA_TOL`` over all table policies.
+    Each supplied policy gets its certified lower bound, the minimum of the
+    same ratios over its rows, which must not fall below lambda* -
+    ``LAMBDA_TOL``.  The minimizing selector applied to the solved
+    eigenfunction must map back to the solved policy, or (ties can flip
+    nodes) to one whose bracket passes too.  No eigensolve runs unless
+    ``solution`` is None; then the problem is solved at
     :func:`verification_eig_tol`.
     """
-    if eig_tol is None:
-        eig_tol = verification_eig_tol(model, grid)
-    sol = solution if solution is not None else solve_semilinear(
-        model, grid, eig_tol=eig_tol)
+    sol = solution if solution is not None else _verification_solve(model, grid)
     lam_star = sol.eigenpair.eigenvalue
-    op = sol.operator
+    psi = sol.eigenpair.eigenfunction
+    bounds = collatz_wielandt_bounds(sol.operator, psi)
+    bracket = bounds.bracket(sol.policy)
     excesses = []
     for p in alt_policies:
-        pair = principal_eigenpair(op.with_policy(p), tol=eig_tol)
-        excess = pair.eigenvalue - lam_star
-        excesses.append(PolicyExcess(eigenvalue=pair.eigenvalue, excess=excess,
-                                     ok=bool(excess >= -LAMBDA_TOL)))
-    re_pair = principal_eigenpair(op, tol=eig_tol)
-    lam_err = abs(re_pair.eigenvalue - lam_star)
-    scale = float(np.max(np.abs(sol.eigenpair.eigenfunction)))
-    psi_err = float(np.max(np.abs(re_pair.eigenfunction - sol.eigenpair.eigenfunction))) / scale
-    reselected = minimizing_selector(op, sol.eigenpair.eigenfunction)
-    if np.array_equal(reselected, sol.policy):
-        fixed_point_ok = True
-    else:
-        # ties can flip individual nodes; accept if the eigenvalue agrees
-        alt = principal_eigenpair(op.with_policy(reselected), tol=eig_tol)
-        fixed_point_ok = bool(abs(alt.eigenvalue - lam_star) <= LAMBDA_TOL)
-    passed = (all(e.ok for e in excesses) and lam_err <= LAMBDA_TOL
-              and psi_err <= PSI_TOL and fixed_point_ok)
+        lower = bounds.lower(p)
+        excesses.append(PolicyExcess(lower_bound=lower, excess_lower_bound=lower - lam_star,
+                                     ok=bool(lower >= lam_star - LAMBDA_TOL)))
+    reselected = bounds.selector()
+    fixed_point_ok = bool(np.array_equal(reselected, sol.policy)
+                          or bounds.bracket(reselected).gap(lam_star) <= LAMBDA_TOL)
+    passed = bool(bracket.gap(lam_star) <= LAMBDA_TOL and fixed_point_ok
+                  and all(e.ok for e in excesses))
     return OptimalityReport(
         lambda_star=lam_star, excesses=excesses,
-        min_excess=min((e.excess for e in excesses), default=float("inf")),
-        resolve_lambda_error=lam_err, resolve_psi_error=psi_err,
-        fixed_point_ok=fixed_point_ok, passed=passed,
+        min_excess=min((e.excess_lower_bound for e in excesses), default=float("inf")),
+        bracket=bracket, fixed_point_ok=fixed_point_ok, passed=passed,
     )
 
 
@@ -373,10 +371,9 @@ def lambda_equals_optimal_value(model, grid, policy_sample_count, config,
     lambda to within the Monte Carlo standard error; the discretization
     error scales like the squared spacing.
     """
+    sol = solution if solution is not None else _verification_solve(model, grid)
     if eig_tol is None:
-        eig_tol = verification_eig_tol(model, grid)
-    sol = solution if solution is not None else solve_semilinear(
-        model, grid, eig_tol=eig_tol)
+        eig_tol = verification_eig_tol(sol.operator)
     lam_star = sol.eigenpair.eigenvalue
     opt_est = estimate_risk_sensitive_rate(
         model, sol.policy, config, lambda_ref=lam_star, workers=workers, grid=grid,

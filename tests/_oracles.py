@@ -326,13 +326,15 @@ def bracket_scores(model, grid, psi):
 # ---------------------------------------------------------------------------
 # randomized small instances for dense-oracle comparisons
 
-def random_instance(rng, dim=None, num_regimes=None):
+def random_instance(rng, dim=None, num_regimes=None, num_controls=None,
+                    nodes_per_axis=None):
     """Random small well-posed model plus a grid with <= 200 unknowns.
 
     Affine-in-x drifts, constant diagonal diffusions, constant irreducible
     rate matrices, quadratic-plus-constant costs.  Coefficients are kept in
     ranges where step-size and ellipticity hypotheses hold on the sampled
-    boxes.  Returns (model, grid).
+    boxes.  A given control count (1 or 2) or node count replaces the drawn
+    one; the generator is drawn from the same way.  Returns (model, grid).
     """
     if dim is None:
         dim = int(rng.integers(1, 3))
@@ -352,7 +354,9 @@ def random_instance(rng, dim=None, num_regimes=None):
         np.fill_diagonal(M, 0.0)
         np.fill_diagonal(M, -M.sum(axis=1))
 
-    controls = np.array([1.0]) if rng.random() < 0.5 else np.array([0.75, 1.5])
+    two = rng.random() >= 0.5
+    two = two if num_controls is None else num_controls == 2
+    controls = np.array([0.75, 1.5]) if two else np.array([1.0])
 
     def drift(X, k, xi):
         return -xi * pull[k] * X + push[k]
@@ -376,6 +380,7 @@ def random_instance(rng, dim=None, num_regimes=None):
         npa = int(rng.choice([9, 15, 21]))
     else:
         npa = int(rng.choice([7, 9]))
+    npa = npa if nodes_per_axis is None else nodes_per_axis
     radius = float(rng.choice([1.0, 1.5, 2.0]))
     grid = rs.build_grid(dim, radius, npa)
     assert N * grid.num_interior <= 200

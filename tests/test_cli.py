@@ -44,6 +44,7 @@ def test_solve_writes_result_and_artifacts(tmp_path):
                         "interior_nodes", "config", "config_hash"}
     assert rep["converged"] is True
     assert rep["lambda"] == pytest.approx(0.101213, abs=1e-4)
+    assert rep["bracket"]["lower"] <= rep["lambda"] <= rep["bracket"]["upper"]
     assert rep["interior_nodes"] == 199
     # overrides round-trip into the echoed config
     assert rep["config"]["model"]["params"]["q"] == 0.1875
@@ -108,6 +109,8 @@ def test_sweep_monotone_increasing(tmp_path):
     assert len(lams) == 3
     assert rep["lambda_star"] >= lams[-1]
     assert len(rep["increments"]) == 2
+    for e in rep["entries"]:
+        assert e["bracket"]["lower"] <= e["lambda"] <= e["bracket"]["upper"]
 
 
 def test_sweep_rejects_non_increasing_radii(tmp_path):
@@ -390,18 +393,54 @@ def test_verify_skip_simulation(tmp_path):
     assert rep["passed"] is True
     assert "lambda_match" not in rep["checks"]
     assert "feynman_kac" not in rep["checks"]
-    assert rep["checks"]["optimality"]["resolve_lambda_error"] < 1e-10
+    bracket = rep["checks"]["optimality"]["bracket"]
+    assert max(rep["lambda"] - bracket["lower"], bracket["upper"] - rep["lambda"]) < 1e-10
 
 
 def test_verify_bounded2d_seed_59_exits_0(tmp_path):
-    # one of this run's random policies stalled at roundoff above the
-    # verification tolerance under SuperLU's default column ordering
     code, _ = run(["verify", "--builtin", "bounded2d", "--radius", "4",
                    "--nodes-per-unit", "14", "--alt-policies", "5",
                    "--skip-simulation", "--seed", "59",
                    "--output-dir", str(tmp_path)])
     assert code == 0
     assert load(str(tmp_path / "verify.json"))["passed"] is True
+
+
+def test_verify_eigensolves_only_policy_iterations(tmp_path, monkeypatch):
+    # the optimality certificate needs no eigensolve, and one assembled
+    # stack serves the verification tolerance and policy iteration
+    import riskswitch.operator as operator_mod
+    calls = {"principal_eigenpair": 0, "assemble": 0}
+    solutions = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def recorded(*args, **kwargs):
+        solutions.append(solve(*args, **kwargs))
+        return solutions[-1]
+
+    solve = eigen_mod.solve_semilinear
+    wrappers = [(eigen_mod.principal_eigenpair, counted(
+                    "principal_eigenpair", eigen_mod.principal_eigenpair)),
+                (operator_mod.assemble, counted("assemble", operator_mod.assemble)),
+                (solve, recorded)]
+    for name, mod in list(sys.modules.items()):
+        if name == "riskswitch" or name.startswith("riskswitch."):
+            for key, value in list(vars(mod).items()):
+                for orig, wrapper in wrappers:
+                    if value is orig:
+                        monkeypatch.setattr(mod, key, wrapper)
+    code, _ = run(["verify", "--builtin", "bounded2d", "--radius", "4",
+                   "--nodes-per-unit", "14", "--alt-policies", "5",
+                   "--skip-simulation", "--output-dir", str(tmp_path)])
+    assert code == 0
+    assert len(solutions) == 1
+    assert calls == {"principal_eigenpair": solutions[0].policy_iterations,
+                     "assemble": 1}
 
 
 def test_verify_lists_unconverged_policy_iteration(tmp_path):
@@ -620,8 +659,9 @@ def test_out_of_range_index_exits_2(tmp_path, argv, message):
     assert os.listdir(d) == []
 
 
-def test_verify_assembles_once_for_the_tolerance_and_once_for_the_solve(
-        tmp_path, monkeypatch):
+def test_verify_assembles_once_with_simulation(tmp_path, monkeypatch):
+    # one stack sets the verification tolerance and serves every solve
+    import riskswitch.cli as cli_mod
     import riskswitch.verify as verify_mod
     assemble = eigen_mod.assemble
     calls = []
@@ -630,7 +670,7 @@ def test_verify_assembles_once_for_the_tolerance_and_once_for_the_solve(
         calls.append(1)
         return assemble(*args, **kwargs)
 
-    for mod in (eigen_mod, verify_mod):
+    for mod in (cli_mod, eigen_mod, verify_mod):
         monkeypatch.setattr(mod, "assemble", counted)
     code, _ = run(["verify", "--builtin", "ou2", "--radius", "3",
                    "--nodes-per-unit", "10", "--alt-policies", "2",
@@ -639,7 +679,7 @@ def test_verify_assembles_once_for_the_tolerance_and_once_for_the_solve(
                    "--output-dir", str(tmp_path)])
     assert code in (0, 1)
     assert "lambda_match" in load(str(tmp_path / "verify.json"))["checks"]
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_module_entry_point(tmp_path):

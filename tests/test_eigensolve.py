@@ -187,7 +187,7 @@ def test_eigenvalues_independent_of_lu_ordering_bounded2d():
     from riskswitch.verify import verification_eig_tol
     m = rs.make_builtin("bounded2d")
     g = rs.grid_for_resolution(2, 4.0, 14)
-    tol = verification_eig_tol(m, g)
+    tol = verification_eig_tol(rs.assemble(m, g, rs.constant_policy(g, m.num_regimes)))
     sol = rs.solve_semilinear(m, g, eig_tol=tol)
     assert abs(sol.eigenpair.eigenvalue - BOUNDED2D_LAMBDA) < 1e-12
     for p, ref in zip(rs.random_policies(m, g, 5, seed=59), BOUNDED2D_SEED59_LAMBDAS):

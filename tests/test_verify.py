@@ -1,12 +1,14 @@
 """Cross-checks between the eigensolver, the simulator, and the gates."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from riskswitch.eigen import solve_semilinear, verification_tol
+from riskswitch.eigen import (LAMBDA_TOL, collatz_wielandt_bounds,
+                              principal_eigenpair, solve_semilinear, verification_tol)
 from riskswitch.grid import grid_for_resolution
 from riskswitch.model import builtin_certificate, make_builtin
 from riskswitch.operator import assemble, constant_policy
@@ -14,7 +16,10 @@ from riskswitch.simulate import PathConfig
 from riskswitch.verify import (GrowthBound, fit_growth_bound,
                                lambda_equals_optimal_value,
                                near_monotone_suite, random_policies,
-                               validate_near_monotone, verify_optimality)
+                               validate_near_monotone, verification_eig_tol,
+                               verify_optimality)
+
+import _oracles as orc
 
 
 @pytest.fixture(scope="module")
@@ -35,12 +40,19 @@ def test_optimality_on_extracted_policy(lq_setup):
     assert rep.fixed_point_ok
     assert len(rep.excesses) == 5
     assert all(e.ok for e in rep.excesses)
-    assert rep.min_excess == min(e.excess for e in rep.excesses)
-    # random two-control policies sit a macroscopic distance above the optimum
-    assert rep.min_excess > 0.01
-    assert rep.min_excess == pytest.approx(0.034631293, abs=1e-6)
-    assert rep.resolve_lambda_error <= 1e-10
-    assert rep.resolve_psi_error <= 1e-8
+    assert rep.min_excess == min(e.excess_lower_bound for e in rep.excesses)
+    lam = solution.eigenpair.eigenvalue
+    assert rep.bracket.gap(lam) <= LAMBDA_TOL
+    # eigensolves as the oracle: random two-control policies sit a
+    # macroscopic distance above the optimum, and every certified lower
+    # bound lies below the true excess
+    tol = verification_eig_tol(solution.operator)
+    true = [principal_eigenpair(solution.operator.with_policy(p), tol=tol).eigenvalue - lam
+            for p in alts]
+    assert min(true) > 0.01
+    assert min(true) == pytest.approx(0.034631293, abs=1e-6)
+    for e, excess in zip(rep.excesses, true):
+        assert e.excess_lower_bound <= excess
 
 
 def test_optimality_internal_solve_matches(lq_setup):
@@ -62,8 +74,53 @@ def test_optimality_as_dict_round_trips(lq_setup):
     assert d["passed"] is True
     assert len(d["alt_policies"]) == 2
     assert d["min_excess"] == rep.min_excess
-    assert set(d) >= {"lambda_star", "resolve_lambda_error",
-                      "resolve_psi_error", "fixed_point_ok"}
+    assert set(d) >= {"lambda_star", "bracket", "fixed_point_ok"}
+    assert d["bracket"] == {"lower": rep.bracket.lower, "upper": rep.bracket.upper}
+    assert set(d["alt_policies"][0]) == {"lower_bound", "excess_lower_bound", "ok"}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bracket_contains_every_table_policy(seed):
+    # one regime, two controls, seven nodes: all 2^7 table policies
+    rng = np.random.default_rng(seed)
+    model, grid = orc.random_instance(rng, dim=1, num_regimes=1, num_controls=2,
+                                      nodes_per_axis=9)
+    assert grid.num_interior == 7
+    sol = solve_semilinear(model, grid, eig_tol=1e-13)
+    bounds = collatz_wielandt_bounds(sol.operator, sol.eigenpair.eigenfunction)
+    assert sol.bracket == bounds.bracket(sol.policy)
+    lams = []
+    for table in itertools.product((0, 1), repeat=7):
+        policy = np.array([table])
+        lam, _ = orc.rightmost_dense(sol.operator.with_policy(policy).matrix.toarray())
+        lams.append(lam)
+        assert bounds.lower() <= bounds.lower(policy) <= lam <= bounds.upper(policy)
+    assert sol.bracket.lower <= min(lams) <= sol.bracket.upper
+    assert sol.bracket.upper - sol.bracket.lower <= LAMBDA_TOL
+
+
+def test_perturbed_psi_fails_certificate(lq_setup):
+    model, grid, solution = lq_setup
+    pair = solution.eigenpair
+    nodes = np.arange(pair.eigenfunction.size).reshape(pair.eigenfunction.shape)
+    psi = pair.eigenfunction * (1.0 + 1e-6 * np.sin(nodes))
+    rep = verify_optimality(model, grid, solution=dataclasses.replace(
+        solution, eigenpair=dataclasses.replace(pair, eigenfunction=psi)))
+    assert rep.bracket.gap(rep.lambda_star) > LAMBDA_TOL
+    assert not rep.passed
+
+
+def test_non_optimal_pair_fails_certificate(lq_setup):
+    model, grid, solution = lq_setup
+    op = solution.operator.with_policy(constant_policy(grid, model.num_regimes, 0))
+    assert not np.array_equal(op.policy, solution.policy)
+    pair = principal_eigenpair(op, tol=1e-12)
+    rep = verify_optimality(model, grid, solution=dataclasses.replace(
+        solution, eigenpair=pair, policy=op.policy, operator=op))
+    assert pair.eigenvalue > solution.eigenpair.eigenvalue + 1e-3
+    assert rep.bracket.gap(rep.lambda_star) > LAMBDA_TOL
+    assert rep.bracket.lower < solution.eigenpair.eigenvalue
+    assert not rep.passed
 
 
 def test_optimality_rejects_malformed_policy(lq_setup):
