@@ -21,7 +21,7 @@ from .operator import DiscreteOperator, MonotonicityViolation, assemble, constan
 from .simulate import (ControlMap, CostEstimate, Functional,
                        NonFiniteEstimateError, PathConfig, StepSizeError,
                        TrajectoryBatch, estimate_risk_sensitive_rate,
-                       feynman_kac_annulus, mean_position_diagnostic, simulate_paths)
+                       estimate_risk_sensitive_rates, feynman_kac_annulus, mean_position_diagnostic, simulate_paths)
 from .verify import (GrowthBound, fit_growth_bound, lambda_equals_optimal_value,
                      near_monotone_suite, random_policies, validate_near_monotone,
                      verify_optimality)
@@ -35,7 +35,7 @@ __all__ = [
     "SemilinearSolution", "StepSizeError", "SweepResult", "SwitchingModel",
     "TrajectoryBatch", "ValidationReport", "assemble", "build_grid", "builtin_certificate",
     "check_lyapunov", "coefficients", "compile_expression", "constant_policy",
-    "domain_sweep", "estimate_risk_sensitive_rate",
+    "domain_sweep", "estimate_risk_sensitive_rate", "estimate_risk_sensitive_rates",
     "feynman_kac_annulus", "fit_growth_bound", "grid_for_resolution",
     "lambda_equals_optimal_value", "load_model", "make_builtin",
     "mean_position_diagnostic", "minimizing_selector", "model_from_spec",

@@ -30,6 +30,12 @@ path).  Each start keeps its own generator for each block, keyed exactly as
 above, and draws for its running rows in row order, so every start's
 numbers, and its results, are those of a run of that start alone.
 
+The rate estimator adds its policies to the set, ordered by (block, policy,
+path), and the policies in a set share each block's draws: a rate path never
+stops, so every policy's rows in a block would draw the same numbers from
+the same stream, and the block draws them once per step for all of them.
+Each policy's numbers, and its estimate, are those of its run alone.
+
 Each step groups the rows once by (regime, control), evaluates the model per
 group into whole-set coefficient arrays, and runs the Euler, barrier and
 switching arithmetic once over the set.
@@ -450,13 +456,47 @@ def _step_once(model, cmap, X, K, S, step, sqh, Z, U, cost_shift, barrier=None):
     return inner_thr, outer_ok
 
 
-def _horizon_block(model, cmap, config, blocks, x0, k0, keep_steps=()):
+class _PolicyStack:
+    """The controls of several policies over rows ordered (block, policy,
+    path), blocks of ``sizes`` paths: one ``control_indices`` call reads each
+    row's control from its own policy's table.  Table policies share one
+    grid; a constant stacked with them fills a table of its own."""
+
+    def __init__(self, cmaps, sizes):
+        grids = [c.grid for c in cmaps if c.grid is not None]
+        self.grid = grids[0] if grids else None
+        policy = np.concatenate([np.repeat(np.arange(len(cmaps)), n) for n in sizes])
+        if self.grid is None:
+            self.table = np.concatenate([c.table for c in cmaps])
+            self.base = policy
+            return
+        shape = next(c.table.shape for c in cmaps if c.grid is not None)
+        self.table = np.concatenate([np.broadcast_to(c.table, shape).reshape(-1)
+                                     for c in cmaps])
+        self.base = policy * (shape[0] * shape[1])
+
+    def control_indices(self, X, K):
+        if self.grid is None:
+            return self.table[self.base]
+        nodes = self.grid.nearest_interior_index(X)
+        return self.table[self.base + self.grid.row_index(K, nodes)]
+
+
+def _horizon_block(model, cmaps, config, blocks, x0, k0, keep_steps=()):
     """Integrated cost, state and regime per path of whole blocks, a list of
-    (block, size), stepped as one set of rows; plus each path's states and
-    regimes after the steps in ``keep_steps`` (0 is the start)."""
+    (block, size), under each policy of ``cmaps``, stepped as one set of rows
+    ordered (block, policy, path); plus each path's states and regimes after
+    the steps in ``keep_steps`` (0 is the start).  Each block draws once per
+    step for its paths, and every policy's rows in it read those numbers."""
     sizes = [n for _, n in blocks]
     rngs = [_block_generator(config.seed, b) for b, _ in blocks]
-    n = sum(sizes)
+    n_policies = len(cmaps)
+    controls, shared = _PolicyStack(cmaps, sizes), None
+    if n_policies > 1:
+        # row (block, policy, path) reads the draw of (block, path)
+        shared = np.concatenate([np.tile(np.arange(lo, lo + m), n_policies)
+                                 for lo, m in zip(np.cumsum([0] + sizes), sizes)])
+    n = n_policies * sum(sizes)
     X = np.repeat(x0[None, :], n, axis=0)
     K = np.full(n, k0, dtype=np.int64)
     S = np.zeros(n)
@@ -470,7 +510,9 @@ def _horizon_block(model, cmap, config, blocks, x0, k0, keep_steps=()):
             kept_X[:, keep_at[t]], kept_K[:, keep_at[t]] = X, K
         if t < n_steps:
             Z, U = _draw(rngs, sizes, model.dim)
-            _step_once(model, cmap, X, K, S, config.step, sqh, Z, U, 0.0)
+            if shared is not None:
+                Z, U = Z[shared], U[shared]
+            _step_once(model, controls, X, K, S, config.step, sqh, Z, U, 0.0)
     return S, X, K, kept_X, kept_K
 
 
@@ -517,7 +559,7 @@ def simulate_paths(model, policy_or_control, config, x0=None, k0=0,
             "use the estimators for runs this large" % n_entries
         )
     parts = _map_sets(
-        lambda blocks: _horizon_block(model, cmap, config, blocks, x0, k0,
+        lambda blocks: _horizon_block(model, [cmap], config, blocks, x0, k0,
                                       range(config.n_steps + 1)),
         workers, config.paths,
     )
@@ -553,11 +595,33 @@ def estimate_risk_sensitive_rate(model, policy, config, lambda_ref=None,
     Paths ending outside the grid box get weight zero.
 
     Raises :class:`NonFiniteEstimateError` when the estimate is NaN or
-    infinite, e.g. because the cost is NaN at a visited state.
+    infinite, e.g. because the cost is NaN at a visited state.  This is
+    :func:`estimate_risk_sensitive_rates` of one policy.
+    """
+    return estimate_risk_sensitive_rates(
+        model, [policy], config, lambda_ref=lambda_ref, x0=x0, k0=k0,
+        workers=workers, grid=grid, terminal_pair=terminal_pair)[0]
+
+
+def estimate_risk_sensitive_rates(model, policies, config, lambda_ref=None,
+                                  x0=None, k0=0, workers=None, grid=None,
+                                  terminal_pair=None):
+    """One :func:`estimate_risk_sensitive_rate` per policy, in order, from one
+    run: every working set steps all the policies' paths, and each block's
+    draws serve all of them (common random numbers).  Each estimate is
+    bitwise the one its policy's run alone gives.  Table policies must share
+    one grid.  A policy that fails raises an error of the type its run alone
+    raises; where several fail, the run raises the first error met, stepping
+    the sets in order, then the first non-finite estimate in policy order.
     """
     if config.horizon < 1.0:
         raise ValueError("rate estimation needs horizon >= 1")
-    cmap = _control_map(model, policy, grid)
+    cmaps = [_control_map(model, p, grid) for p in policies]
+    if not cmaps:
+        raise ValueError("need at least one policy")
+    if len({(g.dim, g.radius, g.nodes_per_axis)
+            for g in (c.grid for c in cmaps) if g is not None}) > 1:
+        raise ValueError("policies estimated together must share one grid")
     x0, k0 = _coerce_start(model, x0, k0)
     if terminal_pair is not None:
         if grid is None:
@@ -568,16 +632,25 @@ def estimate_risk_sensitive_rate(model, policy, config, lambda_ref=None,
                 "not inside the box of radius %g" % (x0.tolist(), k0, grid.radius))
         psi = np.asarray(terminal_pair.eigenfunction, dtype=float)
         log_psi0 = math.log(float(grid.interpolate(psi, x0[None, :], [k0])[0]))
+    n_policies = len(cmaps)
 
     def set_sums(blocks):
-        S, X, K, _, _ = _horizon_block(model, cmap, config, blocks, x0, k0)
+        S, X, K, _, _ = _horizon_block(model, cmaps, config, blocks, x0, k0)
         if terminal_pair is not None:
             with np.errstate(divide="ignore"):
                 S = S + np.log(grid.interpolate(psi, X, K)) - log_psi0
-        return S
+        # (block, policy, path) rows to one (policy, path) row per policy
+        cuts = np.cumsum([n_policies * n for _, n in blocks])[:-1]
+        return np.concatenate([s.reshape(n_policies, -1) for s in np.split(S, cuts)],
+                              axis=1)
 
-    parts = _map_sets(set_sums, workers, config.paths)
-    S = np.concatenate(parts)
+    sums = np.concatenate(_map_sets(set_sums, workers, config.paths, n_policies), axis=1)
+    return [_rate_estimate(S, config, x0, k0, cmap, lambda_ref, terminal_pair)
+            for S, cmap in zip(sums, cmaps)]
+
+
+def _rate_estimate(S, config, x0, k0, cmap, lambda_ref, terminal_pair):
+    """The :class:`CostEstimate` of one policy's per-path exponents ``S``."""
     T = config.actual_horizon
     log_mean, w, mean_w = _logmeanexp(S)
     value = log_mean / T
@@ -819,7 +892,7 @@ def mean_position_diagnostic(model, policy, config, horizons=None, x0=None,
     if any(b <= a for a, b in zip(snap_steps, snap_steps[1:])):
         raise ValueError("horizons must be strictly increasing")
     parts = _map_sets(
-        lambda blocks: _horizon_block(model, cmap, config, blocks, x0, k0,
+        lambda blocks: _horizon_block(model, [cmap], config, blocks, x0, k0,
                                       snap_steps)[3],
         workers, config.paths,
     )

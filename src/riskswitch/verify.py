@@ -18,7 +18,7 @@ from .eigen import (LAMBDA_TOL, PI_TOL, Bracket, collatz_wielandt_bounds, domain
                     principal_eigenpair, solve_semilinear, verification_tol)
 from .model import coefficients
 from .operator import assemble, constant_policy
-from .simulate import estimate_risk_sensitive_rate
+from .simulate import estimate_risk_sensitive_rates
 
 
 @dataclasses.dataclass
@@ -367,6 +367,12 @@ def lambda_equals_optimal_value(model, grid, policy_sample_count, config,
     :func:`verification_eig_tol`, so that solver noise stays below
     ``LAMBDA_TOL``.
 
+    The solved policy and the random ones are estimated in one run of
+    :func:`estimate_risk_sensitive_rates`, sharing each block's draws, and
+    each estimate is the one its policy's run alone gives.  All estimates run
+    before the eigensolves, so a Monte Carlo error is raised before any
+    eigensolve error.
+
     The comparison target is the grid eigenvalue, so the grid must resolve
     lambda to within the Monte Carlo standard error; the discretization
     error scales like the squared spacing.
@@ -375,17 +381,15 @@ def lambda_equals_optimal_value(model, grid, policy_sample_count, config,
     if eig_tol is None:
         eig_tol = verification_eig_tol(sol.operator)
     lam_star = sol.eigenpair.eigenvalue
-    opt_est = estimate_risk_sensitive_rate(
-        model, sol.policy, config, lambda_ref=lam_star, workers=workers, grid=grid,
-        terminal_pair=sol.eigenpair)
+    policies = random_policies(model, grid, policy_sample_count, seed=seed)
+    opt_est, *estimates = estimate_risk_sensitive_rates(
+        model, [sol.policy, *policies], config, lambda_ref=lam_star, workers=workers,
+        grid=grid, terminal_pair=sol.eigenpair)
     opt_dev = abs(opt_est.value - lam_star)
     opt_ok = bool(opt_est.unreliable or opt_dev <= 3.0 * opt_est.std_error)
     entries = []
-    for p in random_policies(model, grid, policy_sample_count, seed=seed):
+    for p, est in zip(policies, estimates):
         pair = principal_eigenpair(sol.operator.with_policy(p), tol=eig_tol)
-        est = estimate_risk_sensitive_rate(
-            model, p, config, lambda_ref=lam_star, workers=workers, grid=grid,
-            terminal_pair=sol.eigenpair)
         eig_ok = bool(pair.eigenvalue >= lam_star - LAMBDA_TOL)
         rate_ok = bool(est.unreliable
                        or est.value >= lam_star - 3.0 * est.std_error)

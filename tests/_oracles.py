@@ -240,9 +240,10 @@ def fk_block(model, cmap, config, block, n_paths, starts, lam, grid, psi,
     return payoff, status
 
 
-def horizon_per_block(model, cmap, config, blocks, x0, k0, keep_steps=()):
+def horizon_per_block(model, cmaps, config, blocks, x0, k0, keep_steps=()):
+    """Each block of each policy stepped alone, in (block, policy, path) order."""
     parts = [horizon_block(model, cmap, config, b, n, x0, k0, keep_steps)
-             for b, n in blocks]
+             for b, n in blocks for cmap in cmaps]
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 

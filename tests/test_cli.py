@@ -311,6 +311,36 @@ def test_worker_process_errors_exit_as_at_one_worker(tmp_path, monkeypatch, capf
     assert multiprocessing.active_children() == []
 
 
+def test_verify_rate_policy_error_exits_as_its_run_alone(tmp_path, monkeypatch):
+    # switching rate 60 under control value 2 breaches the step bound at step
+    # 0.01, rate 1 under control value 1 does not.  The solved policy uses
+    # value 1 only; a random rate policy using value 2 fails verify's
+    # lambda_match as that control's run alone fails, at 1 and 2 workers,
+    # though it steps with the solved policy in one working set
+    monkeypatch.setattr(simulate_mod, "_usable_cpus", lambda: 2)
+    rate = "1 + 59 * (xi - 1)"
+    spec = write_spec(tmp_path, num_regimes=2, controls=[1.0, 2.0], drift=["-xi * x1"],
+                      rates=[["-(%s)" % rate, rate], [rate, "-(%s)" % rate]],
+                      cost="0.05 * x1^2 + xi")
+    common = ["--model", spec, "--seed", "1", "--step", "0.01", "--horizon", "1",
+              "--paths", "8192"]
+    alone = [run(["simulate"] + common + ["--control-index", c, "--output-dir",
+                                          str(tmp_path / ("c" + c))]) for c in "01"]
+    assert alone[0][0] == 0
+    code, out = alone[1]
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "StepSizeError"
+    for w in ("1", "2"):
+        d = str(tmp_path / ("w" + w))
+        verify = run(["verify"] + common + ["--radius", "3", "--nodes-per-unit", "10",
+                                            "--rate-policies", "1", "--workers", w,
+                                            "--output-dir", d])
+        assert verify[0] == code
+        assert json.loads(verify[1])["error"]["type"] == "StepSizeError"
+        assert os.listdir(d) == []
+    assert multiprocessing.active_children() == []
+
+
 def test_simulate_paths_non_finite_exits_3(tmp_path):
     cfg = write_spec(tmp_path, drift=["-x1 + 0.1 * sqrt(x1)"])
     d = str(tmp_path / "out")

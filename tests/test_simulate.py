@@ -595,10 +595,13 @@ RAGGED = 3 * simulate.BLOCK + 123
 
 def mc_outputs(m, g, policy, pair, starts, x0):
     """Every Monte Carlo entry point on RAGGED paths (one working set for the
-    path steppers, two for the FK check over two starts)."""
+    path steppers, two for two stacked rate policies and for the FK check
+    over two starts)."""
     rate_cfg = PathConfig(step=0.05, horizon=1.0, seed=8, paths=RAGGED)
     rate = rs.estimate_risk_sensitive_rate(m, policy, rate_cfg, x0=x0, grid=g)
     weighted = rs.estimate_risk_sensitive_rate(m, policy, rate_cfg, x0=x0, k0=1,
+                                               grid=g, terminal_pair=pair)
+    stacked = rs.estimate_risk_sensitive_rates(m, [policy, 1], rate_cfg, x0=x0, k0=1,
                                                grid=g, terminal_pair=pair)
     batch = rs.simulate_paths(m, policy, PathConfig(step=0.1, horizon=1.0, seed=9,
                                                     paths=RAGGED), x0=x0, grid=g)
@@ -606,7 +609,7 @@ def mc_outputs(m, g, policy, pair, starts, x0):
     fk = rs.feynman_kac_annulus(m, policy, pair, g, 0.5, starts,
                                 PathConfig(step=0.01, horizon=0.5, seed=10,
                                            paths=RAGGED))
-    return ([(e.value, e.std_error, e.ess) for e in (rate, weighted)],
+    return ([(e.value, e.std_error, e.ess) for e in (rate, weighted, *stacked)],
             batch, (mean_pos.values, mean_pos.std_errors), fk_outputs(fk))
 
 
@@ -649,9 +652,13 @@ def test_set_steppers_match_per_block_oracle():
     blocks = [(2, 300), (3, 123)]
     cfg = PathConfig(step=0.05, horizon=1.0, seed=15, paths=1)
     x0 = np.array([0.5, -0.5])
-    for fused, ref in zip(simulate._horizon_block(m, cmap, cfg, blocks, x0, 1, [0, 3, 25]),
-                          orc.horizon_per_block(m, cmap, cfg, blocks, x0, 1, [0, 3, 25])):
-        np.testing.assert_array_equal(fused, ref)
+    # one policy, and three stacked (rows ordered block, policy, path)
+    for cmaps in ([cmap], [cmap, ControlMap.constant(1), ControlMap.coerce(
+            mixed_table(m, g, seed=1), grid=g)]):
+        for fused, ref in zip(
+                simulate._horizon_block(m, cmaps, cfg, blocks, x0, 1, [0, 3, 25]),
+                orc.horizon_per_block(m, cmaps, cfg, blocks, x0, 1, [0, 3, 25])):
+            np.testing.assert_array_equal(fused, ref)
     starts = [(np.array([1.0, 0.5]), 0), (np.array([-1.2, 1.0]), 1)]
     fk_args = (starts, pair.eigenvalue, g, pair.eigenfunction, 0.5, 10000)
     fk_cfg = PathConfig(step=0.01, horizon=0.5, seed=16, paths=1)
@@ -818,6 +825,71 @@ def test_worker_errors_cross_the_process_boundary_intact(case, driver, monkeypat
     assert errors[0][0] is {"step_size": StepSizeError, "far_step_size": StepSizeError,
                             "negative_rate": ValueError,
                             "nan_rate": NonFiniteCoefficientError}[case]
+
+
+@pytest.mark.parametrize("name", ["ou2", "bounded2d"])
+def test_rates_of_several_policies_match_runs_alone(name, monkeypatch):
+    # stacked policies share each block's draws; every estimate, every field
+    # of it, is the one its policy's run alone gives, at one worker and two
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+    m = rs.make_builtin(name)
+    g = rs.grid_for_resolution(m.dim, 3.0, 10 if m.dim == 1 else 5)
+    sol = rs.solve_semilinear(m, g)
+    policies = [sol.policy, mixed_table(m, g), 1]
+    cfg = PathConfig(step=0.05, horizon=1.0, seed=17, paths=2 * simulate.BLOCK + 123)
+    x0 = [0.5, -0.5][:m.dim]
+    # 3 rows a path: two sets at one worker, the second of two blocks; three at two
+    assert [len(simulate._working_sets(cfg.paths, 3, w)) for w in (1, 2)] == [2, 3]
+    for pair in (None, sol.eigenpair):
+        kwargs = dict(lambda_ref=0.02, x0=x0, k0=1, grid=g, terminal_pair=pair)
+        alone = [rs.estimate_risk_sensitive_rate(m, p, cfg, **kwargs) for p in policies]
+        assert len({e.value for e in alone}) == 3
+        for w in (1, 2):
+            assert rs.estimate_risk_sensitive_rates(m, policies, cfg, workers=w,
+                                                    **kwargs) == alone
+
+
+def fails_under_control(model, case, xi):
+    """``model`` that breaches the step bound at 0.01 (switching rate 60), or
+    has a NaN cost, under control ``xi`` only."""
+    if case == "step_size":
+        base = model.rates
+        return dataclasses.replace(model, rates=lambda X, x: base(X, x) * (60.0 if x == xi
+                                                                            else 1.0))
+    base = model.cost
+    return dataclasses.replace(model, cost=lambda X, k, x: base(X, k, x) + (
+        math.nan if x == xi else 0.0))
+
+
+@pytest.mark.parametrize("case", ["step_size", "nan_cost"])
+def test_errors_of_one_stacked_policy_are_its_own(case, monkeypatch):
+    # one policy of three fails; the run of all three raises the error class
+    # of that policy's run alone, at one worker and two
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+    base = rs.make_builtin("ou2")
+    m = fails_under_control(base, case, base.controls[1])
+    cfg = PathConfig(step=0.01, horizon=1.0, seed=4, paths=2 * simulate.BLOCK)
+    error = {"step_size": StepSizeError, "nan_cost": rs.NonFiniteEstimateError}[case]
+    assert math.isfinite(rs.estimate_risk_sensitive_rate(m, 0, cfg).value)
+    with pytest.raises(error) as alone:
+        rs.estimate_risk_sensitive_rate(m, 1, cfg)
+    for w in (1, 2):
+        with pytest.raises(error) as stacked:
+            rs.estimate_risk_sensitive_rates(m, [0, 1, 0], cfg, workers=w)
+        if case == "nan_cost":  # the failing policy's path values, as alone
+            assert str(stacked.value) == str(alone.value)
+        assert multiprocessing.active_children() == []
+
+
+def test_stacked_policies_must_share_a_grid():
+    m = rs.make_builtin("ou2")
+    g, h = rs.grid_for_resolution(1, 3.0, 10), rs.grid_for_resolution(1, 4.0, 10)
+    cfg = PathConfig(step=0.05, horizon=1.0, seed=0, paths=8)
+    tables = [ControlMap.from_policy(mixed_table(m, grid), grid) for grid in (g, h)]
+    with pytest.raises(ValueError, match="share one grid"):
+        rs.estimate_risk_sensitive_rates(m, tables, cfg)
+    with pytest.raises(ValueError, match="at least one policy"):
+        rs.estimate_risk_sensitive_rates(m, [], cfg)
 
 
 def test_worker_errors_pickle_whole():

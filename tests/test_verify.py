@@ -315,3 +315,47 @@ def test_lambda_match_flags_wrong_eigenvalue(ou2_match_setup):
     assert not rep.optimal_ok
     assert abs(rep.optimal_rate.value - rep.lambda_star) > \
         10.0 * rep.optimal_rate.std_error
+
+
+def test_lambda_match_steps_its_rate_policies_together(monkeypatch):
+    # the solved policy and its random ones run as one working set: one pool
+    # at two workers, and at one worker each block's generator draws n_steps
+    # times for all three policies
+    import concurrent.futures
+    import riskswitch.simulate as simulate
+
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+    pools = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    draws = {}
+    block_generator = simulate._block_generator
+
+    class CountingGenerator:
+        def __init__(self, seed, block):
+            self.rng, self.block = block_generator(seed, block), block
+            draws.setdefault(block, 0)
+
+        def standard_normal(self, *args):
+            draws[self.block] += 1
+            return self.rng.standard_normal(*args)
+
+        def random(self, *args):
+            return self.rng.random(*args)
+
+    model = make_builtin("ou2")
+    grid = grid_for_resolution(1, 3.0, 10)
+    cfg = PathConfig(step=0.05, horizon=1.0, seed=6, paths=2 * simulate.BLOCK)
+    sol = solve_semilinear(model, grid)
+    reps = [lambda_equals_optimal_value(model, grid, 2, cfg, workers=2, solution=sol)]
+    assert pools == [2]
+    monkeypatch.setattr(simulate, "_block_generator", CountingGenerator)
+    reps.append(lambda_equals_optimal_value(model, grid, 2, cfg, workers=1, solution=sol))
+    assert pools == [2]
+    assert draws == {0: cfg.n_steps, 1: cfg.n_steps}
+    assert reps[0].as_dict() == reps[1].as_dict()
