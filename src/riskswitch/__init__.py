@@ -9,8 +9,7 @@ __version__ = "0.1.0"
 
 from .eigen import (EigenPair, NoConvergenceError, NotIrreducibleError,
                     SemilinearSolution, SweepResult, domain_sweep,
-                    minimizing_selector, potential_monotonicity_check,
-                    principal_eigenpair, solve_semilinear, uniqueness_check)
+                    minimizing_selector, principal_eigenpair, solve_semilinear)
 from .expressions import ExpressionError, compile_expression, load_model, model_from_spec
 from .grid import GridSpec, build_grid, grid_for_resolution
 from .model import (BUILTIN_MODELS, CertificateMode, LyapunovCertificate,
@@ -39,8 +38,7 @@ __all__ = [
     "feynman_kac_annulus", "fit_growth_bound", "grid_for_resolution",
     "lambda_equals_optimal_value", "load_model", "make_builtin",
     "mean_position_diagnostic", "minimizing_selector", "model_from_spec",
-    "near_monotone_suite", "potential_monotonicity_check",
-    "principal_eigenpair", "random_policies", "simulate_paths",
-    "solve_semilinear", "uniqueness_check", "validate_model", "validate_near_monotone",
+    "near_monotone_suite", "principal_eigenpair", "random_policies",
+    "simulate_paths", "solve_semilinear", "validate_model", "validate_near_monotone",
     "verify_optimality",
 ]

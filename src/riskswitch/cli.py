@@ -36,14 +36,13 @@ from .expressions import ExpressionError, load_model
 from .grid import grid_for_resolution
 from .model import (NonFiniteCoefficientError, builtin_certificate,
                     check_lyapunov, make_builtin, validate_model)
-from .operator import MonotonicityViolation, assemble, constant_policy
+from .operator import MonotonicityViolation
 from .simulate import (BLOCK, SET_ROWS, NonFiniteEstimateError,
                        PathConfig, StepSizeError, _usable_cpus,
                        estimate_risk_sensitive_rate, feynman_kac_annulus,
                        mean_position_diagnostic, resolve_workers, simulate_paths)
-from .verify import (lambda_equals_optimal_value, random_policies,
-                     validate_near_monotone, verification_eig_tol,
-                     verify_optimality)
+from .verify import (_verification_solve, lambda_equals_optimal_value,
+                     random_policies, validate_near_monotone, verify_optimality)
 
 NUMERIC_ERRORS = (NonFiniteCoefficientError, MonotonicityViolation,
                   NotIrreducibleError, NoConvergenceError,
@@ -391,13 +390,8 @@ def cmd_verify(args):
         model, grid.radius, args.samples, args.seed,
         max(args.nodes_per_unit // 4, 8))
 
-    # one assembled stack sets the verification tolerance and serves
-    # policy iteration
-    op = assemble(model, grid, constant_policy(grid, model.num_regimes))
-    eig_tol = verification_eig_tol(op)
-    sol = solve_semilinear(model, grid, tol=args.tol,
-                           max_policy_iters=args.max_policy_iters,
-                           eig_tol=eig_tol, operator=op)
+    sol = _verification_solve(model, grid, tol=args.tol,
+                              max_policy_iters=args.max_policy_iters)
     if not sol.converged:
         failed.append("policy_iteration")
     alt = random_policies(model, grid, args.alt_policies, seed=args.seed)
@@ -411,7 +405,7 @@ def cmd_verify(args):
                          paths=args.paths)
         match = lambda_equals_optimal_value(
             model, grid, args.rate_policies, sim, seed=args.seed,
-            workers=args.workers, solution=sol, eig_tol=eig_tol)
+            workers=args.workers, solution=sol)
         checks["lambda_match"] = match.as_dict()
         if not match.passed:
             failed.append("lambda_match")

@@ -40,7 +40,6 @@ from .operator import DiscreteOperator, assemble, constant_policy
 
 DEFAULT_RESIDUAL_TOL = 1e-10
 LAMBDA_TOL = 1e-10  # eigenvalues that should agree
-PSI_TOL = 1e-8  # eigenfunctions that should agree, in relative sup norm
 PI_TOL = 1e-11  # policy iteration stops once lambda moves by at most this
 MAX_POLICY_ITERS = 60  # and after at most this many evaluated policies
 # Inverse iteration has stalled when its residual has not improved on the
@@ -410,90 +409,3 @@ def domain_sweep(model, radii, nodes_per_unit, tol=PI_TOL):
     lambda_star = max(lams[-1], extrapolated)
     return SweepResult(entries=entries, monotone=monotone, extrapolated=extrapolated,
                        lambda_star=lambda_star, increments=increments)
-
-
-@dataclasses.dataclass
-class UniquenessReport:
-    passed: bool
-    eigenvalue_spread: float
-    eigenfunction_spread: float
-    trials: int
-    error: str = ""
-
-
-def uniqueness_check(model, grid, trials=3, seed=0, policy=None):
-    """Re-run the eigensolver from random positive starts and compare.
-
-    The normalized eigenpair must agree across trials (eigenvalue within
-    ``LAMBDA_TOL``, eigenfunction within ``PSI_TOL`` relative sup norm).
-    Irreducibility failures are surfaced in the report instead of raised.
-    """
-    if trials < 2:
-        raise ValueError("need at least two trials")
-    if policy is None:
-        policy = solve_semilinear(model, grid).policy
-    op = assemble(model, grid, policy)
-    rng = np.random.default_rng(seed)
-    pairs = []
-    try:
-        for _ in range(trials):
-            x0 = rng.random(op.shape[0]) + 0.1
-            pairs.append(principal_eigenpair(op, x0=x0))
-    except NotIrreducibleError as exc:
-        return UniquenessReport(False, np.inf, np.inf, trials, error=str(exc))
-    lams = np.array([p.eigenvalue for p in pairs])
-    lam_spread = float(lams.max() - lams.min())
-    base = pairs[0].eigenfunction
-    scale = float(np.max(np.abs(base)))
-    psi_spread = max(
-        float(np.max(np.abs(p.eigenfunction - base))) / scale for p in pairs[1:]
-    )
-    return UniquenessReport(
-        passed=(lam_spread <= LAMBDA_TOL and psi_spread <= PSI_TOL),
-        eigenvalue_spread=lam_spread, eigenfunction_spread=psi_spread, trials=trials,
-    )
-
-
-@dataclasses.dataclass
-class PotentialMonotonicityReport:
-    passed: bool
-    eigenvalue_base: float
-    eigenvalue_bumped: float
-    margin: float
-    constant_shift_error: float
-
-
-def potential_monotonicity_check(model, grid, bump_center, bump_height,
-                                 bump_radius=1.0):
-    """Strict growth of the eigenvalue under a localized cost increase.
-
-    Solves the control problem with the original cost, with the cost plus
-    ``bump_height`` on the ball around ``bump_center``, and with the cost plus
-    the same constant everywhere.  The local bump must raise the eigenvalue by
-    a strictly positive margin (and by at most the bump height); the global
-    constant must shift it by exactly that constant (within ``LAMBDA_TOL``).
-    """
-    if bump_height <= 0:
-        raise ValueError("bump_height must be positive")
-    center = np.broadcast_to(np.asarray(bump_center, dtype=float), (model.dim,))
-    base_cost = model.cost
-
-    def bumped(X, k, xi, _c=base_cost):
-        X = np.atleast_2d(X)
-        inside = np.linalg.norm(X - center[None, :], axis=1) <= bump_radius
-        return _c(X, k, xi) + bump_height * inside
-
-    def shifted(X, k, xi, _c=base_cost):
-        return _c(np.atleast_2d(X), k, xi) + bump_height
-
-    lam0 = solve_semilinear(model, grid).eigenpair.eigenvalue
-    lam1 = solve_semilinear(model.with_cost(bumped, "bumped"), grid).eigenpair.eigenvalue
-    lam2 = solve_semilinear(model.with_cost(shifted, "shifted"), grid).eigenpair.eigenvalue
-    margin = lam1 - lam0
-    shift_err = abs(lam2 - lam0 - bump_height)
-    return PotentialMonotonicityReport(
-        passed=(margin > 0 and margin <= bump_height + LAMBDA_TOL
-                and shift_err <= LAMBDA_TOL),
-        eigenvalue_base=lam0, eigenvalue_bumped=lam1, margin=margin,
-        constant_shift_error=shift_err,
-    )

@@ -4,7 +4,8 @@ Three families: optimality of the extracted policy (one Collatz-Wielandt
 bracket on the solved eigenfunction bounds every table policy's principal
 eigenvalue from below and the solved policy's from above, with no
 eigensolve), agreement of the solved eigenvalue with Monte Carlo risk-
-sensitive rates, and the near-monotone mode (bounded coefficients, uniform
+sensitive rates (the random policies' eigenvalues bounded by the same
+bracket), and the near-monotone mode (bounded coefficients, uniform
 switching floor, vanishing radial drift) where no Lyapunov certificate is
 needed and the cost's sub-level set at the computed value must stay inside
 a strict sub-box.
@@ -14,8 +15,9 @@ import dataclasses
 
 import numpy as np
 
-from .eigen import (LAMBDA_TOL, PI_TOL, Bracket, collatz_wielandt_bounds, domain_sweep,
-                    principal_eigenpair, solve_semilinear, verification_tol)
+from .eigen import (LAMBDA_TOL, MAX_POLICY_ITERS, PI_TOL, Bracket,
+                    collatz_wielandt_bounds, domain_sweep, solve_semilinear,
+                    verification_tol)
 from .model import coefficients
 from .operator import assemble, constant_policy
 from .simulate import estimate_risk_sensitive_rates
@@ -105,10 +107,11 @@ def verification_eig_tol(op):
     return verification_tol(op.with_policy(np.zeros_like(op.policy)))
 
 
-def _verification_solve(model, grid):
+def _verification_solve(model, grid, tol=PI_TOL, max_policy_iters=MAX_POLICY_ITERS):
     """Policy iteration at :func:`verification_eig_tol`, from one assembly."""
     op = assemble(model, grid, constant_policy(grid, model.num_regimes))
-    return solve_semilinear(model, grid, eig_tol=verification_eig_tol(op), operator=op)
+    return solve_semilinear(model, grid, tol=tol, max_policy_iters=max_policy_iters,
+                            eig_tol=verification_eig_tol(op), operator=op)
 
 
 def verify_optimality(model, grid, alt_policies=(), solution=None):
@@ -320,7 +323,6 @@ def near_monotone_suite(model, radii, tol=PI_TOL, nodes_per_unit=20,
 
 @dataclasses.dataclass
 class RatePolicyEntry:
-    eigenvalue: float
     rate: float
     std_error: float
     unreliable: bool
@@ -351,7 +353,7 @@ class LambdaMatchReport:
 
 
 def lambda_equals_optimal_value(model, grid, policy_sample_count, config,
-                                seed=0, workers=None, solution=None, eig_tol=None):
+                                seed=0, workers=None, solution=None):
     """Monte Carlo rates agree with the solved eigenvalue.
 
     Estimates carry the terminal psi weighting, which makes the weighted
@@ -361,26 +363,25 @@ def lambda_equals_optimal_value(model, grid, policy_sample_count, config,
     standard errors (unless flagged unreliable, in which case the comparison
     is reported but does not fail).  For any frozen policy the eigen-weighted
     expectation is a submartingale, so random-policy estimates must never
-    fall more than three standard errors below lambda_star, and their
-    frozen-policy eigenvalues stay above it (within ``LAMBDA_TOL``).  Policy
-    eigensolves run at residual tolerance ``eig_tol``, defaulting to
-    :func:`verification_eig_tol`, so that solver noise stays below
-    ``LAMBDA_TOL``.
+    fall more than three standard errors below lambda_star.  That their
+    frozen-policy eigenvalues stay above lambda_star (within ``LAMBDA_TOL``)
+    is read from the solved eigenfunction's :func:`collatz_wielandt_bounds`:
+    ``eig_ok`` holds when the policy's certified lower bound does, so a
+    supplied ``solution`` must be solved as tightly as
+    :func:`verify_optimality` needs.  No eigensolve runs unless ``solution``
+    is None; then the problem is solved at :func:`verification_eig_tol`.
 
     The solved policy and the random ones are estimated in one run of
     :func:`estimate_risk_sensitive_rates`, sharing each block's draws, and
-    each estimate is the one its policy's run alone gives.  All estimates run
-    before the eigensolves, so a Monte Carlo error is raised before any
-    eigensolve error.
+    each estimate is the one its policy's run alone gives.
 
     The comparison target is the grid eigenvalue, so the grid must resolve
     lambda to within the Monte Carlo standard error; the discretization
     error scales like the squared spacing.
     """
     sol = solution if solution is not None else _verification_solve(model, grid)
-    if eig_tol is None:
-        eig_tol = verification_eig_tol(sol.operator)
     lam_star = sol.eigenpair.eigenvalue
+    bounds = collatz_wielandt_bounds(sol.operator, sol.eigenpair.eigenfunction)
     policies = random_policies(model, grid, policy_sample_count, seed=seed)
     opt_est, *estimates = estimate_risk_sensitive_rates(
         model, [sol.policy, *policies], config, lambda_ref=lam_star, workers=workers,
@@ -389,13 +390,11 @@ def lambda_equals_optimal_value(model, grid, policy_sample_count, config,
     opt_ok = bool(opt_est.unreliable or opt_dev <= 3.0 * opt_est.std_error)
     entries = []
     for p, est in zip(policies, estimates):
-        pair = principal_eigenpair(sol.operator.with_policy(p), tol=eig_tol)
-        eig_ok = bool(pair.eigenvalue >= lam_star - LAMBDA_TOL)
+        eig_ok = bool(bounds.lower(p) >= lam_star - LAMBDA_TOL)
         rate_ok = bool(est.unreliable
                        or est.value >= lam_star - 3.0 * est.std_error)
         entries.append(RatePolicyEntry(
-            eigenvalue=pair.eigenvalue, rate=est.value,
-            std_error=est.std_error, unreliable=est.unreliable,
+            rate=est.value, std_error=est.std_error, unreliable=est.unreliable,
             eig_ok=eig_ok, rate_ok=rate_ok,
         ))
     passed = bool(opt_ok and all(e.eig_ok and e.rate_ok for e in entries))

@@ -9,9 +9,12 @@ bracket evaluated from the model instead of rows of the assembled operator,
 scipy's RegularGridInterpolator instead of the grid's multilinear lookup,
 hand-written numpy closures instead of the builtin specs' generated code.
 Tests compare package output against these, never against the package
-itself.
+itself.  The exception is the structural checks at the end, which re-run the
+package's eigensolver from random starts and on perturbed costs and compare
+the runs with each other.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +24,7 @@ from scipy.interpolate import RegularGridInterpolator
 
 import riskswitch as rs
 import riskswitch.simulate as simulate
+from riskswitch.eigen import LAMBDA_TOL
 from riskswitch.simulate import (BGK_BETA, MAX_LEAVE_PROBABILITY,
                                  StepSizeError)
 
@@ -512,3 +516,97 @@ def builtin_certificate(name):
         return (lambda X, k: np.exp(0.5 * np.sqrt(1.0 + np.einsum("nd,nd->n", X, X))),
                 lambda X, k: np.full(X.shape[0], 0.15), 2.5, 2.0, "geometric")
     return None
+
+
+# ---------------------------------------------------------------------------
+# structural checks of the eigensolver: re-solves from random starts and
+# under cost perturbations, compared with each other
+
+PSI_TOL = 1e-8  # eigenfunctions that should agree, in relative sup norm
+
+
+@dataclasses.dataclass
+class UniquenessReport:
+    passed: bool
+    eigenvalue_spread: float
+    eigenfunction_spread: float
+    trials: int
+    error: str = ""
+
+
+def uniqueness_check(model, grid, trials=3, seed=0, policy=None):
+    """Re-run the eigensolver from random positive starts and compare.
+
+    The normalized eigenpair must agree across trials (eigenvalue within
+    ``LAMBDA_TOL``, eigenfunction within ``PSI_TOL`` relative sup norm).
+    Irreducibility failures are surfaced in the report instead of raised.
+    """
+    if trials < 2:
+        raise ValueError("need at least two trials")
+    if policy is None:
+        policy = rs.solve_semilinear(model, grid).policy
+    op = rs.assemble(model, grid, policy)
+    rng = np.random.default_rng(seed)
+    pairs = []
+    try:
+        for _ in range(trials):
+            x0 = rng.random(op.shape[0]) + 0.1
+            pairs.append(rs.principal_eigenpair(op, x0=x0))
+    except rs.NotIrreducibleError as exc:
+        return UniquenessReport(False, np.inf, np.inf, trials, error=str(exc))
+    lams = np.array([p.eigenvalue for p in pairs])
+    lam_spread = float(lams.max() - lams.min())
+    base = pairs[0].eigenfunction
+    scale = float(np.max(np.abs(base)))
+    psi_spread = max(
+        float(np.max(np.abs(p.eigenfunction - base))) / scale for p in pairs[1:]
+    )
+    return UniquenessReport(
+        passed=(lam_spread <= LAMBDA_TOL and psi_spread <= PSI_TOL),
+        eigenvalue_spread=lam_spread, eigenfunction_spread=psi_spread, trials=trials,
+    )
+
+
+@dataclasses.dataclass
+class PotentialMonotonicityReport:
+    passed: bool
+    eigenvalue_base: float
+    eigenvalue_bumped: float
+    margin: float
+    constant_shift_error: float
+
+
+def potential_monotonicity_check(model, grid, bump_center, bump_height,
+                                 bump_radius=1.0):
+    """Strict growth of the eigenvalue under a localized cost increase.
+
+    Solves the control problem with the original cost, with the cost plus
+    ``bump_height`` on the ball around ``bump_center``, and with the cost plus
+    the same constant everywhere.  The local bump must raise the eigenvalue by
+    a strictly positive margin (and by at most the bump height); the global
+    constant must shift it by exactly that constant (within ``LAMBDA_TOL``).
+    """
+    if bump_height <= 0:
+        raise ValueError("bump_height must be positive")
+    center = np.broadcast_to(np.asarray(bump_center, dtype=float), (model.dim,))
+    base_cost = model.cost
+
+    def bumped(X, k, xi, _c=base_cost):
+        X = np.atleast_2d(X)
+        inside = np.linalg.norm(X - center[None, :], axis=1) <= bump_radius
+        return _c(X, k, xi) + bump_height * inside
+
+    def shifted(X, k, xi, _c=base_cost):
+        return _c(np.atleast_2d(X), k, xi) + bump_height
+
+    lam0 = rs.solve_semilinear(model, grid).eigenpair.eigenvalue
+    lam1 = rs.solve_semilinear(model.with_cost(bumped, "bumped"), grid).eigenpair.eigenvalue
+    lam2 = rs.solve_semilinear(model.with_cost(shifted, "shifted"), grid).eigenpair.eigenvalue
+    margin = lam1 - lam0
+    shift_err = abs(lam2 - lam0 - bump_height)
+    return PotentialMonotonicityReport(
+        passed=(margin > 0 and margin <= bump_height + LAMBDA_TOL
+                and shift_err <= LAMBDA_TOL),
+        eigenvalue_base=lam0, eigenvalue_bumped=lam1, margin=margin,
+        constant_shift_error=shift_err,
+    )

@@ -16,10 +16,11 @@ import pytest
 
 import riskswitch as rs
 from riskswitch.cli import main as cli_main
+from riskswitch.eigen import LAMBDA_TOL
 from riskswitch.model import (CertificateMode, LyapunovCertificate,
                               builtin_certificate)
 from riskswitch.verify import (near_monotone_suite, random_policies,
-                               verify_optimality)
+                               verification_eig_tol, verify_optimality)
 
 import _oracles as orc
 
@@ -121,7 +122,7 @@ def test_criterion_04_structural_properties(capsys):
         model, grid = orc.random_instance(rng)
         center = np.zeros(model.dim)
         center[0] = 0.4 * grid.radius
-        rep = rs.potential_monotonicity_check(
+        rep = orc.potential_monotonicity_check(
             model, grid, bump_center=center, bump_height=0.3,
             bump_radius=0.5 * grid.radius)
         assert rep.passed and rep.margin > 0.0
@@ -174,7 +175,7 @@ def test_criterion_04_structural_properties(capsys):
         sol = rs.solve_semilinear(model, grid, eig_tol=1e-12)
         trace = sol.eigenvalue_trace
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
-        rep = rs.uniqueness_check(model, grid, trials=3, seed=done)
+        rep = orc.uniqueness_check(model, grid, trials=3, seed=done)
         assert rep.passed
         assert rep.eigenvalue_spread <= 1e-10
         assert rep.eigenfunction_spread <= 1e-8
@@ -227,12 +228,18 @@ def test_criterion_06_policy_suboptimality(capsys):
                               ("bounded2d", 3.0, 7), ("dip", 4.0, 20)):
         model = rs.make_builtin(name)
         grid = rs.grid_for_resolution(model.dim, radius, npu)
-        rep = verify_optimality(
-            model, grid,
-            alt_policies=random_policies(model, grid, 20, seed=7))
+        policies = random_policies(model, grid, 20, seed=7)
+        rep = verify_optimality(model, grid, alt_policies=policies)
         assert rep.passed, name
         assert rep.min_excess >= -1e-10, name
         worst = min(worst, rep.min_excess)
+        # eigensolves as the oracle: every random policy's eigenvalue lies
+        # above the optimum and above its certified lower bound
+        for p, e in zip(policies, rep.excesses):
+            op = rs.assemble(model, grid, p)
+            lam = rs.principal_eigenpair(op, tol=verification_eig_tol(op)).eigenvalue
+            assert lam >= rep.lambda_star - LAMBDA_TOL, name
+            assert lam >= e.lower_bound, name
     emit(capsys, 6, True,
          "20 random policies per builtin all sit above the optimum "
          "(smallest excess %.1e)" % worst)

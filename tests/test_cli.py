@@ -691,8 +691,6 @@ def test_out_of_range_index_exits_2(tmp_path, argv, message):
 
 def test_verify_assembles_once_with_simulation(tmp_path, monkeypatch):
     # one stack sets the verification tolerance and serves every solve
-    import riskswitch.cli as cli_mod
-    import riskswitch.verify as verify_mod
     assemble = eigen_mod.assemble
     calls = []
 
@@ -700,8 +698,11 @@ def test_verify_assembles_once_with_simulation(tmp_path, monkeypatch):
         calls.append(1)
         return assemble(*args, **kwargs)
 
-    for mod in (cli_mod, eigen_mod, verify_mod):
-        monkeypatch.setattr(mod, "assemble", counted)
+    for name, mod in list(sys.modules.items()):
+        if name == "riskswitch" or name.startswith("riskswitch."):
+            for key, value in list(vars(mod).items()):
+                if value is assemble:
+                    monkeypatch.setattr(mod, key, counted)
     code, _ = run(["verify", "--builtin", "ou2", "--radius", "3",
                    "--nodes-per-unit", "10", "--alt-policies", "2",
                    "--rate-policies", "1", "--paths", "256", "--step", "0.01",

@@ -412,13 +412,13 @@ def test_domain_sweep_rejects_bad_radii():
 def test_uniqueness_check_passes_and_reports():
     m = rs.make_builtin("lq")
     g = rs.grid_for_resolution(1, 4.0, 25)
-    rep = rs.uniqueness_check(m, g, trials=3, seed=7)
+    rep = orc.uniqueness_check(m, g, trials=3, seed=7)
     assert rep.passed
     assert rep.eigenvalue_spread <= 1e-10
     assert rep.eigenfunction_spread <= 1e-8
     assert rep.trials == 3
     with pytest.raises(ValueError):
-        rs.uniqueness_check(m, g, trials=1)
+        orc.uniqueness_check(m, g, trials=1)
 
 
 def test_uniqueness_check_surfaces_reducibility():
@@ -426,7 +426,7 @@ def test_uniqueness_check_surfaces_reducibility():
     nocoupling = dataclasses.replace(
         m, rates=lambda X, xi: np.zeros((X.shape[0], 2, 2)))
     g = rs.build_grid(1, 2.0, 9)
-    rep = rs.uniqueness_check(nocoupling, g, trials=2,
+    rep = orc.uniqueness_check(nocoupling, g, trials=2,
                               policy=rs.constant_policy(g, 2))
     assert not rep.passed
     assert "components" in rep.error
@@ -435,10 +435,10 @@ def test_uniqueness_check_surfaces_reducibility():
 def test_potential_monotonicity_check():
     m = rs.make_builtin("ou2")
     g = rs.grid_for_resolution(1, 4.0, 15)
-    rep = rs.potential_monotonicity_check(m, g, bump_center=[1.0], bump_height=0.5)
+    rep = orc.potential_monotonicity_check(m, g, bump_center=[1.0], bump_height=0.5)
     assert rep.passed
     assert 0 < rep.margin <= 0.5 + 1e-10
     assert rep.constant_shift_error <= 1e-10
     assert rep.eigenvalue_bumped > rep.eigenvalue_base
     with pytest.raises(ValueError):
-        rs.potential_monotonicity_check(m, g, bump_center=[1.0], bump_height=0.0)
+        orc.potential_monotonicity_check(m, g, bump_center=[1.0], bump_height=0.0)

@@ -291,14 +291,19 @@ def test_lambda_match_brackets_eigenvalue(ou2_match_setup):
     assert dev <= 3.0 * rep.optimal_rate.std_error
     assert rep.optimal_rate.details["terminal_weighted"] is True
     assert len(rep.random_entries) == 2
-    for e in rep.random_entries:
+    for p, e in zip(random_policies(model, grid, 2, seed=5), rep.random_entries):
         assert e.eig_ok and e.rate_ok and not e.unreliable
-        # suboptimal frozen policies sit strictly above the optimum
-        assert e.eigenvalue > rep.lambda_star + 1e-3
+        # eigensolves as the oracle: suboptimal frozen policies sit strictly
+        # above the optimum
+        op = assemble(model, grid, p)
+        assert principal_eigenpair(op, tol=verification_eig_tol(op)).eigenvalue > \
+            rep.lambda_star + 1e-3
         assert e.rate > rep.lambda_star
     d = rep.as_dict()
     assert d["passed"] is True
     assert len(d["random_policies"]) == 2
+    assert set(d["random_policies"][0]) == {"rate", "std_error", "unreliable",
+                                            "eig_ok", "rate_ok"}
     assert d["optimal_rate"]["value"] == rep.optimal_rate.value
 
 
@@ -315,6 +320,47 @@ def test_lambda_match_flags_wrong_eigenvalue(ou2_match_setup):
     assert not rep.optimal_ok
     assert abs(rep.optimal_rate.value - rep.lambda_star) > \
         10.0 * rep.optimal_rate.std_error
+
+
+def test_lambda_match_runs_no_eigensolve(monkeypatch):
+    # every rate policy's eig_ok is read from the solved eigenfunction's
+    # Collatz-Wielandt bracket, so no operator is factored
+    import riskswitch.eigen as eigen_mod
+
+    factored = []
+    splu = eigen_mod.spla.splu
+
+    def counted(*args, **kwargs):
+        factored.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(eigen_mod.spla, "splu", counted)
+    model = make_builtin("ou2")
+    grid = grid_for_resolution(1, 3.0, 10)
+    sol = solve_semilinear(model, grid, eig_tol=1e-12)
+    assert len(factored) == sol.policy_iterations
+    factored.clear()
+    cfg = PathConfig(step=0.05, horizon=1.0, seed=6, paths=512)
+    rep = lambda_equals_optimal_value(model, grid, 3, cfg, workers=1, solution=sol)
+    assert factored == []
+    assert len(rep.random_entries) == 3
+    assert all(e.eig_ok for e in rep.random_entries)
+
+
+def test_lambda_match_fails_on_perturbed_psi(lq_setup):
+    # the perturbation of test_perturbed_psi_fails_certificate: the bracket
+    # no longer certifies any random policy
+    model, grid, solution = lq_setup
+    pair = solution.eigenpair
+    nodes = np.arange(pair.eigenfunction.size).reshape(pair.eigenfunction.shape)
+    psi = pair.eigenfunction * (1.0 + 1e-6 * np.sin(nodes))
+    perturbed = dataclasses.replace(
+        solution, eigenpair=dataclasses.replace(pair, eigenfunction=psi))
+    cfg = PathConfig(step=0.01, horizon=1.0, seed=3, paths=512)
+    rep = lambda_equals_optimal_value(model, grid, 3, cfg, workers=1, solution=perturbed)
+    assert len(rep.random_entries) == 3
+    assert not any(e.eig_ok for e in rep.random_entries)
+    assert not rep.passed
 
 
 def test_lambda_match_steps_its_rate_policies_together(monkeypatch):
