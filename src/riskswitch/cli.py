@@ -30,8 +30,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .eigen import (MAX_POLICY_ITERS, PI_TOL, NoConvergenceError,
-                    NotIrreducibleError, domain_sweep, solve_semilinear)
+from .eigen import (MAX_POLICY_ITERS, NoConvergenceError, NotIrreducibleError,
+                    domain_sweep, solve_semilinear)
 from .expressions import ExpressionError, load_model
 from .grid import grid_for_resolution
 from .model import (NonFiniteCoefficientError, builtin_certificate,
@@ -139,7 +139,7 @@ def _checked(convert, nonnegative=False):
     return parse
 
 
-_FINITE, _TOLERANCE, _COUNT = _checked(float), _checked(float, True), _checked(int, True)
+_FINITE, _COUNT = _checked(float), _checked(int, True)
 
 
 def _parse_floats(text):
@@ -171,8 +171,6 @@ def _model_from_args(args):
     for kv in args.param or ():
         key, val = _parse_param(kv)
         params[key] = val
-    if getattr(args, "q", None) is not None:
-        params["q"] = args.q
     if getattr(args, "controls", None):
         params["controls"] = tuple(_parse_floats(args.controls))
     try:
@@ -215,7 +213,6 @@ def _add_model_flags(p):
     group.add_argument("--model", help="path to a JSON model config")
     p.add_argument("--param", action="append", metavar="KEY=VALUE",
                    help="builtin parameter override, repeatable")
-    p.add_argument("--q", type=_FINITE, help="shortcut for the cost coefficient q")
     p.add_argument("--controls", help="comma-separated control set, e.g. 1,2")
 
 
@@ -236,13 +233,12 @@ def _add_workers(p):
 def cmd_solve(args):
     model = _model_from_args(args)
     grid = _grid_for(args, model)
-    sol = solve_semilinear(model, grid, tol=args.tol,
-                           max_policy_iters=args.max_policy_iters)
+    sol = solve_semilinear(model, grid, max_policy_iters=args.max_policy_iters)
     if args.dump_operator:
         sol.operator.write_matrix_market(args.dump_operator)
     config = {"command": "solve", "model": _model_config(args, model),
               "radius": args.radius, "nodes_per_unit": args.nodes_per_unit,
-              "tol": args.tol, "max_policy_iters": args.max_policy_iters}
+              "max_policy_iters": args.max_policy_iters}
     body = {
         "lambda": sol.eigenpair.eigenvalue,
         "bracket": sol.bracket,
@@ -265,10 +261,9 @@ def cmd_sweep(args):
     radii = _parse_floats(args.radii)
     if any(b <= a for a, b in zip(radii, radii[1:])) or not radii:
         raise UsageError("--radii must be strictly increasing")
-    sweep = domain_sweep(model, radii, args.nodes_per_unit, tol=args.tol)
+    sweep = domain_sweep(model, radii, args.nodes_per_unit)
     config = {"command": "sweep", "model": _model_config(args, model),
-              "radii": radii, "nodes_per_unit": args.nodes_per_unit,
-              "tol": args.tol}
+              "radii": radii, "nodes_per_unit": args.nodes_per_unit}
     body = {
         "entries": [
             {"radius": e.radius, "lambda": e.eigenvalue, "bracket": e.bracket,
@@ -390,8 +385,7 @@ def cmd_verify(args):
         model, grid.radius, args.samples, args.seed,
         max(args.nodes_per_unit // 4, 8))
 
-    sol = _verification_solve(model, grid, tol=args.tol,
-                              max_policy_iters=args.max_policy_iters)
+    sol = _verification_solve(model, grid, max_policy_iters=args.max_policy_iters)
     if not sol.converged:
         failed.append("policy_iteration")
     alt = random_policies(model, grid, args.alt_policies, seed=args.seed)
@@ -426,9 +420,8 @@ def cmd_verify(args):
 
     config = {"command": "verify", "model": _model_config(args, model),
               "radius": args.radius, "nodes_per_unit": args.nodes_per_unit,
-              "tol": args.tol, "max_policy_iters": args.max_policy_iters,
-              "samples": args.samples, "alt_policies": args.alt_policies,
-              "rate_policies": args.rate_policies,
+              "max_policy_iters": args.max_policy_iters, "samples": args.samples,
+              "alt_policies": args.alt_policies, "rate_policies": args.rate_policies,
               "skip_simulation": args.skip_simulation, "step": args.step,
               "horizon": args.horizon, "fk_horizon": args.fk_horizon,
               "paths": args.paths, "inner_radius": args.inner_radius,
@@ -473,7 +466,6 @@ def build_parser():
     _add_common(p)
     p.add_argument("--radius", type=_FINITE, required=True)
     p.add_argument("--nodes-per-unit", type=int, required=True)
-    p.add_argument("--tol", type=_TOLERANCE, default=PI_TOL)
     p.add_argument("--max-policy-iters", type=int, default=MAX_POLICY_ITERS)
     p.add_argument("--dump-operator", metavar="FILE.mtx",
                    help="dump the final assembled operator in Matrix Market format")
@@ -484,7 +476,6 @@ def build_parser():
     _add_common(p)
     p.add_argument("--radii", required=True, help="comma-separated increasing radii")
     p.add_argument("--nodes-per-unit", type=int, required=True)
-    p.add_argument("--tol", type=_TOLERANCE, default=PI_TOL)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="Monte Carlo functionals under a constant control")
@@ -510,7 +501,6 @@ def build_parser():
     _add_workers(p)
     p.add_argument("--radius", type=_FINITE, required=True)
     p.add_argument("--nodes-per-unit", type=int, required=True)
-    p.add_argument("--tol", type=_TOLERANCE, default=PI_TOL)
     p.add_argument("--max-policy-iters", type=int, default=MAX_POLICY_ITERS)
     p.add_argument("--samples", type=int, default=256)
     p.add_argument("--alt-policies", type=_COUNT, default=5,

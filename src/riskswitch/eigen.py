@@ -17,10 +17,12 @@ The control problem is solved by Howard policy iteration over table policies:
 evaluate the current policy's eigenpair, re-decide every (node, regime)
 control to the one whose operator row, applied to the current eigenfunction,
 is smallest, and repeat; the rows scored are the rows evaluated next.  The
+same product gives each iterate's Collatz-Wielandt bracket
+(:func:`collatz_wielandt_bounds`), which bounds every table policy's
+eigenvalue from below; iteration stops when the policy repeats or the
+bracket certifies the current eigenvalue optimal to ``LAMBDA_TOL``.  The
 eigenvalue trace is non-increasing; on a policy cycle or an exhausted budget
-the evaluated policy with the smallest eigenvalue is returned.  The returned
-positive eigenfunction certifies the result over every table policy by one
-Collatz-Wielandt bracket (:func:`collatz_wielandt_bounds`).
+the evaluated policy with the smallest eigenvalue is returned.
 
 Domains are nested boxes: a domain sweep over strictly increasing radii at a
 fixed node density yields strictly increasing eigenvalues (a proper principal
@@ -39,9 +41,8 @@ from .grid import GridSpec, grid_for_resolution
 from .operator import DiscreteOperator, assemble, constant_policy
 
 DEFAULT_RESIDUAL_TOL = 1e-10
-LAMBDA_TOL = 1e-10  # eigenvalues that should agree
-PI_TOL = 1e-11  # policy iteration stops once lambda moves by at most this
-MAX_POLICY_ITERS = 60  # and after at most this many evaluated policies
+LAMBDA_TOL = 1e-10  # eigenvalues that should agree; the certified optimality gap
+MAX_POLICY_ITERS = 60  # policy iteration stops after this many evaluated policies
 # Inverse iteration has stalled when its residual has not improved on the
 # best one for this many iterations, the best being at roundoff level.
 STALL_ITERATIONS = 20
@@ -298,20 +299,29 @@ class SemilinearSolution:
     bracket: Bracket
 
 
-def solve_semilinear(model, grid, tol=PI_TOL, max_policy_iters=MAX_POLICY_ITERS,
-                     eig_tol=None, operator=None):
+def _improve(op, psi):
+    """The next policy against ``psi`` and the bracket of ``op``'s policy,
+    from one product; the bounds' arrays go with the call."""
+    bounds = collatz_wielandt_bounds(op, psi)
+    return bounds.selector(), bounds.bracket(op.policy)
+
+
+def solve_semilinear(model, grid, max_policy_iters=MAX_POLICY_ITERS, eig_tol=None,
+                     operator=None):
     """Howard policy iteration for the minimal principal eigenvalue.
 
     Starts from the constant lowest-index policy; alternates policy evaluation
     (principal eigenpair of the frozen-policy operator) with the minimizing
     selector, gathering each policy's rows from one assembled stack:
     ``operator``, an operator of ``assemble(model, grid, ...)`` for any
-    policy, or a fresh assembly when it is None.  Converges when the policy
-    repeats or the eigenvalue stabilizes within ``tol``.  On a cycle
+    policy, or a fresh assembly when it is None.  One product gives each
+    iterate's next policy and :func:`collatz_wielandt_bounds` bracket.  It
+    converges when the policy repeats or the bracket certifies the eigenvalue
+    optimal, ``bracket.gap(lambda) <= LAMBDA_TOL``, the rule
+    :func:`~riskswitch.verify.verify_optimality` passes on.  On a cycle
     (``oscillated=True``, counted as converged) or an exhausted budget
     (``converged=False``) the evaluated policy with the smallest eigenvalue
-    is returned with its eigenpair, operator and
-    :func:`collatz_wielandt_bounds` bracket.
+    is returned with its eigenpair, operator and bracket.
     """
     if max_policy_iters < 1:
         raise ValueError("max_policy_iters must be >= 1")
@@ -326,14 +336,10 @@ def solve_semilinear(model, grid, tol=PI_TOL, max_policy_iters=MAX_POLICY_ITERS,
         pair = principal_eigenpair(op, tol=eig_tol, x0=warm)
         warm = pair.flat()
         trace.append(pair.eigenvalue)
+        nxt, bracket = _improve(op, pair.eigenfunction)
         if best is None or pair.eigenvalue < best[1].eigenvalue:
-            best = (op, pair)
-        nxt = minimizing_selector(op, pair.eigenfunction)
-        if np.array_equal(nxt, op.policy):
-            converged = True
-            break
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= tol:
-            # eigenvalue stalled; keep the policy the eigenpair was built on
+            best = (op, pair, bracket)
+        if np.array_equal(nxt, op.policy) or bracket.gap(pair.eigenvalue) <= LAMBDA_TOL:
             converged = True
             break
         seen.add(op.policy.tobytes())
@@ -342,11 +348,11 @@ def solve_semilinear(model, grid, tol=PI_TOL, max_policy_iters=MAX_POLICY_ITERS,
             break
         op = op.with_policy(nxt)
     if not converged:
-        op, pair = best
+        op, pair, bracket = best
     return SemilinearSolution(
         eigenpair=pair, policy=np.asarray(op.policy), operator=op, eigenvalue_trace=trace,
         policy_iterations=it, converged=converged or oscillated, oscillated=oscillated,
-        bracket=collatz_wielandt_bounds(op, pair.eigenfunction).bracket(op.policy),
+        bracket=bracket,
     )
 
 
@@ -375,7 +381,7 @@ class SweepResult:
         return [e.eigenvalue for e in self.entries]
 
 
-def domain_sweep(model, radii, nodes_per_unit, tol=PI_TOL):
+def domain_sweep(model, radii, nodes_per_unit):
     """Solve on a strictly increasing ladder of box radii at fixed node density.
 
     Returns per-radius eigenvalues/policies, a strict-monotonicity certificate,
@@ -392,7 +398,7 @@ def domain_sweep(model, radii, nodes_per_unit, tol=PI_TOL):
     entries = []
     for r in radii:
         grid = grid_for_resolution(model.dim, r, nodes_per_unit)
-        sol = solve_semilinear(model, grid, tol=tol)
+        sol = solve_semilinear(model, grid)
         entries.append(SweepEntry(
             radius=r, eigenvalue=sol.eigenpair.eigenvalue, policy=sol.policy,
             iterations=sol.policy_iterations, converged=sol.converged,

@@ -28,7 +28,6 @@ stack: a policy change costs no model call.
 import dataclasses
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .grid import GridSpec
@@ -116,6 +115,7 @@ class DiscreteOperator:
 
     def write_matrix_market(self, path):
         """Dump the sparse matrix in Matrix Market coordinate format."""
+        import scipy.io  # only here: it would add dozens of modules to every start
         scipy.io.mmwrite(str(path), self.matrix)
 
 

@@ -792,9 +792,14 @@ def feynman_kac_annulus(model, policy, eigenpair, grid, r_inner, start_points,
     horizons are cut, counted, and reported separately.  A path that stops or
     is cut with a NaN or infinite state or exponent raises
     :class:`NonFiniteEstimateError`, as does a NaN or infinite estimate.
+    The inner radius must lie in (0, box radius), and at least two paths per
+    start are needed for a standard error.
     """
-    if not r_inner < grid.radius:
-        raise ValueError("inner radius must be smaller than the box radius")
+    if not 0 < r_inner < grid.radius:
+        raise ValueError("inner radius must lie in (0, %g), got %r" % (grid.radius, r_inner))
+    if config.paths < 2:
+        raise ValueError("the Feynman-Kac check needs at least 2 paths for a standard "
+                         "error, got %d" % config.paths)
     cmap = _control_map(model, policy, grid)
     lam = float(eigenpair.eigenvalue)
     psi = np.asarray(eigenpair.eigenfunction, dtype=float)
@@ -824,8 +829,7 @@ def feynman_kac_annulus(model, policy, eigenpair, grid, r_inner, start_points,
         est = float(np.mean(payoff))
         if not math.isfinite(est):
             raise NonFiniteEstimateError(Functional.FEYNMAN_KAC_ANNULUS, est, payoff)
-        se = float(np.std(payoff, ddof=1)) / math.sqrt(config.paths) \
-            if config.paths > 1 else math.inf
+        se = float(np.std(payoff, ddof=1)) / math.sqrt(config.paths)
         target = float(grid.interpolate(psi, x[None, :], [k])[0])
         z = (est - target) / se if se > 0 else math.inf * np.sign(est - target)
         estimate = CostEstimate(

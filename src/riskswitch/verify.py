@@ -15,9 +15,8 @@ import dataclasses
 
 import numpy as np
 
-from .eigen import (LAMBDA_TOL, MAX_POLICY_ITERS, PI_TOL, Bracket,
-                    collatz_wielandt_bounds, domain_sweep, solve_semilinear,
-                    verification_tol)
+from .eigen import (LAMBDA_TOL, MAX_POLICY_ITERS, Bracket, collatz_wielandt_bounds,
+                    domain_sweep, solve_semilinear, verification_tol)
 from .model import coefficients
 from .operator import assemble, constant_policy
 from .simulate import estimate_risk_sensitive_rates
@@ -107,10 +106,10 @@ def verification_eig_tol(op):
     return verification_tol(op.with_policy(np.zeros_like(op.policy)))
 
 
-def _verification_solve(model, grid, tol=PI_TOL, max_policy_iters=MAX_POLICY_ITERS):
+def _verification_solve(model, grid, max_policy_iters=MAX_POLICY_ITERS):
     """Policy iteration at :func:`verification_eig_tol`, from one assembly."""
     op = assemble(model, grid, constant_policy(grid, model.num_regimes))
-    return solve_semilinear(model, grid, tol=tol, max_policy_iters=max_policy_iters,
+    return solve_semilinear(model, grid, max_policy_iters=max_policy_iters,
                             eig_tol=verification_eig_tol(op), operator=op)
 
 
@@ -273,8 +272,8 @@ class NearMonotoneReport:
         }
 
 
-def near_monotone_suite(model, radii, tol=PI_TOL, nodes_per_unit=20,
-                        epsilon=0.01, samples=512, seed=0):
+def near_monotone_suite(model, radii, nodes_per_unit=20, epsilon=0.01, samples=512,
+                        seed=0):
     """Certificate-free pipeline for bounded-coefficient models.
 
     Gates on validate_near_monotone (models with growing coefficients are
@@ -292,7 +291,7 @@ def near_monotone_suite(model, radii, tol=PI_TOL, nodes_per_unit=20,
             sublevel_radius=float("nan"),
             growth=None, passed=False,
         )
-    sweep = domain_sweep(model, radii, nodes_per_unit, tol=tol)
+    sweep = domain_sweep(model, radii, nodes_per_unit)
     lam_star = sweep.lambda_star
     final = sweep.entries[-1]
     grid = final.grid

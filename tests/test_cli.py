@@ -33,7 +33,7 @@ def load(path):
 
 def test_solve_writes_result_and_artifacts(tmp_path):
     d = str(tmp_path)
-    code, _ = run(["solve", "--builtin", "lq", "--q", "0.1875",
+    code, _ = run(["solve", "--builtin", "lq", "--param", "q=0.1875",
                    "--controls", "1,2", "--radius", "4",
                    "--nodes-per-unit", "25", "--output-dir", d,
                    "--dump-operator", d + "/op.mtx"])
@@ -68,7 +68,7 @@ def test_solve_config_hash_keyed_on_configuration(tmp_path):
     for d in dirs[:2]:
         run(["solve", "--builtin", "lq", "--radius", "2",
              "--nodes-per-unit", "10", "--output-dir", d])
-    run(["solve", "--builtin", "lq", "--q", "0.25", "--radius", "2",
+    run(["solve", "--builtin", "lq", "--param", "q=0.25", "--radius", "2",
          "--nodes-per-unit", "10", "--output-dir", dirs[2]])
     h = [load(d + "/solve.json")["config_hash"] for d in dirs]
     assert h[0] == h[1]
@@ -427,6 +427,25 @@ def test_verify_skip_simulation(tmp_path):
     assert max(rep["lambda"] - bracket["lower"], bracket["upper"] - rep["lambda"]) < 1e-10
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--paths", "1"], "the Feynman-Kac check needs at least 2 paths for a standard "
+                       "error, got 1"),
+    (["--paths", "64", "--inner-radius", "-1"], "inner radius must lie in (0, 3), got -1.0"),
+], ids=["one path", "negative inner radius"])
+def test_verify_refuses_a_feynman_kac_check_that_cannot_fail(tmp_path, capsys, extra,
+                                                             message):
+    # one path reads z = 0 at every start; an inner radius <= 0 puts a
+    # default start at the origin, where every path counts as a box exit
+    d = tmp_path / "out"
+    code, out = run(["verify", "--builtin", "ou2", "--radius", "3", "--nodes-per-unit", "10",
+                     "--step", "0.01", "--horizon", "1", "--output-dir", str(d)] + extra)
+    assert code == 2
+    assert json.loads(out) == {"error": {"type": "ValueError", "message": message},
+                               "exit_code": 2}
+    assert capsys.readouterr().err == ""
+    assert not (d / "verify.json").exists()
+
+
 def test_verify_bounded2d_seed_59_exits_0(tmp_path):
     code, _ = run(["verify", "--builtin", "bounded2d", "--radius", "4",
                    "--nodes-per-unit", "14", "--alt-policies", "5",
@@ -729,16 +748,18 @@ def test_module_entry_point(tmp_path):
 
 
 def test_import_leaves_heavy_scipy_subpackages_unloaded():
-    # riskswitch uses scipy.sparse, sparse.linalg, sparse.csgraph and io only;
-    # each of these four would add dozens of modules to every CLI start
+    # riskswitch uses scipy.sparse, sparse.linalg and sparse.csgraph, and
+    # scipy.io only to dump an operator; each of these five would add dozens
+    # of modules to every CLI start
     env = dict(os.environ)
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(riskswitch.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
     code = ("import sys, riskswitch as rs, riskswitch.cli\n"
             "m = rs.make_builtin('bounded2d')\n"
             "g = rs.grid_for_resolution(m.dim, 2.0, 2)\n"
-            "print(' '.join(p for p in ('scipy.interpolate', 'scipy.optimize',\n"
-            "                           'scipy.spatial', 'scipy.special')\n"
+            "print(' '.join(p for p in ('scipy.interpolate', 'scipy.io',\n"
+            "                           'scipy.optimize', 'scipy.spatial',\n"
+            "                           'scipy.special')\n"
             "               if p in sys.modules))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, env=env)
@@ -798,10 +819,7 @@ LQ_SOLVE = ["solve", "--builtin", "lq", "--nodes-per-unit", "10"]
     OU2_VERIFY + ["--lambda-ref", "nan"],
     OU2_SIMULATE + ["--step", "inf", "--horizon", "1"],
     OU2_SIMULATE + ["--step", "0.01", "--horizon", "1", "--x0", "nan"],
-    LQ_SOLVE + ["--radius", "2", "--q", "inf"],
     LQ_SOLVE + ["--radius", "2", "--param", "q=nan"],
-    LQ_SOLVE + ["--radius", "2", "--tol", "-1"],
-    LQ_SOLVE + ["--radius", "2", "--tol", "nan"],
     OU2_VERIFY + ["--alt-policies", "-1", "--skip-simulation"],
     OU2_VERIFY + ["--rate-policies", "-1"],
 ], ids=lambda argv: " ".join(argv))

@@ -319,8 +319,7 @@ def test_policy_iteration_evaluates_each_policy_once(monkeypatch, exit_kind):
         mixed = strong.copy()
         mixed[:, g.num_interior // 2:] = 0
         nxt = itertools.cycle([strong, mixed, weak])
-        monkeypatch.setattr(eigen_mod, "minimizing_selector",
-                            lambda op, psi: next(nxt))
+        monkeypatch.setattr(eigen_mod.RatioBounds, "selector", lambda self: next(nxt))
     solve = eigen_mod.principal_eigenpair
     calls = []
 
@@ -345,6 +344,49 @@ def test_policy_iteration_evaluates_each_policy_once(monkeypatch, exit_kind):
     assert again.eigenvalue == pytest.approx(sol.eigenpair.eigenvalue, abs=1e-8)
 
 
+@pytest.mark.parametrize("builtin, radius, npu", [
+    ("lq", 4.0, 20), ("ou2", 5.0, 20), ("dip", 6.0, 10), ("bounded2d", 3.0, 6)])
+def test_policy_iteration_scores_each_policy_once(monkeypatch, builtin, radius, npu):
+    # one stacked product per evaluated policy gives both the next policy and
+    # the bracket; none is formed again for the returned pair
+    m = rs.make_builtin(builtin)
+    g = rs.grid_for_resolution(m.dim, radius, npu)
+    scores = eigen_mod._control_scores
+    calls = []
+
+    def counted(op, psi):
+        calls.append(1)
+        return scores(op, psi)
+
+    monkeypatch.setattr(eigen_mod, "_control_scores", counted)
+    sol = rs.solve_semilinear(m, g)
+    assert sol.converged
+    assert len(calls) == sol.policy_iterations
+    again = eigen_mod.collatz_wielandt_bounds(sol.operator, sol.eigenpair.eigenfunction)
+    assert sol.bracket == again.bracket(sol.policy)
+
+
+def test_policy_iteration_stops_on_its_certificate(monkeypatch):
+    # a selector that never hands back the evaluated policy: the bracket
+    # alone stops iteration, at the optimum and the same iteration
+    m = rs.make_builtin("lq")  # controls (1, 2)
+    g = rs.grid_for_resolution(1, 4.0, 20)
+    plain = rs.solve_semilinear(m, g)
+    select = eigen_mod.RatioBounds.selector
+
+    def restless(self):
+        nxt = select(self)
+        return 1 - nxt if np.array_equal(nxt, self.operator.policy) else nxt
+
+    monkeypatch.setattr(eigen_mod.RatioBounds, "selector", restless)
+    sol = rs.solve_semilinear(m, g)
+    assert sol.converged and not sol.oscillated
+    assert sol.eigenvalue_trace == plain.eigenvalue_trace
+    np.testing.assert_array_equal(sol.policy, plain.policy)
+    assert sol.bracket == plain.bracket
+    assert sol.bracket.gap(sol.eigenpair.eigenvalue) <= eigen_mod.LAMBDA_TOL
+
+
 @pytest.mark.parametrize("exit_kind", ["converged", "budget", "cycle"])
 def test_solution_carries_its_policy_operator(monkeypatch, exit_kind):
     m = rs.make_builtin("lq")
@@ -356,8 +398,7 @@ def test_solution_carries_its_policy_operator(monkeypatch, exit_kind):
         mixed = strong.copy()
         mixed[:, g.num_interior // 2:] = 0
         nxt = itertools.cycle([strong, mixed, rs.constant_policy(g, 1, 0)])
-        monkeypatch.setattr(eigen_mod, "minimizing_selector",
-                            lambda op, psi: next(nxt))
+        monkeypatch.setattr(eigen_mod.RatioBounds, "selector", lambda self: next(nxt))
     sol = rs.solve_semilinear(m, g, **kw)
     np.testing.assert_array_equal(sol.operator.policy, sol.policy)
     fresh = rs.assemble(m, g, sol.policy)

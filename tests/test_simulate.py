@@ -425,6 +425,32 @@ def test_annulus_start_validation():
         rs.feynman_kac_annulus(m, 0, ones, g, 4.0, [(np.array([1.0]), 0)], cfg)
 
 
+@pytest.mark.parametrize("r_inner", [0.0, -1.0])
+def test_annulus_refuses_a_non_positive_inner_radius(monkeypatch, r_inner):
+    # the inner ball would be empty: a start at the origin would have no
+    # direction to the barrier and every path would count as a box exit
+    monkeypatch.setattr(simulate, "_step_once", None)  # any step would fail
+    m = driftless()
+    g = rs.grid_for_resolution(1, 3.0, 10)
+    ones = rs.EigenPair(eigenvalue=0.0, eigenfunction=np.ones((1, g.num_interior)),
+                        residual=0.0, iterations=0, shift=0.0)
+    cfg = PathConfig(step=1e-2, horizon=1.0, seed=0, paths=4)
+    with pytest.raises(ValueError, match=r"^inner radius must lie in \(0, 3\), got "):
+        rs.feynman_kac_annulus(m, 0, ones, g, r_inner, [(np.array([1.0]), 0)], cfg)
+
+
+def test_annulus_refuses_a_single_path(monkeypatch):
+    # one path has no standard error; a z-score of 0 would pass any estimate
+    monkeypatch.setattr(simulate, "_step_once", None)  # any step would fail
+    m = driftless()
+    g = rs.grid_for_resolution(1, 3.0, 10)
+    ones = rs.EigenPair(eigenvalue=0.0, eigenfunction=np.ones((1, g.num_interior)),
+                        residual=0.0, iterations=0, shift=0.0)
+    cfg = PathConfig(step=1e-2, horizon=1.0, seed=0, paths=1)
+    with pytest.raises(ValueError, match="at least 2 paths"):
+        rs.feynman_kac_annulus(m, 0, ones, g, 0.5, [(np.array([1.0]), 0)], cfg)
+
+
 @pytest.mark.parametrize("step, horizon", [(1e10, 1e306), (1e-300, 1e6)])
 def test_fk_refuses_a_step_cap_that_is_not_finite(step, horizon):
     # horizon / step is finite, 1000 * horizon / step is not
