@@ -38,7 +38,7 @@ from .model import (NonFiniteCoefficientError, builtin_certificate,
                     check_lyapunov, make_builtin, validate_model)
 from .operator import MonotonicityViolation
 from .simulate import (BLOCK, SET_ROWS, NonFiniteEstimateError,
-                       PathConfig, StepSizeError, _usable_cpus,
+                       PathConfig, StepSizeError, _usable_cpus, check_annulus_arguments,
                        estimate_risk_sensitive_rate, feynman_kac_annulus,
                        mean_position_diagnostic, resolve_workers, simulate_paths)
 from .verify import (_verification_solve, lambda_equals_optimal_value,
@@ -381,6 +381,8 @@ def cmd_verify(args):
     grid = _grid_for(args, model)
     starts = (_parse_starts(args.starts, model) if args.starts
               else _default_starts(model, grid, args.inner_radius))
+    if not args.skip_simulation:  # refused before any solve
+        check_annulus_arguments(model, grid.radius, args.inner_radius, starts, args.paths)
     checks, failed, flagged = _hypothesis_checks(
         model, grid.radius, args.samples, args.seed,
         max(args.nodes_per_unit // 4, 8))

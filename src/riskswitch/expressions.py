@@ -16,11 +16,12 @@ per regime that is read at regime ``k``.
 Each coefficient compiles once into one generated function of straight-line
 numpy code: one operation per node of its entries' expression DAG, each
 distinct subexpression computed once, and every subexpression without a
-variable folded at compile time.  Evaluation order and operand types are
-those of the expressions as written, so the values are bit for bit what
-evaluating each entry with numpy gives.  A coefficient that depends on
-neither x nor xi is tabulated once per regime and returned as a slice of a
-read-only broadcast view.
+variable folded at compile time.  The functions are row-wise (``k`` and
+``xi`` hold one value per row; a per-regime parameter is read at each row's
+regime), and evaluation order is that of the expressions as written, so the
+values are bit for bit what evaluating each entry with numpy gives.  A
+coefficient that depends on neither x nor xi is tabulated once and returns a
+gather of its per-regime table, or, without k, a read-only broadcast view.
 """
 
 import ast
@@ -113,14 +114,14 @@ class _Code:
         if isinstance(value, float):
             return self._constant(value)
         if isinstance(value, tuple) and "k" in self.variables:
-            self.env["_p_" + name] = value
+            self.env["_p_" + name] = np.array(value)
             line, dep = "%s = _p_%s[_k]" % (name, name), "k"
         elif name not in self.variables:
             allowed = sorted(self.variables) + sorted(
                 p for p, v in self.params.items() if isinstance(v, float) or "k" in self.variables)
             raise ExpressionError("unknown variable %r (allowed: %s)" % (name, ", ".join(allowed)))
         elif name in ("k", "xi"):
-            line, dep = ("k = _float(_k)" if name == "k" else None), name
+            line, dep = ("k = _k.astype(_float)" if name == "k" else None), name
         else:
             line, dep = "%s = _X[:, %d]" % (name, int(name[1:]) - 1), "x"
         if line:
@@ -184,14 +185,15 @@ class _Code:
 
 def _compile(sources, shape, dim, params, num_regimes, *variables):
     """One function ``fn(X, [k,] [xi]) -> (n, *shape)`` of the entries
-    ``sources`` (row-major over ``shape``) at the states X (n, dim)."""
+    ``sources`` (row-major over ``shape``) at the states X (n, dim), with
+    ``k`` (n,) integers and ``xi`` (n,) floats, one per row."""
     code = _Code(params, frozenset(["x%d" % (i + 1) for i in range(dim)] + list(variables)))
     roots = [code.entry(s) for s in sources]
     deps = frozenset().union(*(code.nodes[r][2] for r in roots))
     body, texts = code.body(roots)
     args = ", ".join(["_X"] + ["_k"] * ("k" in variables) + ["xi"] * ("xi" in variables))
-    if len(texts) == 1 and "x" in deps:
-        # a bare coordinate is returned as a copy, never as a view of X
+    if len(texts) == 1 and deps:
+        # a bare variable is returned as a copy, never as a view of an argument
         text = "(+%s)" % texts[0] if _VARIABLE.match(texts[0]) else texts[0]
         body.append("return " + text + "[:, None]" * len(shape))
     else:
@@ -202,12 +204,13 @@ def _compile(sources, shape, dim, params, num_regimes, *variables):
     fn = _define(args, body, code.env)
     if "x" in deps or "xi" in deps:
         return fn
-    regimes = range(num_regimes) if "k" in variables else [0]
-    views = [np.broadcast_to(fn(np.zeros((1, dim)), *[k] * ("k" in variables),
-                                *[0.0] * ("xi" in variables))[0], (_VIEW_ROWS,) + shape)
-             for k in regimes]
-    return _define(args, ["return _views[%s][:_X.shape[0]]" % ("_k" if "k" in variables else 0)],
-                   {"_views": views})
+    table = np.concatenate([fn(np.zeros((1, dim)), *[np.array([k])] * ("k" in variables),
+                               *[np.zeros(1)] * ("xi" in variables))
+                            for k in range(num_regimes if "k" in deps else 1)])
+    if "k" in deps:
+        return _define(args, ["return _table[_k]"], {"_table": table})
+    view = np.broadcast_to(table[0], (_VIEW_ROWS,) + shape)
+    return _define(args, ["return _view[:_X.shape[0]]"], {"_view": view})
 
 
 def _define(args, body, env):
@@ -218,7 +221,7 @@ def _define(args, body, env):
 
 def compile_expression(source, dim):
     """Compile one grammar expression into ``fn(X, k, xi) -> (n,)`` for
-    states X of shape (n, dim)."""
+    states X of shape (n, dim), regimes k (n,) and controls xi (n,)."""
     return _compile([source], (), dim, {}, 1, "k", "xi")
 
 

@@ -6,24 +6,25 @@ jump intensities m(x, xi) may depend on the diffusion state and the control.
 A nonnegative running cost c(x, k, xi) is accumulated multiplicatively through
 an exponential and judged by its long-run exponential growth rate.
 
-All coefficient callables are batch-first: they receive states ``X`` of shape
-(n, dim) and return
+All coefficient callables are row-wise: they receive states ``X`` (n, dim),
+regimes ``k`` (n,) and control values ``xi`` (n,), and return
 
 * ``drift(X, k, xi)   -> (n, dim)``
 * ``diffusion(X, k)   -> (n, dim, dim)``
 * ``rates(X, xi)      -> (n, N, N)``   rows sum to zero, off-diagonals >= 0
 * ``cost(X, k, xi)    -> (n,)``        values >= 0
 
-with ``k`` a regime index and ``xi`` one control value out of the finite
-ordered control set (the discretization of the compact control space).  A
-callable may return a read-only array (the builtins' diffusion and ``rates``
-are broadcast views of constant matrices), so callers copy before they write.
+with row i at state X[i], regime k[i] and control xi[i], a value out of the
+finite ordered control set (the discretization of the compact control
+space).  A callable may return a read-only array (the builtins' diffusion and
+``rates`` are broadcast views of constant matrices), so callers copy before
+they write.
 
 The coefficient contract (finite values, generator rate matrices, a
 nonnegative cost) is enforced in :func:`coefficients`, which the
 discretization and every hypothesis check read; only the Monte Carlo step
-kernel calls the callables itself, one (regime, control) group at a time,
-and checks the off-diagonal rates it draws regimes from, never the diagonal.
+kernel calls the callables itself, once per step over all its rows, and
+checks the off-diagonal rates it draws regimes from, never the diagonal.
 
 The builtin models are data: specs in the grammar of
 :mod:`riskswitch.expressions` (:data:`BUILTIN_MODELS`), compiled by the same
@@ -43,7 +44,8 @@ RATE_ROW_SUM_TOL = 1e-12
 
 @dataclasses.dataclass(frozen=True)
 class SwitchingModel:
-    """Coefficient bundle for a controlled regime-switching diffusion."""
+    """Coefficient bundle for a controlled regime-switching diffusion; its
+    callables are row-wise (see the module docstring)."""
 
     name: str
     dim: int
@@ -86,7 +88,8 @@ class LyapunovCertificate:
     """Candidate stability certificate.
 
     ``lyap(X, k) -> (n,)`` is the candidate function (>= 1 everywhere),
-    ``ell(X, k) -> (n,)`` the claimed decay-rate function (a constant function
+    ``ell(X, k) -> (n,)`` the claimed decay-rate function, both row-wise in
+    the regimes ``k`` (n,) like the model's coefficients (a constant function
     in GEOMETRIC mode), ``beta`` the slack allowed on the compact set
     {|x| <= compact_radius} (Euclidean ball).
     """
@@ -177,22 +180,23 @@ class Coefficients:
 def coefficients(model, X):
     """Sample every coefficient of ``model`` at the states ``X`` (n, dim).
 
-    Calls each callable once per regime and control and enforces the
-    coefficient contract, in this order: every value is finite (else
-    :class:`NonFiniteCoefficientError`, naming the coefficient, state, regime
-    and control of an offending entry), every rate matrix is a generator and
-    the cost is nonnegative (else ``ValueError``).
+    Calls each callable once per regime and control, at every row, and
+    enforces the coefficient contract, in this order: every value is finite
+    (else :class:`NonFiniteCoefficientError`, naming the coefficient, state,
+    regime and control of an offending entry), every rate matrix is a
+    generator and the cost is nonnegative (else ``ValueError``).
     """
     X = np.asarray(X, dtype=float)
     n, d = X.shape
     N, C = model.num_regimes, model.num_controls
     controls = [float(xi) for xi in model.controls]
-    drift = np.array([[model.drift(X, k, xi) for xi in controls] for k in range(N)],
+    ks, xis = [np.full(n, k) for k in range(N)], [np.full(n, xi) for xi in controls]
+    drift = np.array([[model.drift(X, k, xi) for xi in xis] for k in ks],
                      dtype=float).reshape(N, C, n, d)
-    diffusion = np.array([model.diffusion(X, k) for k in range(N)],
+    diffusion = np.array([model.diffusion(X, k) for k in ks],
                          dtype=float).reshape(N, n, d, d)
-    rates = np.array([model.rates(X, xi) for xi in controls], dtype=float).reshape(C, n, N, N)
-    cost = np.array([[model.cost(X, k, xi) for xi in controls] for k in range(N)],
+    rates = np.array([model.rates(X, xi) for xi in xis], dtype=float).reshape(C, n, N, N)
+    cost = np.array([[model.cost(X, k, xi) for xi in xis] for k in ks],
                     dtype=float).reshape(N, C, n)
     # axes of (regime, control, state) in each array; a rate's regime is its row
     for name, values, axes in (("drift", drift, (0, 1, 2)),
@@ -385,7 +389,7 @@ def _full_grid_values(grid, fn, k):
     """fn evaluated on the full grid of a GridSpec, shape full_shape."""
     mesh = np.meshgrid(*([grid.axis_full] * grid.dim), indexing="ij")
     pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    return np.asarray(fn(pts, k), dtype=float).reshape(grid.full_shape)
+    return np.asarray(fn(pts, np.full(len(pts), k)), dtype=float).reshape(grid.full_shape)
 
 
 def _interior(arr, dim):
@@ -474,7 +478,7 @@ def check_lyapunov(model, certificate, grid):
 
     co = coefficients(model, Xint)
     V_int = np.stack([_interior(Vk, d).reshape(-1) for Vk in V_full])
-    ell = np.stack([np.asarray(certificate.ell(Xint, k), dtype=float) for k in range(N)])
+    ell = np.array([certificate.ell(Xint, np.full(n_int, k)) for k in range(N)], dtype=float)
     cov = co.covariance
     lap = np.einsum("knd,knd->kn", np.diagonal(cov, axis1=2, axis2=3), hess_diag)
     if d == 2:

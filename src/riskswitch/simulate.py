@@ -36,9 +36,9 @@ stops, so every policy's rows in a block would draw the same numbers from
 the same stream, and the block draws them once per step for all of them.
 Each policy's numbers, and its estimate, are those of its run alone.
 
-Each step groups the rows once by (regime, control), evaluates the model per
-group into whole-set coefficient arrays, and runs the Euler, barrier and
-switching arithmetic once over the set.
+Each step calls every model coefficient once over the set, each row at its
+own regime and control, and runs the Euler, barrier and switching arithmetic
+once over the set, summing over coordinates column by column.
 
 The risk-sensitive rate estimator is max-shifted log-mean-exp with a
 delta-method standard error.  The exponential functional is heavy-tailed for
@@ -53,6 +53,7 @@ the grid through :meth:`GridSpec.interpolate` (multilinear, 0 outside the box).
 
 import dataclasses
 import enum
+import functools
 import math
 import os
 
@@ -324,8 +325,8 @@ def _draw(rngs, counts, d):
     rows, concatenated in row order."""
     draws = [(rng.standard_normal((c, d)), rng.random(c))
              for rng, c in zip(rngs, counts) if c]
-    return (np.concatenate([z for z, _ in draws]),
-            np.concatenate([u for _, u in draws]))
+    z, u = zip(*draws)
+    return (z[0], u[0]) if len(draws) == 1 else (np.concatenate(z), np.concatenate(u))
 
 
 def _control_map(model, policy_or_control, grid):
@@ -354,30 +355,23 @@ def _coerce_start(model, x0, k0):
     return x, k
 
 
+def _column_sum(terms):
+    """Left-to-right sum of ``terms``; of two, bitwise numpy's sum over an axis."""
+    return functools.reduce(np.add, terms)
+
+
 def _row_norm(x):
-    """Euclidean norm over the last axis (the arithmetic of ``np.linalg.norm``)."""
-    return np.sqrt(np.add.reduce(x * x, axis=-1))
+    """Euclidean norm over the last axis."""
+    return np.sqrt(_column_sum(x[..., j] * x[..., j] for j in range(x.shape[-1])))
 
 
-def _group_coefficients(model, xs, k, c):
-    """Drift, diffusion, cost and rates (row k of the rate matrix, (N, rows))
-    of one (regime, control) group."""
-    xi = float(model.controls[c])
-    g = xs.shape[0]
-    b = np.asarray(model.drift(xs, k, xi), dtype=float).reshape(g, -1)
-    sig = np.asarray(model.diffusion(xs, k), dtype=float)
-    cost = np.asarray(model.cost(xs, k, xi), dtype=float).reshape(-1)
-    m = np.asarray(model.rates(xs, xi), dtype=float)
-    return b, sig, cost, m[:, k, :].T
-
-
-def _refuse_rates(model, X, K, key, present, rate, here, leave, step):
-    """Refuse the rates a step draws regimes from (``rate`` (N, n), row K of
-    each matrix, off its diagonal): a NaN or infinite one, which compares
-    false in the draw, a negative one, or a leave probability above
+def _refuse_rates(model, X, K, C, rate, leave, step):
+    """Refuse the rates a step draws regimes from (``rate`` (n, N), row K of
+    each row's matrix, off its diagonal): a NaN or infinite one, which
+    compares false in the draw, a negative one, or a leave probability above
     MAX_LEAVE_PROBABILITY at the worst row of a (regime, control) group."""
-    off = np.where(here, 0.0, rate).T  # (n, N), diagonal zeroed
-    xi = model.controls[key % model.num_controls]
+    off = np.where(np.arange(rate.shape[1]) == K[:, None], 0.0, rate)
+    xi = model.controls[C]
     bad = np.argwhere(~np.isfinite(off))
     if len(bad):
         i, j = bad[0]
@@ -386,7 +380,8 @@ def _refuse_rates(model, X, K, key, present, rate, here, leave, step):
         off, max(1.0, float(np.max(np.abs(off)))),
         lambda ij: "[%d, %d] (control %g at x=%s)" % (K[ij[0]], ij[1], xi[ij[0]],
                                                       X[ij[0]].tolist()))
-    for kc in present:
+    key = K * model.num_controls + C
+    for kc in np.unique(key):
         rows = np.flatnonzero(key == kc)
         worst = rows[np.argmax(leave[rows])]
         if leave[worst] > MAX_LEAVE_PROBABILITY + 1e-12:
@@ -396,60 +391,49 @@ def _refuse_rates(model, X, K, key, present, rate, here, leave, step):
 def _step_once(model, cmap, X, K, S, step, sqh, Z, U, cost_shift, barrier=None):
     """One Euler + switching step over all rows of (X, K), in place.
 
-    Rows are grouped once by (regime, control); each group's coefficients fill
-    whole-set arrays, and the Euler, barrier and switching arithmetic then
-    runs once over the set.  Accumulates ``step * (cost - cost_shift)`` into S
-    at the pre-step state (left-endpoint rectangle rule).  When
+    Each coefficient is called once, every row at its own regime and
+    control, and the Euler, barrier and switching arithmetic runs once over
+    the set.  Accumulates ``step * (cost - cost_shift)`` into S at the
+    pre-step state (left-endpoint rectangle rule).  When
     ``barrier = (r_inner, box_radius)`` is given, also returns
     barrier-corrected thresholds: the per-path inner hitting radius (shifted
     outward by the radial noise scale) and a flag for staying inside the
     shifted box.
     """
     n, d = X.shape
-    nc = model.num_controls
     N = model.num_regimes
-    key = K * nc + cmap.control_indices(X, K)
-    present = np.flatnonzero(np.bincount(key)).tolist()
-    if len(present) == 1:
-        k, c = divmod(present[0], nc)
-        b, sig, cost, rate = _group_coefficients(model, X, k, c)
-    else:
-        b = np.empty((n, d))
-        sig = np.empty((n, d, d))
-        cost = np.empty(n)
-        rate = np.empty((N, n))
-        for kc in present:
-            rows = np.flatnonzero(key == kc)
-            k, c = divmod(kc, nc)
-            b[rows], sig[rows], cost[rows], rk = _group_coefficients(model, X[rows], k, c)
-            rate[:, rows] = rk
+    rows = np.arange(n)
+    C = cmap.control_indices(X, K)
+    xi = model.controls[C]
+    b = np.asarray(model.drift(X, K, xi), dtype=float).reshape(n, d)
+    sig = np.asarray(model.diffusion(X, K), dtype=float)
+    cost = np.asarray(model.cost(X, K, xi), dtype=float).reshape(n)
+    rate = np.asarray(model.rates(X, xi), dtype=float)[rows, K]  # (n, N)
     # From regime k the chain moves to j != k with probability step * rates[k, j]
     # and stays with one minus their sum; sums run column by column.  A min and
     # a max catch a rate that is not finite, negative or leaves too often.
-    here = K == np.arange(N)[:, None]
-    move = np.where(here, 0.0, step * rate)
-    leave = move[0]
-    for p in move[1:]:
-        leave = leave + p
+    move = step * rate
+    own = rows * N + K  # each row's own regime, in move's flat order
+    move.reshape(-1)[own] = 0.0
+    leave = _column_sum(move.T)
     if not (move.min() >= 0.0 and leave.max() <= MAX_LEAVE_PROBABILITY + 1e-12):
-        _refuse_rates(model, X, K, key, present, rate, here, leave, step)
+        _refuse_rates(model, X, K, C, rate, leave, step)
     S += step * (cost - cost_shift)
-    xn = X + step * b + sqh * np.einsum("pij,pj->pi", sig, Z)
+    xn = X + step * b + sqh * _column_sum(sig[:, :, j] * Z[:, j, None] for j in range(d))
     inner_thr = outer_ok = None
     if barrier is not None:
         r_inner, box_radius = barrier
         rdir = X / _row_norm(X)[:, None]
-        s_rad = _row_norm(np.einsum("pi,pij->pj", rdir, sig))
+        s_rad = _row_norm(_column_sum(rdir[:, i, None] * sig[:, i] for i in range(d)))
         inner_thr = r_inner + BGK_BETA * sqh * s_rad
-        outer_ok = np.all(
-            np.abs(xn) < box_radius - BGK_BETA * sqh * _row_norm(sig), axis=1
-        )
+        inside = np.abs(xn) < box_radius - BGK_BETA * sqh * _row_norm(sig)
+        outer_ok = functools.reduce(np.logical_and, inside.T)
     # Next regime: the number of cumulative one-step probabilities below U.
-    stay = 1.0 - leave
-    cum = np.where(here[0], stay, move[0])
+    move.reshape(-1)[own] = 1.0 - leave
+    cum = move[:, 0]
     nk = (U > cum).astype(np.int64)
     for j in range(1, N):
-        cum = cum + np.where(here[j], stay, move[j])
+        cum = cum + move[:, j]
         nk += U > cum
     X[:] = xn
     K[:] = np.minimum(nk, N - 1)
@@ -779,6 +763,26 @@ class FeynmanKacReport:
         }
 
 
+def check_annulus_arguments(model, box_radius, r_inner, start_points, paths):
+    """The (state, regime) starts of a Feynman-Kac check, once an inner radius
+    in (0, ``box_radius``), at least two paths (for a standard error) and
+    every start finite and inside the annulus pass; else ``ValueError``."""
+    if not 0 < r_inner < box_radius:
+        raise ValueError("inner radius must lie in (0, %g), got %r" % (box_radius, r_inner))
+    if paths < 2:
+        raise ValueError("the Feynman-Kac check needs at least 2 paths for a standard "
+                         "error, got %d" % paths)
+    starts = []
+    for x, k in start_points:
+        x, k = _coerce_start(model, x, k)
+        if not (r_inner < np.linalg.norm(x) and np.all(np.abs(x) < box_radius)):
+            raise ValueError("start %s is not inside the annulus" % x)
+        starts.append((x, k))
+    if not starts:
+        raise ValueError("need at least one start")
+    return starts
+
+
 def feynman_kac_annulus(model, policy, eigenpair, grid, r_inner, start_points,
                         config, workers=None):
     """Hitting-functional cross-check of a solved eigenpair.
@@ -792,14 +796,10 @@ def feynman_kac_annulus(model, policy, eigenpair, grid, r_inner, start_points,
     horizons are cut, counted, and reported separately.  A path that stops or
     is cut with a NaN or infinite state or exponent raises
     :class:`NonFiniteEstimateError`, as does a NaN or infinite estimate.
-    The inner radius must lie in (0, box radius), and at least two paths per
-    start are needed for a standard error.
+    The arguments are checked by :func:`check_annulus_arguments` first.
     """
-    if not 0 < r_inner < grid.radius:
-        raise ValueError("inner radius must lie in (0, %g), got %r" % (grid.radius, r_inner))
-    if config.paths < 2:
-        raise ValueError("the Feynman-Kac check needs at least 2 paths for a standard "
-                         "error, got %d" % config.paths)
+    starts = check_annulus_arguments(model, grid.radius, r_inner, start_points,
+                                     config.paths)
     cmap = _control_map(model, policy, grid)
     lam = float(eigenpair.eigenvalue)
     psi = np.asarray(eigenpair.eigenfunction, dtype=float)
@@ -808,15 +808,6 @@ def feynman_kac_annulus(model, policy, eigenpair, grid, r_inner, start_points,
         raise ValueError("the Feynman-Kac step cap, 1000 * horizon / step, is not finite "
                          "at horizon %g and step %g" % (config.horizon, config.step))
     cap_steps = int(round(cap))
-    starts = []
-    for x, k in start_points:
-        x, k = _coerce_start(model, x, k)
-        r0 = float(np.linalg.norm(x))
-        if not (r_inner < r0 and np.all(np.abs(x) < grid.radius)):
-            raise ValueError("start %s is not inside the annulus" % x)
-        starts.append((x, k))
-    if not starts:
-        raise ValueError("need at least one start")
     parts = _map_sets(
         lambda blocks: _fk_block(model, cmap, config, blocks, starts, lam,
                                  grid, psi, r_inner, cap_steps),

@@ -126,6 +126,16 @@ def bm_hit_probability(x, r_inner, r_outer):
 
 
 # ---------------------------------------------------------------------------
+# row-wise coefficient arguments
+
+def at_rows(X, *values):
+    """Each of ``values`` (a regime index or a control value) repeated at
+    every row of X: one (regime, control) in the row-wise coefficient
+    contract."""
+    return [np.full(len(X), v) for v in values]
+
+
+# ---------------------------------------------------------------------------
 # per-group Euler + switching step (reference for the fused step kernel)
 
 def step_once_per_group(model, cmap, X, K, S, step, sqh, Z, U, cost_shift,
@@ -151,11 +161,11 @@ def step_once_per_group(model, cmap, X, K, S, step, sqh, Z, U, cost_shift,
         in_regime = K == k
         for c in np.unique(ci[in_regime]):
             g = np.nonzero(in_regime & (ci == c))[0]
-            xi = float(model.controls[c])
             xs = X[g]
-            b = np.asarray(model.drift(xs, int(k), xi), dtype=float).reshape(g.size, -1)
-            sig = np.asarray(model.diffusion(xs, int(k)), dtype=float)
-            cost = np.asarray(model.cost(xs, int(k), xi), dtype=float).reshape(-1)
+            ks, xi = at_rows(xs, int(k), float(model.controls[c]))
+            b = np.asarray(model.drift(xs, ks, xi), dtype=float).reshape(g.size, -1)
+            sig = np.asarray(model.diffusion(xs, ks), dtype=float)
+            cost = np.asarray(model.cost(xs, ks, xi), dtype=float).reshape(-1)
             m = np.asarray(model.rates(xs, xi), dtype=float)
             leave = -m[:, k, k]
             worst = int(np.argmax(leave))
@@ -316,11 +326,12 @@ def bracket_scores(model, grid, psi):
     X = grid.interior_points()
     scores = np.empty((model.num_controls, N, grid.num_interior))
     for ci in range(model.num_controls):
-        xi = float(model.controls[ci])
+        (xi,) = at_rows(X, float(model.controls[ci]))
         m = np.asarray(model.rates(X, xi), dtype=float)
         for k in range(N):
-            b = np.atleast_2d(model.drift(X, k, xi))
-            c = np.asarray(model.cost(X, k, xi), dtype=float)
+            (ks,) = at_rows(X, k)
+            b = np.atleast_2d(model.drift(X, ks, xi))
+            c = np.asarray(model.cost(X, ks, xi), dtype=float)
             val = _upwind_gradient_terms(psi[k], grid, b) + c * psi[k]
             for j in range(N):
                 val += m[:, k, j] * psi[j]
@@ -364,11 +375,12 @@ def random_instance(rng, dim=None, num_regimes=None, num_controls=None,
     controls = np.array([0.75, 1.5]) if two else np.array([1.0])
 
     def drift(X, k, xi):
-        return -xi * pull[k] * X + push[k]
+        return -xi[:, None] * pull[k] * X + push[k]
 
     def diffusion(X, k):
-        n = X.shape[0]
-        return np.broadcast_to(np.diag(sig[k]), (n, dim, dim)).copy()
+        out = np.zeros((X.shape[0], dim, dim))
+        out[:, range(dim), range(dim)] = sig[k]
+        return out
 
     def rates(X, xi):
         n = X.shape[0]
@@ -400,7 +412,7 @@ def lq_model(q=0.1875, controls=(1.0, 2.0)):
     q = float(q)
 
     def drift(X, k, xi):
-        return -xi * X
+        return -xi[:, None] * X
 
     def diffusion(X, k):
         return np.full((X.shape[0], 1, 1), math.sqrt(2.0))
@@ -424,7 +436,7 @@ def two_regime_ou_model(kappa=(1.0, 2.0), q=(0.05, 0.10), rho=1.0, controls=(1.0
     rate_matrix = np.array([[-rho, rho], [rho, -rho]])
 
     def drift(X, k, xi):
-        return -kappa[k] * xi * X
+        return (-kappa[k] * xi)[:, None] * X
 
     def diffusion(X, k):
         return np.full((X.shape[0], 1, 1), math.sqrt(2.0))
@@ -450,7 +462,7 @@ def bounded_two_regime_2d_model(pull=3.0, cost_scale=0.12, rho=1.0, controls=(0.
 
     def drift(X, k, xi):
         r2 = np.einsum("nd,nd->n", X, X)
-        return -pull * xi * X / np.sqrt(1.0 + r2)[:, None]
+        return (-pull * xi)[:, None] * X / np.sqrt(1.0 + r2)[:, None]
 
     def diffusion(X, k):
         out = np.zeros((X.shape[0], 2, 2))
@@ -482,7 +494,7 @@ def dipped_cost_model(pull=2.0, tail=1.0, dip=(0.95, 0.80), width=2.0, rho=0.5,
     rate_matrix = np.array([[-rho, rho], [rho, -rho]])
 
     def drift(X, k, xi):
-        return -pull * np.tanh(xi * X)
+        return -pull * np.tanh(xi[:, None] * X)
 
     def diffusion(X, k):
         return np.full((X.shape[0], 1, 1), math.sqrt(2.0))

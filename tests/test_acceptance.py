@@ -149,9 +149,9 @@ def test_criterion_04_structural_properties(capsys):
         rho = float(rng.uniform(0.3, 1.0))
         double = dataclasses.replace(
             model, num_regimes=2, name=model.name + "-dup",
-            drift=lambda X, k, xi, _f=model.drift: _f(X, 0, xi),
-            diffusion=lambda X, k, _f=model.diffusion: _f(X, 0),
-            cost=lambda X, k, xi, _f=model.cost: _f(X, 0, xi),
+            drift=lambda X, k, xi, _f=model.drift: _f(X, np.zeros_like(k), xi),
+            diffusion=lambda X, k, _f=model.diffusion: _f(X, np.zeros_like(k)),
+            cost=lambda X, k, xi, _f=model.cost: _f(X, np.zeros_like(k), xi),
             rates=lambda X, xi, _r=rho: np.broadcast_to(
                 np.array([[-_r, _r], [_r, -_r]]),
                 (X.shape[0], 2, 2)).copy())

@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import riskswitch
+import riskswitch.cli
 import riskswitch.eigen as eigen_mod
 import riskswitch.simulate as simulate_mod
 from riskswitch.cli import main
@@ -443,6 +444,33 @@ def test_verify_refuses_a_feynman_kac_check_that_cannot_fail(tmp_path, capsys, e
     assert json.loads(out) == {"error": {"type": "ValueError", "message": message},
                                "exit_code": 2}
     assert capsys.readouterr().err == ""
+    assert not (d / "verify.json").exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--paths", "1"], "the Feynman-Kac check needs at least 2 paths for a standard "
+                       "error, got 1"),
+    (["--inner-radius", "-1"], "inner radius must lie in (0, 3), got -1.0"),
+    (["--inner-radius", "3"], "inner radius must lie in (0, 3), got 3.0"),
+    (["--starts=nan:0"], "start [nan] is not inside the annulus"),
+    (["--starts=1:0;0.2:1"], "start [0.2] is not inside the annulus"),
+    (["--starts=-3.5:1"], "start [-3.5] is not inside the annulus"),
+], ids=["one path", "negative inner radius", "inner radius at the box", "nan start",
+        "start in the inner ball", "start outside the box"])
+def test_verify_refuses_feynman_kac_arguments_before_solving(tmp_path, monkeypatch, extra,
+                                                             message):
+    # the Feynman-Kac arguments are checked before the verification solve
+    # and the rate check, which they do not need
+    def solve(*args, **kwargs):
+        raise AssertionError("the verification solve ran")
+
+    monkeypatch.setattr(riskswitch.cli, "_verification_solve", solve)
+    d = tmp_path / "out"
+    code, out = run(["verify", "--builtin", "ou2", "--radius", "3", "--nodes-per-unit", "10",
+                     "--step", "0.01", "--horizon", "1", "--output-dir", str(d)] + extra)
+    assert code == 2
+    assert json.loads(out) == {"error": {"type": "ValueError", "message": message},
+                               "exit_code": 2}
     assert not (d / "verify.json").exists()
 
 

@@ -4,39 +4,41 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import riskswitch as rs
 from riskswitch import ExpressionError, compile_expression, load_model, model_from_spec
+
+from _oracles import at_rows
 
 
 def test_arithmetic_matches_numpy():
     f = compile_expression("0.5 * x1^2 - x2 / 4 + 1", 2)
     X = np.array([[1.0, 2.0], [-3.0, 0.5]])
-    np.testing.assert_allclose(f(X, 0, 1.0), 0.5 * X[:, 0] ** 2 - X[:, 1] / 4 + 1)
+    np.testing.assert_allclose(f(X, *at_rows(X, 0, 1.0)), 0.5 * X[:, 0] ** 2 - X[:, 1] / 4 + 1)
 
 
 def test_caret_is_exponentiation_not_xor():
     f = compile_expression("x1^3", 1)
-    np.testing.assert_allclose(f(np.array([[2.0]]), 0, 0.0), [8.0])
+    np.testing.assert_allclose(f(np.array([[2.0]]), *at_rows([0], 0, 0.0)), [8.0])
 
 
 def test_regime_and_control_variables():
     f = compile_expression("(1 + k) * xi * x1", 1)
-    X = np.array([[2.0]])
-    assert f(X, 0, 1.5)[0] == 3.0
-    assert f(X, 1, 1.5)[0] == 6.0
+    X = np.array([[2.0], [2.0]])
+    assert f(X, np.array([0, 1]), np.full(2, 1.5)).tolist() == [3.0, 6.0]
 
 
 def test_functions_and_unary():
     f = compile_expression("max(exp(-x1), min(sqrt(abs(x1)), 2))", 1)
     X = np.array([[4.0], [-0.1]])
     expected = np.maximum(np.exp(-X[:, 0]), np.minimum(np.sqrt(np.abs(X[:, 0])), 2))
-    np.testing.assert_allclose(f(X, 0, 0.0), expected)
+    np.testing.assert_allclose(f(X, *at_rows(X, 0, 0.0)), expected)
 
 
 def test_constant_expression_broadcasts():
     f = compile_expression("sqrt(2)", 1)
-    out = f(np.zeros((5, 1)), 0, 0.0)
+    out = f(np.zeros((5, 1)), *at_rows(range(5), 0, 0.0))
     assert out.shape == (5,)
     np.testing.assert_allclose(out, np.sqrt(2.0))
 
@@ -91,9 +93,9 @@ def test_model_from_spec_custom():
     assert m.name == "custom-ou"
     assert m.dim == 1 and m.num_regimes == 2
     X = np.array([[2.0]])
-    np.testing.assert_allclose(m.drift(X, 1, 2.0), [[-8.0]])
-    np.testing.assert_allclose(m.cost(X, 1, 1.0), [0.4])
-    np.testing.assert_allclose(m.rates(X, 1.0)[0], [[-1, 1], [1, -1]])
+    np.testing.assert_allclose(m.drift(X, *at_rows(X, 1, 2.0)), [[-8.0]])
+    np.testing.assert_allclose(m.cost(X, *at_rows(X, 1, 1.0)), [0.4])
+    np.testing.assert_allclose(m.rates(X, *at_rows(X, 1.0))[0], [[-1, 1], [1, -1]])
     # configured models satisfy the sampled hypotheses and solve end to end
     assert rs.validate_model(m, 3.0, samples=64).passed
     sol = rs.solve_semilinear(m, rs.grid_for_resolution(1, 3.0, 10))
@@ -150,7 +152,7 @@ def test_load_model_roundtrip(tmp_path):
 def test_tanh():
     f = compile_expression("tanh(2 * x1)", 1)
     X = np.array([[0.3], [-4.0]])
-    assert f(X, 0, 0.0).tobytes() == np.tanh(2 * X[:, 0]).tobytes()
+    assert f(X, *at_rows(X, 0, 0.0)).tobytes() == np.tanh(2 * X[:, 0]).tobytes()
 
 
 PARAMETRIZED = dict(CUSTOM, params={"kappa": [1.0, 2.0], "q": 0.05, "rho": 1.5},
@@ -162,9 +164,9 @@ def test_named_and_per_regime_parameters():
     m = model_from_spec(PARAMETRIZED)
     X = np.array([[2.0], [-1.0]])
     for k, kappa in enumerate([1.0, 2.0]):
-        assert m.drift(X, k, 1.5).tobytes() == (-kappa * 1.5 * X).tobytes()
-    assert m.cost(X, 1, 1.0).tobytes() == (0.05 * 2.0 * X[:, 0] ** 2).tobytes()
-    np.testing.assert_array_equal(m.rates(X, 2.0)[1], [[-1.5, 1.5], [1.5, -1.5]])
+        assert m.drift(X, *at_rows(X, k, 1.5)).tobytes() == (-kappa * 1.5 * X).tobytes()
+    assert m.cost(X, *at_rows(X, 1, 1.0)).tobytes() == (0.05 * 2.0 * X[:, 0] ** 2).tobytes()
+    np.testing.assert_array_equal(m.rates(X, *at_rows(X, 2.0))[1], [[-1.5, 1.5], [1.5, -1.5]])
     assert m.params == {"config": PARAMETRIZED}
 
 
@@ -193,8 +195,50 @@ def test_shared_subexpressions_and_a_bare_coordinate():
     f = compile_expression("x1 / sqrt(1 + x1^2) + sqrt(1 + x1^2)", 1)
     X = np.array([[0.5], [3.0]])
     s = np.sqrt(1 + X[:, 0] ** 2)
-    assert f(X, 0, 0.0).tobytes() == (X[:, 0] / s + s).tobytes()
+    assert f(X, *at_rows(X, 0, 0.0)).tobytes() == (X[:, 0] / s + s).tobytes()
     g = compile_expression("x1", 1)
-    out = g(X, 0, 0.0)
+    out = g(X, *at_rows(X, 0, 0.0))
     out[:] = 7.0  # a copy, never a view of the states
     assert X[0, 0] == 0.5
+
+
+# a spec whose coefficients read the regime, per-regime parameters, the
+# control and the state together; its rates depend on the state and control
+ROW_WISE = {
+    "name": "row-wise", "dim": 2, "num_regimes": 3, "controls": [0.5, 1.0, 2.0],
+    "params": {"kappa": [1.0, 2.0, 0.5], "s": [1.0, 1.5, 0.7], "rho": 0.8},
+    "drift": ["-kappa * xi * x1 + k * tanh(x2)", "-exp(-k * xi) * x2 + s"],
+    "diffusion": [["s", "0"], ["0.1 * k", "sqrt(1 + x1^2)"]],
+    "rates": [["-rho * (1 + 0.1 * x1^2) * xi - 0.5", "rho * (1 + 0.1 * x1^2) * xi", "0.5"],
+              ["xi", "-xi - tanh(x2)^2", "tanh(x2)^2"],
+              ["0.3", "0.2 * xi", "-0.3 - 0.2 * xi"]],
+    "cost": "0.05 * (1 + k) * (x1^2 + x2^2) + exp(-xi * kappa)",
+}
+
+
+def row_wise_model(name):
+    return model_from_spec(ROW_WISE) if name == "json" else rs.make_builtin(name)
+
+
+@pytest.mark.parametrize("name", ["lq", "ou2", "dip", "bounded2d", "json"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40))
+def test_row_wise_evaluation_equals_per_regime_and_control(name, seed, n):
+    # one call over rows of mixed regimes and controls gives, row by row,
+    # the bits of one call per (regime, control) over that group's rows
+    m = row_wise_model(name)
+    rng = np.random.default_rng(seed)
+    X = rng.normal(scale=2.0, size=(n, m.dim))
+    K = rng.integers(0, m.num_regimes, n)
+    C = rng.integers(0, m.num_controls, n)
+    xi = m.controls[C]
+    mixed = (m.drift(X, K, xi), m.diffusion(X, K), m.rates(X, xi), m.cost(X, K, xi))
+    for k in range(m.num_regimes):
+        for c in range(m.num_controls):
+            g = np.flatnonzero((K == k) & (C == c))
+            ks, xis = at_rows(g, k, m.controls[c])
+            grouped = (m.drift(X[g], ks, xis), m.diffusion(X[g], ks), m.rates(X[g], xis),
+                       m.cost(X[g], ks, xis))
+            for whole, part in zip(mixed, grouped):
+                assert whole.shape[1:] == part.shape[1:]
+                assert whole[g].tobytes() == np.asarray(part, dtype=float).tobytes()

@@ -67,14 +67,15 @@ def test_coefficients_equal_direct_calls():
         X = g.interior_points()
         co = rs.coefficients(m, X)
         for k in range(m.num_regimes):
-            sig = m.diffusion(X, k)
+            (ks,) = orc.at_rows(X, k)
+            sig = m.diffusion(X, ks)
             same(co.diffusion[k], sig)
             same(co.covariance[k], 0.5 * np.einsum("nij,nkj->nik", sig, sig))
             for c, xi in enumerate(m.controls):
-                same(co.drift[k, c], m.drift(X, k, float(xi)))
-                same(co.cost[k, c], m.cost(X, k, float(xi)))
+                same(co.drift[k, c], m.drift(X, *orc.at_rows(X, k, xi)))
+                same(co.cost[k, c], m.cost(X, *orc.at_rows(X, k, xi)))
         for c, xi in enumerate(m.controls):
-            same(co.rates[c], m.rates(X, float(xi)))
+            same(co.rates[c], m.rates(X, *orc.at_rows(X, xi)))
 
 
 def test_coefficients_name_a_non_finite_entry():
@@ -83,8 +84,7 @@ def test_coefficients_name_a_non_finite_entry():
 
     def rates(X, xi):
         out = np.array(m.rates(X, xi))
-        if xi == 2.0:
-            out[1:, 1, :] = np.inf
+        out[1:, 1, :][xi[1:] == 2.0] = np.inf
         return out
 
     with pytest.raises(rs.NonFiniteCoefficientError) as info:
@@ -99,9 +99,9 @@ def test_with_cost_replaces_and_renames():
     m = rs.make_builtin("lq")
     m2 = m.with_cost(lambda X, k, xi: np.full(X.shape[0], 0.3), suffix="flat")
     assert m2.name == "lq-flat"
-    assert m2.cost(np.zeros((4, 1)), 0, 1.0)[0] == 0.3
+    assert m2.cost(np.zeros((4, 1)), *orc.at_rows(range(4), 0, 1.0))[0] == 0.3
     # original untouched
-    assert m.cost(np.ones((1, 1)), 0, 1.0)[0] == pytest.approx(0.1875)
+    assert m.cost(np.ones((1, 1)), *orc.at_rows([0], 0, 1.0))[0] == pytest.approx(0.1875)
 
 
 @pytest.mark.parametrize("name", sorted(rs.BUILTIN_MODELS))
@@ -275,12 +275,13 @@ def assert_same_coefficients(m, ref, rng):
         X = rng.normal(scale=3.0, size=(n, ref.dim))
         X[0] = 0.0
         for k in range(ref.num_regimes):
-            same(m.diffusion(X, k), ref.diffusion(X, k))
+            (ks,) = orc.at_rows(X, k)
+            same(m.diffusion(X, ks), ref.diffusion(X, ks))
             for xi in ref.controls:
-                same(m.drift(X, k, float(xi)), ref.drift(X, k, float(xi)))
-                same(m.cost(X, k, float(xi)), ref.cost(X, k, float(xi)))
+                same(m.drift(X, *orc.at_rows(X, k, xi)), ref.drift(X, *orc.at_rows(X, k, xi)))
+                same(m.cost(X, *orc.at_rows(X, k, xi)), ref.cost(X, *orc.at_rows(X, k, xi)))
         for xi in ref.controls:
-            same(m.rates(X, float(xi)), ref.rates(X, float(xi)))
+            same(m.rates(X, *orc.at_rows(X, xi)), ref.rates(X, *orc.at_rows(X, xi)))
 
 
 @pytest.mark.parametrize("overridden", [False, True])
@@ -297,8 +298,9 @@ def test_builtin_specs_equal_the_closures_bitwise(name, overridden):
         lyap, ell, beta, radius, mode = expected
         X = np.random.default_rng(6).normal(scale=3.0, size=(50, m.dim))
         for k in range(m.num_regimes):
-            assert cert.lyap(X, k).tobytes() == lyap(X, k).tobytes()
-            assert cert.ell(X, k).tobytes() == ell(X, k).tobytes()
+            (ks,) = orc.at_rows(X, k)
+            assert cert.lyap(X, ks).tobytes() == lyap(X, ks).tobytes()
+            assert cert.ell(X, ks).tobytes() == ell(X, ks).tobytes()
         assert (cert.beta, cert.compact_radius, cert.mode.value) == (beta, radius, mode)
 
 
@@ -336,6 +338,14 @@ def test_builtin_override_errors():
 def test_constant_coefficients_are_read_only_views():
     m = rs.make_builtin("bounded2d")
     X = np.zeros((7, 2))
-    for out in (m.diffusion(X, 1), m.rates(X, 0.7)):
+    K = np.array([0, 1, 1, 0, 1, 0, 0])
+    for out in (m.diffusion(X, K), m.rates(X, np.full(7, 0.7))):
         assert out.shape == (7, 2, 2) and not out.flags.writeable
-    np.testing.assert_array_equal(m.rates(X, 0.7)[3], [[-1.0, 1.0], [1.0, -1.0]])
+    np.testing.assert_array_equal(m.rates(X, np.full(7, 0.7))[3], [[-1.0, 1.0], [1.0, -1.0]])
+    # a diffusion that depends on the regime alone reads each row's regime
+    # from its table, into an array of its own
+    spec = {**rs.BUILTIN_MODELS["ou2"], "params": {"s": [1.0, 2.0], "rho": 1.0, "q": 0.1},
+            "drift": ["-x1"], "diffusion": [["s"]], "cost": "q * x1^2"}
+    sig = rs.model_from_spec(spec).diffusion(np.zeros((7, 1)), K)
+    assert sig.shape == (7, 1, 1) and sig.flags.writeable
+    np.testing.assert_array_equal(sig[:, 0, 0], np.array([1.0, 2.0])[K])

@@ -24,7 +24,7 @@ def ou1(xi=1.0, q=0.05):
     """Single-regime mean-reverting scalar model with quadratic cost."""
     return rs.SwitchingModel(
         name="ou1", dim=1, num_regimes=1, controls=[xi],
-        drift=lambda X, k, x: -x * X,
+        drift=lambda X, k, x: -x[:, None] * X,
         diffusion=lambda X, k: np.full((X.shape[0], 1, 1), math.sqrt(2.0)),
         rates=lambda X, x: np.zeros((X.shape[0], 1, 1)),
         cost=lambda X, k, x: q * X[:, 0] ** 2)
@@ -587,6 +587,39 @@ def test_fused_step_matches_per_group_oracle(monkeypatch):
     assert set(np.unique(controls)) == {0, 1}
 
 
+def test_each_coefficient_is_called_once_per_step(monkeypatch):
+    # every (regime, control) group occurs in the set, yet each coefficient
+    # is called once per step over all of its rows, in every driver
+    m = rs.make_builtin("bounded2d")
+    g = rs.grid_for_resolution(2, 3.0, 5)
+    table = mixed_table(m, g)
+    coefficients = ("drift", "diffusion", "rates", "cost")
+    calls = dict.fromkeys(coefficients + ("step",), 0)
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    m = dataclasses.replace(m, **{name: counted(name, getattr(m, name))
+                                  for name in coefficients})
+    monkeypatch.setattr(simulate, "_step_once", counted("step", simulate._step_once))
+    cfg = PathConfig(step=0.01, horizon=1.0, seed=4, paths=300)
+    batch = rs.simulate_paths(m, table, cfg, x0=[0.5, -0.5], k0=1, grid=g, workers=1)
+    assert calls == dict.fromkeys(calls, cfg.n_steps)
+    controls = ControlMap.from_policy(table, g).control_indices(
+        batch.positions.reshape(-1, 2), batch.regimes.reshape(-1))
+    groups = (batch.regimes.reshape(-1) * 2 + controls).reshape(batch.regimes.shape)
+    assert max(len(np.unique(groups[:, t])) for t in range(cfg.n_steps)) == 4
+    rs.estimate_risk_sensitive_rates(m, [table, 1], cfg, x0=[0.5, -0.5], grid=g, workers=1)
+    pair = rs.solve_semilinear(rs.make_builtin("bounded2d"), g).eigenpair
+    rs.feynman_kac_annulus(m, table, pair, g, 0.5, [(np.array([1.0, 0.5]), 0)],
+                           PathConfig(step=4e-3, horizon=0.5, seed=5, paths=200), workers=1)
+    assert calls["step"] > 2 * cfg.n_steps
+    assert calls == dict.fromkeys(calls, calls["step"])
+
+
 def test_step_size_error_names_state_inside_fk(monkeypatch):
     # switching intensity grows with |x|: the guard must trip inside the FK
     # loop at a visited state that breaches the bound, as the oracle does
@@ -880,11 +913,11 @@ def fails_under_control(model, case, xi):
     has a NaN cost, under control ``xi`` only."""
     if case == "step_size":
         base = model.rates
-        return dataclasses.replace(model, rates=lambda X, x: base(X, x) * (60.0 if x == xi
-                                                                            else 1.0))
+        return dataclasses.replace(model, rates=lambda X, x: base(X, x) * np.where(
+            x == xi, 60.0, 1.0)[:, None, None])
     base = model.cost
-    return dataclasses.replace(model, cost=lambda X, k, x: base(X, k, x) + (
-        math.nan if x == xi else 0.0))
+    return dataclasses.replace(model, cost=lambda X, k, x: base(X, k, x) + np.where(
+        x == xi, math.nan, 0.0))
 
 
 @pytest.mark.parametrize("case", ["step_size", "nan_cost"])
