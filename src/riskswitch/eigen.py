@@ -58,16 +58,24 @@ class NotIrreducibleError(RuntimeError):
 
 
 class NoConvergenceError(RuntimeError):
-    """Inverse power iteration did not reach the residual tolerance."""
+    """Inverse power iteration returned no Perron pair; ``cause`` says why:
+    ``"budget"`` (the residual stayed above the tolerance), ``"non-finite"``
+    (the operator or a residual is not finite) or ``"non-positive"`` (the
+    last iterate has an entry <= 0, whatever its residual)."""
 
-    def __init__(self, iterations, residual, tol):
+    REASONS = {
+        "budget": "residual %.3e > tol %.3e",
+        "non-finite": "non-finite operator or residual (residual %.3e, tol %.3e)",
+        "non-positive": "the iterate is not strictly positive (residual %.3e, tol %.3e)",
+    }
+
+    def __init__(self, iterations, residual, tol, cause="budget"):
         self.iterations = iterations
         self.residual = residual
         self.tol = tol
-        super().__init__(
-            "no convergence after %d iterations: residual %.3e > tol %.3e"
-            % (iterations, residual, tol)
-        )
+        self.cause = cause
+        super().__init__("no convergence after %d iterations: %s"
+                         % (iterations, self.REASONS[cause] % (residual, tol)))
 
 
 @dataclasses.dataclass
@@ -88,16 +96,14 @@ class EigenPair:
         return self.eigenfunction.reshape(-1)
 
 
-def principal_eigenpair(op, tol=None, max_iter=5000, x0=None,
-                        iterations=None):
+def principal_eigenpair(op, tol=None, max_iter=5000, x0=None):
     """Rightmost eigenpair of an assembled operator.
 
     Runs shifted inverse power iteration until the relative residual
-    ``||A psi - lambda psi||_inf / ||psi||_inf`` drops below ``tol`` (or for
-    exactly ``iterations`` steps when that is given).  The residual of even
-    an exact eigenpair sits at roundoff level eps * ||A||_inf, which grows
-    like 1/h^2 on fine grids, so the default tolerance is
-    ``max(1e-10, 32 * eps * ||A||_inf)``.
+    ``||A psi - lambda psi||_inf / ||psi||_inf`` drops below ``tol``.  The
+    residual of even an exact eigenpair sits at roundoff level
+    eps * ||A||_inf, which grows like 1/h^2 on fine grids, so the default
+    tolerance is ``max(1e-10, 32 * eps * ||A||_inf)``.
 
     A tighter ``tol`` may lie below the level where the iteration stalls.
     When the residual has not improved for ``STALL_ITERATIONS`` iterations
@@ -105,9 +111,11 @@ def principal_eigenpair(op, tol=None, max_iter=5000, x0=None,
     iteration has stalled at roundoff and the best iterate is returned.  A
     plateau above that level is not a stall: from a warm start the residual
     can rise and stay up for dozens of iterations before it falls.  Raises
-    :class:`NotIrreducibleError` for reducible operators and
+    :class:`NotIrreducibleError` for reducible operators,
     :class:`NoConvergenceError` for a non-finite operator or residual (at
-    once) or an exhausted budget.
+    once), an exhausted budget or an iterate that is not strictly positive,
+    and ``numpy.linalg.LinAlgError`` when SuperLU finds ``s I - A`` singular
+    (entries so large that ``s - A_ii`` rounds away the shift's margin).
     """
     A = op.matrix
     n = A.shape[0]
@@ -118,17 +126,22 @@ def principal_eigenpair(op, tol=None, max_iter=5000, x0=None,
             "the principal eigenvector is not unique/positive" % ncomp
         )
 
-    roundoff = ROUNDOFF_RESIDUAL * np.finfo(float).eps * float(
-        np.abs(A).sum(axis=1).max())
+    norm_inf = float(np.abs(A).sum(axis=1).max())
+    roundoff = ROUNDOFF_RESIDUAL * np.finfo(float).eps * norm_inf
     if tol is None:
         tol = max(DEFAULT_RESIDUAL_TOL, roundoff)
     if not np.isfinite(roundoff):
-        raise NoConvergenceError(0, float("nan"), tol)
+        raise NoConvergenceError(0, float("nan"), tol, "non-finite")
 
     row_sums = np.asarray(A.sum(axis=1)).reshape(-1)
     shift = 1.0 + float(row_sums.max())
-    lu = spla.splu(sp.csc_matrix(shift * sp.identity(n, format="csc") - A),
-                   permc_spec="MMD_AT_PLUS_A")
+    try:
+        lu = spla.splu(sp.csc_matrix(shift * sp.identity(n, format="csc") - A),
+                       permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
+        raise np.linalg.LinAlgError(
+            "LU factorization of s I - A failed at shift s = %.6g, ||A||_inf = %.6g "
+            "(s - A_ii rounds at this scale): %s" % (shift, norm_inf, exc)) from None
 
     x = np.full(n, 1.0 / n) if x0 is None else np.asarray(x0, dtype=float).copy()
     if x.shape != (n,):
@@ -139,20 +152,16 @@ def principal_eigenpair(op, tol=None, max_iter=5000, x0=None,
     lam = 0.0
     res = best = np.inf
     since_best = 0
-    budget = iterations if iterations is not None else max_iter
-    it = 0
-    for it in range(1, budget + 1):
+    for it in range(1, max_iter + 1):
         y = lu.solve(x)
         x = y / np.abs(y).sum()
         Ax = A @ x
         lam = float(np.dot(x, Ax) / np.dot(x, x))
         res = float(np.max(np.abs(Ax - lam * x)) / np.max(np.abs(x)))
-        if iterations is not None:
-            continue
         if res <= tol:
             break
         if not np.isfinite(res):
-            raise NoConvergenceError(it, res, tol)
+            raise NoConvergenceError(it, res, tol, "non-finite")
         if res < best:
             best, best_x, best_lam, since_best = res, x, lam, 0
             continue
@@ -161,11 +170,10 @@ def principal_eigenpair(op, tol=None, max_iter=5000, x0=None,
             x, lam, res = best_x, best_lam, best
             break
     else:
-        if iterations is None:
-            raise NoConvergenceError(budget, res, tol)
+        raise NoConvergenceError(max_iter, res, tol)
 
     if np.any(x <= 0):
-        raise NoConvergenceError(it, res, tol)
+        raise NoConvergenceError(it, res, tol, "non-positive")
 
     M = op.grid.num_interior
     psi = x.reshape(op.num_regimes, M)

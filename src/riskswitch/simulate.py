@@ -365,11 +365,12 @@ def _row_norm(x):
     return np.sqrt(_column_sum(x[..., j] * x[..., j] for j in range(x.shape[-1])))
 
 
-def _refuse_rates(model, X, K, C, rate, leave, step):
-    """Refuse the rates a step draws regimes from (``rate`` (n, N), row K of
-    each row's matrix, off its diagonal): a NaN or infinite one, which
+def _refuse_rates(model, X, K, C, R, leave, step):
+    """Refuse the rates a step draws regimes from (row K of each row's matrix
+    in ``R`` (n, N, N), off its diagonal): a NaN or infinite one, which
     compares false in the draw, a negative one, or a leave probability above
     MAX_LEAVE_PROBABILITY at the worst row of a (regime, control) group."""
+    rate = R[np.arange(len(K)), K]
     off = np.where(np.arange(rate.shape[1]) == K[:, None], 0.0, rate)
     xi = model.controls[C]
     bad = np.argwhere(~np.isfinite(off))
@@ -402,22 +403,27 @@ def _step_once(model, cmap, X, K, S, step, sqh, Z, U, cost_shift, barrier=None):
     """
     n, d = X.shape
     N = model.num_regimes
-    rows = np.arange(n)
     C = cmap.control_indices(X, K)
     xi = model.controls[C]
     b = np.asarray(model.drift(X, K, xi), dtype=float).reshape(n, d)
     sig = np.asarray(model.diffusion(X, K), dtype=float)
     cost = np.asarray(model.cost(X, K, xi), dtype=float).reshape(n)
-    rate = np.asarray(model.rates(X, xi), dtype=float)[rows, K]  # (n, N)
+    R = np.asarray(model.rates(X, xi), dtype=float)
     # From regime k the chain moves to j != k with probability step * rates[k, j]
     # and stays with one minus their sum; sums run column by column.  A min and
     # a max catch a rate that is not finite, negative or leaves too often.
-    move = step * rate
-    own = rows * N + K  # each row's own regime, in move's flat order
+    own = np.arange(n) * N + K  # each row's own regime, in the flat order of move
+    # np.take over a flat axis: fancy indexing R[rows, K] copies the trailing
+    # axis row by row, about 10x slower
+    if R.strides[0] == 0:  # one matrix for every row (a broadcast view)
+        move = np.take(R[0], K, axis=0)
+    else:  # own indexes R's rows too; the reshape is a view when R is C-contiguous
+        move = np.take(R.reshape(n * N, N), own, axis=0)
+    move *= step
     move.reshape(-1)[own] = 0.0
     leave = _column_sum(move.T)
     if not (move.min() >= 0.0 and leave.max() <= MAX_LEAVE_PROBABILITY + 1e-12):
-        _refuse_rates(model, X, K, C, rate, leave, step)
+        _refuse_rates(model, X, K, C, R, leave, step)
     S += step * (cost - cost_shift)
     xn = X + step * b + sqh * _column_sum(sig[:, :, j] * Z[:, j, None] for j in range(d))
     inner_thr = outer_ok = None
@@ -429,14 +435,16 @@ def _step_once(model, cmap, X, K, S, step, sqh, Z, U, cost_shift, barrier=None):
         inside = np.abs(xn) < box_radius - BGK_BETA * sqh * _row_norm(sig)
         outer_ok = functools.reduce(np.logical_and, inside.T)
     # Next regime: the number of cumulative one-step probabilities below U.
+    # The sums never fall (no entry is negative, checked above), so the first
+    # N - 1 of them decide: the last regime takes every U they pass, even
+    # where the sum of all N rounds below U.
     move.reshape(-1)[own] = 1.0 - leave
     cum = move[:, 0]
-    nk = (U > cum).astype(np.int64)
-    for j in range(1, N):
+    np.greater(U, cum, out=K)
+    for j in range(1, N - 1):
         cum = cum + move[:, j]
-        nk += U > cum
+        K += U > cum
     X[:] = xn
-    K[:] = np.minimum(nk, N - 1)
     return inner_thr, outer_ok
 
 
@@ -495,7 +503,8 @@ def _horizon_block(model, cmaps, config, blocks, x0, k0, keep_steps=()):
         if t < n_steps:
             Z, U = _draw(rngs, sizes, model.dim)
             if shared is not None:
-                Z, U = Z[shared], U[shared]
+                # np.take: fancy indexing Z[shared] copies its trailing axis row by row
+                Z, U = np.take(Z, shared, axis=0), np.take(U, shared)
             _step_once(model, controls, X, K, S, config.step, sqh, Z, U, 0.0)
     return S, X, K, kept_X, kept_K
 
@@ -706,10 +715,12 @@ def _fk_block(model, cmap, config, blocks, starts, lam, grid, psi,
         if not stop.any():
             continue
         done = row[stop]
-        end_X[done], end_K[done], end_A[done] = X[stop], K[stop], A[stop]
+        # np.compress: a boolean index X[stop] copies the trailing axis row by row
+        end_X[done] = np.compress(stop, X, axis=0)
+        end_K[done], end_A[done] = K[stop], A[stop]
         status[done] = np.where(hit[stop], 1, 2)
         keep = ~stop
-        X, K, A, row = X[keep], K[keep], A[keep], row[keep]
+        X, K, A, row = np.compress(keep, X, axis=0), K[keep], A[keep], row[keep]
         running = np.diff(np.searchsorted(row, edges)).tolist()
     status[row] = 3
     end_X[row], end_A[row] = X, A

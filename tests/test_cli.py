@@ -643,6 +643,30 @@ def test_non_finite_coefficient_exits_3(tmp_path, command, coefficient):
     assert not os.path.exists(d + "/%s.json" % command)
 
 
+# a cost so large that s - A_ii rounds at the eigensolver's shift: SuperLU
+# finds s I - A singular at 1e19, and at 1e17 the first iterate is not
+# positive although its residual is below the tolerance
+HUGE_COSTS = {"1e19": ("LinAlgError", "Factor is exactly singular"),
+              "1e17": ("NoConvergenceError", "the iterate is not strictly positive")}
+
+
+@pytest.mark.parametrize("cost", sorted(HUGE_COSTS))
+@pytest.mark.parametrize("command", [["solve"], ["verify", "--skip-simulation"]])
+def test_huge_cost_exits_3_with_its_cause(tmp_path, command, cost):
+    cfg = write_spec(tmp_path, controls=[1, 2], drift=["-xi * x1"],
+                     diffusion=[["sqrt(2)"]], cost=cost)
+    d = str(tmp_path / "out")
+    code, out = run(command + ["--model", cfg, "--radius", "3", "--nodes-per-unit", "12",
+                               "--output-dir", d])
+    assert code == 3
+    err = json.loads(out)
+    assert err["exit_code"] == 3
+    error_type, cause = HUGE_COSTS[cost]
+    assert err["error"]["type"] == error_type
+    assert cause in err["error"]["message"]
+    assert os.listdir(d) == []
+
+
 @pytest.mark.parametrize("functional", ["rate", "mean-position", "paths"])
 def test_simulate_non_finite_rates_exit_3(tmp_path, functional):
     # sqrt(x1) is NaN for x1 < 0; a NaN rate compares false in the regime

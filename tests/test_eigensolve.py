@@ -106,15 +106,15 @@ def test_symmetry_collapse():
     np.testing.assert_allclose(p2.eigenfunction[0], p1.eigenfunction[0], atol=1e-10)
 
 
-def test_fixed_iteration_count_is_deterministic():
+def test_solve_to_tolerance_is_deterministic():
     m = rs.make_builtin("ou2")
     g = rs.grid_for_resolution(1, 3.0, 10)
     op = rs.assemble(m, g, rs.constant_policy(g, 2))
-    a = rs.principal_eigenpair(op, iterations=25)
-    b = rs.principal_eigenpair(op, iterations=25)
+    a = rs.principal_eigenpair(op)
+    b = rs.principal_eigenpair(op)
     assert a.eigenvalue == b.eigenvalue
     np.testing.assert_array_equal(a.eigenfunction, b.eigenfunction)
-    assert a.iterations == 25
+    assert a.iterations == b.iterations
 
 
 def test_start_vector_scale_invariance():
@@ -123,8 +123,8 @@ def test_start_vector_scale_invariance():
     g = rs.grid_for_resolution(1, 3.0, 10)
     op = rs.assemble(m, g, rs.constant_policy(g, 2))
     x0 = np.random.default_rng(0).random(op.shape[0]) + 0.5
-    a = rs.principal_eigenpair(op, x0=x0, iterations=30)
-    b = rs.principal_eigenpair(op, x0=2.0 * x0, iterations=30)
+    a = rs.principal_eigenpair(op, x0=x0)
+    b = rs.principal_eigenpair(op, x0=2.0 * x0)
     assert abs(a.eigenvalue - b.eigenvalue) <= 1e-13
     np.testing.assert_allclose(a.eigenfunction, b.eigenfunction, atol=1e-13)
     with pytest.raises(ValueError):
@@ -151,6 +151,8 @@ def test_no_convergence_error_carries_diagnostics():
         rs.principal_eigenpair(op, max_iter=1)
     assert exc.value.iterations == 1
     assert exc.value.residual > exc.value.tol
+    assert exc.value.cause == "budget"
+    assert str(exc.value).startswith("no convergence after 1 iterations: residual ")
 
 
 def test_roundoff_stall_accepted_without_spinning():
@@ -211,12 +213,15 @@ def test_non_finite_operator_fails_fast():
     with pytest.raises(NoConvergenceError) as exc:
         rs.principal_eigenpair(dataclasses.replace(op, matrix=bad))
     assert exc.value.iterations == 0
+    assert exc.value.cause == "non-finite"
     # finite operator, infinite start: the first residual is not finite
     x0 = np.ones(op.shape[0])
     x0[3] = np.inf
     with pytest.raises(NoConvergenceError) as exc:
         rs.principal_eigenpair(op, x0=x0)
     assert exc.value.iterations == 1
+    assert exc.value.cause == "non-finite"
+    assert "non-finite operator or residual" in str(exc.value)
 
 
 def test_default_tolerance_tracks_matrix_norm():

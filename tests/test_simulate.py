@@ -587,6 +587,71 @@ def test_fused_step_matches_per_group_oracle(monkeypatch):
     assert set(np.unique(controls)) == {0, 1}
 
 
+def three_regime_model(dim):
+    """Three regimes, two controls, independent coordinates: every regime
+    draw runs the kernel's cumulative sums past their first column."""
+    diffusion = [["sqrt(2)" if i == j else "0" for j in range(dim)] for i in range(dim)]
+    return rs.model_from_spec({
+        "name": "three", "dim": dim, "num_regimes": 3, "controls": [0.5, 1.0],
+        "params": {"kappa": [1.0, 2.0, 0.5]},
+        "drift": ["-kappa * xi * x%d" % (i + 1) for i in range(dim)],
+        "diffusion": diffusion,
+        "rates": [["-1", "0.6", "0.4"], ["0.5", "-0.8", "0.3"], ["0.2", "0.7", "-0.9"]],
+        "cost": "0.05 * (1 + k) * x1^2"})
+
+
+THREE_RATES = np.array([[-1.0, 0.6, 0.4], [0.5, -0.8, 0.3], [0.2, 0.7, -0.9]])
+
+
+def _state_rates(X, xi):
+    return (1.0 + 0.1 * xi * np.sum(X * X, axis=1))[:, None, None] * THREE_RATES
+
+
+# the layouts a rates callable may return, each with (stride-0 rows,
+# C-contiguous): one matrix for every row as a broadcast view, and
+# state-dependent matrices in C and in Fortran order
+RATE_LAYOUTS = {
+    "broadcast": (lambda X, xi: np.broadcast_to(THREE_RATES, (len(X), 3, 3)), (True, False)),
+    "contiguous": (_state_rates, (False, True)),
+    "fortran": (lambda X, xi: np.asfortranarray(_state_rates(X, xi)), (False, False)),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(RATE_LAYOUTS))
+@pytest.mark.parametrize("dim", [1, 2])
+def test_rate_rows_of_every_layout_match_per_group_oracle(dim, layout, monkeypatch):
+    # the kernel reads each row's rate row from the shared matrix of a
+    # broadcast view and over a flat axis of any other array; every layout
+    # steps the paths and the FK check bitwise as the per-group oracle does
+    rates, flags = RATE_LAYOUTS[layout]
+    m = dataclasses.replace(three_regime_model(dim), rates=rates)
+    R = m.rates(np.ones((4, dim)), np.ones(4))
+    assert (R.strides[0] == 0, R.flags.c_contiguous) == flags
+    g = rs.grid_for_resolution(dim, 3.0, 5)
+    table = mixed_table(m, g)
+    pair = rs.EigenPair(eigenvalue=0.05, eigenfunction=np.ones((3, g.num_interior)),
+                        residual=0.0, iterations=0, shift=0.0)
+    x0 = np.linspace(0.5, -0.5, dim)
+    starts = [(x0 + 0.8, 0), (-x0 - 1.2, 2)]
+
+    def run():
+        batch = rs.simulate_paths(m, table, PathConfig(step=0.01, horizon=1.0, seed=4, paths=300),
+                                  x0=x0, k0=1, grid=g)
+        fk = rs.feynman_kac_annulus(m, table, pair, g, 0.5, starts,
+                                    PathConfig(step=4e-3, horizon=0.5, seed=5, paths=200))
+        return batch, fk
+
+    fused, fused_fk = run()
+    monkeypatch.setattr(simulate, "_step_once", orc.step_once_per_group)
+    ref, ref_fk = run()
+    np.testing.assert_array_equal(fused.positions, ref.positions)
+    np.testing.assert_array_equal(fused.regimes, ref.regimes)
+    np.testing.assert_array_equal(fused.integrated_cost, ref.integrated_cost)
+    assert fk_outputs(fused_fk) == fk_outputs(ref_fk)
+    assert set(np.unique(ref.regimes)) == {0, 1, 2}
+    assert all(0 < r.hit_fraction < 1 for r in ref_fk.results)
+
+
 def test_each_coefficient_is_called_once_per_step(monkeypatch):
     # every (regime, control) group occurs in the set, yet each coefficient
     # is called once per step over all of its rows, in every driver
