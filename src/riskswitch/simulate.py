@@ -25,16 +25,13 @@ use numpy's pairwise summation in path-index order.  Errors do not depend
 on the worker count either: a run that fails in a pool is stepped again in
 the sets of one worker, and raises that run's error.
 
-The Feynman-Kac check adds its starts to the set, ordered by (block, start,
-path).  Each start keeps its own generator for each block, keyed exactly as
-above, and draws for its running rows in row order, so every start's
-numbers, and its results, are those of a run of that start alone.
-
-The rate estimator adds its policies to the set, ordered by (block, policy,
-path), and the policies in a set share each block's draws: a rate path never
-stops, so every policy's rows in a block would draw the same numbers from
-the same stream, and the block draws them once per step for all of them.
-Each policy's numbers, and its estimate, are those of its run alone.
+The rate estimator's policies and the Feynman-Kac check's starts are the
+groups of a set, whose rows are ordered (block, group, path).  One rule
+draws for all of them: a block's groups share its draw while all of their
+rows run, and at the block's first stop each group takes its own copy of
+the block's stream and draws for its running rows.  A rate path never
+stops, so rate groups always share.  Either way every group's numbers, and
+its results, are those of its run alone.
 
 Each step calls every model coefficient once over the set, each row at its
 own regime and control, and runs the Euler, barrier and switching arithmetic
@@ -51,6 +48,7 @@ The terminal weights and the Feynman-Kac payoffs and targets read psi off
 the grid through :meth:`GridSpec.interpolate` (multilinear, 0 outside the box).
 """
 
+import copy
 import dataclasses
 import enum
 import functools
@@ -320,13 +318,16 @@ def _map_sets(fn, workers, paths, width=1):
     return [fn(s) for s in sets]
 
 
-def _draw(rngs, counts, d):
-    """Normals, then uniforms, from each segment's generator for its running
-    rows, concatenated in row order."""
-    draws = [(rng.standard_normal((c, d)), rng.random(c))
-             for rng, c in zip(rngs, counts) if c]
-    z, u = zip(*draws)
-    return (z[0], u[0]) if len(draws) == 1 else (np.concatenate(z), np.concatenate(u))
+def _draw(sources, running, d):
+    """Normals, then uniforms, from each source, (generator, first segment,
+    segments), for its first segment's running rows, read by each of its
+    segments, concatenated in row order."""
+    z, u = [], []
+    for rng, s, m in sources:
+        if running[s]:
+            z += [rng.standard_normal((running[s], d))] * m
+            u += [rng.random(running[s])] * m
+    return (z[0], u[0]) if len(z) == 1 else (np.concatenate(z), np.concatenate(u))
 
 
 def _control_map(model, policy_or_control, grid):
@@ -349,6 +350,8 @@ def _coerce_start(model, x0, k0):
     x = np.zeros(model.dim) if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
     if x.shape != (model.dim,):
         raise ValueError("x0 must have %d coordinates" % model.dim)
+    if not isinstance(k0, (int, np.integer)) or isinstance(k0, bool):
+        raise ValueError("start regime must be an integer, got %r" % (k0,))
     k = int(k0)
     if not 0 <= k < model.num_regimes:
         raise ValueError("start regime %d is outside [0, %d)" % (k, model.num_regimes))
@@ -449,23 +452,20 @@ def _step_once(model, cmap, X, K, S, step, sqh, Z, U, cost_shift, barrier=None):
 
 
 class _PolicyStack:
-    """The controls of several policies over rows ordered (block, policy,
-    path), blocks of ``sizes`` paths: one ``control_indices`` call reads each
-    row's control from its own policy's table.  Table policies share one
-    grid; a constant stacked with them fills a table of its own."""
+    """The controls of several policies over a set of rows, ``policy`` the
+    index into ``cmaps`` of each row's policy: one ``control_indices`` call
+    reads each row's control from its own policy's table.  Table policies
+    share one grid; a constant stacked with them fills a table of its own."""
 
-    def __init__(self, cmaps, sizes):
-        grids = [c.grid for c in cmaps if c.grid is not None]
-        self.grid = grids[0] if grids else None
-        policy = np.concatenate([np.repeat(np.arange(len(cmaps)), n) for n in sizes])
-        if self.grid is None:
-            self.table = np.concatenate([c.table for c in cmaps])
-            self.base = policy
-            return
-        shape = next(c.table.shape for c in cmaps if c.grid is not None)
+    def __init__(self, cmaps, policy):
+        self.grid = next((c.grid for c in cmaps if c.grid is not None), None)
+        shape = next((c.table.shape for c in cmaps if c.grid is not None), (1,))
         self.table = np.concatenate([np.broadcast_to(c.table, shape).reshape(-1)
                                      for c in cmaps])
-        self.base = policy * (shape[0] * shape[1])
+        self.base = policy * math.prod(shape)
+
+    def compress(self, keep):
+        self.base = self.base[keep]
 
     def control_indices(self, X, K):
         if self.grid is None:
@@ -474,39 +474,84 @@ class _PolicyStack:
         return self.table[self.base + self.grid.row_index(K, nodes)]
 
 
-def _horizon_block(model, cmaps, config, blocks, x0, k0, keep_steps=()):
-    """Integrated cost, state and regime per path of whole blocks, a list of
-    (block, size), under each policy of ``cmaps``, stepped as one set of rows
-    ordered (block, policy, path); plus each path's states and regimes after
-    the steps in ``keep_steps`` (0 is the start).  Each block draws once per
-    step for its paths, and every policy's rows in it read those numbers."""
-    sizes = [n for _, n in blocks]
-    rngs = [_block_generator(config.seed, b) for b, _ in blocks]
-    n_policies = len(cmaps)
-    controls, shared = _PolicyStack(cmaps, sizes), None
-    if n_policies > 1:
-        # row (block, policy, path) reads the draw of (block, path)
-        shared = np.concatenate([np.tile(np.arange(lo, lo + m), n_policies)
-                                 for lo, m in zip(np.cumsum([0] + sizes), sizes)])
-    n = n_policies * sum(sizes)
-    X = np.repeat(x0[None, :], n, axis=0)
-    K = np.full(n, k0, dtype=np.int64)
-    S = np.zeros(n)
+def _step_set(model, cmaps, groups, config, blocks, n_steps, cost_shift=0.0,
+              barrier=None, keep_steps=()):
+    """Paths of whole blocks, a list of (block, size), from each group of
+    ``groups``, a (index into ``cmaps``, start state, start regime), stepped
+    as one set of rows ordered (block, group, path) for at most ``n_steps``.
+
+    Returns per row the integral of cost - ``cost_shift`` and the state and
+    regime where it stopped, or after the last step; its states and regimes
+    after the steps in ``keep_steps`` (0 is the start; no ``barrier`` then);
+    and its status: with ``barrier`` (see :func:`_step_once`) a row stops on
+    hitting the inner ball (1) or leaving the box (2), and the set is
+    compacted; else it runs all the steps (3).  A block's groups share its
+    draw while all of their rows run; after the step of its first stop, each
+    group draws from its own copy of the block's generator for its running
+    rows.
+    """
+    d, n_groups = model.dim, len(groups)
+    full = [n for _, n in blocks for _ in groups]  # rows of each (block, group) segment
+    edges = np.cumsum([0] + full)  # segment s holds rows edges[s]:edges[s+1]
+    X = np.repeat(np.stack([x for _, x, _ in groups] * len(blocks)), full, axis=0)
+    K = np.repeat(np.array([k for _, _, k in groups] * len(blocks), dtype=np.int64), full)
+    controls = _PolicyStack(cmaps, np.repeat([p for p, _, _ in groups] * len(blocks), full))
+    n = len(K)
+    S, row, running = np.zeros(n), np.arange(n), full
+    sources = [(_block_generator(config.seed, b), i * n_groups, n_groups)
+               for i, (b, _) in enumerate(blocks)]
+    status = np.zeros(n, dtype=np.int8)
+    end_X, end_K, end_S = np.empty((n, d)), np.empty(n, dtype=np.int64), np.empty(n)
     keep_at = {s: i for i, s in enumerate(keep_steps)}
-    kept_X = np.empty((n, len(keep_steps), model.dim))
+    kept_X = np.empty((n, len(keep_steps), d))
     kept_K = np.empty((n, len(keep_steps)), dtype=np.int64)
     sqh = math.sqrt(config.step)
-    n_steps = max([config.n_steps, *keep_steps])
     for t in range(n_steps + 1):
         if t in keep_at:
             kept_X[:, keep_at[t]], kept_K[:, keep_at[t]] = X, K
-        if t < n_steps:
-            Z, U = _draw(rngs, sizes, model.dim)
-            if shared is not None:
-                # np.take: fancy indexing Z[shared] copies its trailing axis row by row
-                Z, U = np.take(Z, shared, axis=0), np.take(U, shared)
-            _step_once(model, controls, X, K, S, config.step, sqh, Z, U, 0.0)
-    return S, X, K, kept_X, kept_K
+        if t == n_steps or row.size == 0:
+            break
+        Z, U = _draw(sources, running, d)
+        inner_thr, outer_ok = _step_once(model, controls, X, K, S, config.step, sqh,
+                                         Z, U, cost_shift, barrier)
+        if barrier is None:
+            continue
+        hit = _row_norm(X) <= inner_thr
+        stop = hit | ~outer_ok
+        if not stop.any():
+            continue
+        done = row[stop]
+        # np.compress: a boolean index X[stop] copies the trailing axis row by row
+        end_X[done] = np.compress(stop, X, axis=0)
+        end_K[done], end_S[done] = K[stop], S[stop]
+        status[done] = np.where(hit[stop], 1, 2)
+        keep = ~stop
+        X, K, S, row = np.compress(keep, X, axis=0), K[keep], S[keep], row[keep]
+        controls.compress(keep)
+        running = np.diff(np.searchsorted(row, edges)).tolist()
+        sources = [split for rng, s, m in sources for split in (
+            [(rng, s, m)] if m == 1 or running[s:s + m] == full[s:s + m]
+            else [(copy.deepcopy(rng), s + i, 1) for i in range(m)])]
+    status[row] = 3
+    end_X[row], end_K[row], end_S[row] = X, K, S
+    return end_S, end_X, end_K, kept_X, kept_K, status
+
+
+def _by_group(a, blocks, n_groups):
+    """Rows ordered (block, group, path) to one (group, path) row per group."""
+    cuts = np.cumsum([n_groups * n for _, n in blocks])[:-1]
+    return np.concatenate([v.reshape(n_groups, -1) for v in np.split(a, cuts)], axis=1)
+
+
+def _horizon_block(model, cmaps, config, blocks, x0, k0, keep_steps=()):
+    """Integrated cost, state and regime per path of whole blocks, a list of
+    (block, size), under each policy of ``cmaps``, rows ordered (block,
+    policy, path); plus each path's states and regimes after the steps in
+    ``keep_steps`` (0 is the start).  No row stops, so each block draws once
+    per step for all the policies."""
+    groups = [(i, x0, k0) for i in range(len(cmaps))]
+    return _step_set(model, cmaps, groups, config, blocks,
+                     max([config.n_steps, *keep_steps]), keep_steps=keep_steps)[:5]
 
 
 @dataclasses.dataclass
@@ -632,10 +677,7 @@ def estimate_risk_sensitive_rates(model, policies, config, lambda_ref=None,
         if terminal_pair is not None:
             with np.errstate(divide="ignore"):
                 S = S + np.log(grid.interpolate(psi, X, K)) - log_psi0
-        # (block, policy, path) rows to one (policy, path) row per policy
-        cuts = np.cumsum([n_policies * n for _, n in blocks])[:-1]
-        return np.concatenate([s.reshape(n_policies, -1) for s in np.split(S, cuts)],
-                              axis=1)
+        return _by_group(S, blocks, n_policies)
 
     sums = np.concatenate(_map_sets(set_sums, workers, config.paths, n_policies), axis=1)
     return [_rate_estimate(S, config, x0, k0, cmap, lambda_ref, terminal_pair)
@@ -675,66 +717,17 @@ def _rate_estimate(S, config, x0, k0, cmap, lambda_ref, terminal_pair):
 def _fk_block(model, cmap, config, blocks, starts, lam, grid, psi,
               r_inner, cap_steps):
     """Payoff and status, each (starts, paths of the set), of whole blocks,
-    a list of (block, size), of every start.
-
-    The running rows of all (block, start) segments form one working set,
-    ordered by (block, start, path), that is stepped once per step.  Each
-    segment draws from its own generator keyed (seed, block), normals then
-    uniforms for its running rows in row order, so every path sees the
-    numbers it would see in a run of its start alone.  The set is compacted
-    only on steps where a path stopped.
-    """
-    n_starts = len(starts)
-    d = model.dim
-    running = [n for _, n in blocks for _ in starts]
-    edges = np.cumsum([0] + running)  # segment s holds rows edges[s]:edges[s+1]
-    rngs = [_block_generator(config.seed, b) for b, _ in blocks for _ in starts]
-    X = np.repeat(np.stack([x for x, _ in starts] * len(blocks)), running, axis=0)
-    K = np.repeat(np.array([k for _, k in starts] * len(blocks), dtype=np.int64),
-                  running)
-    n = X.shape[0]
-    A = np.zeros(n)
-    row = np.arange(n)
-    # status: 0 = running, 1 = hit inner ball, 2 = left box, 3 = capped;
-    # a row keeps its state and exponent where it stopped for the payoff
-    status = np.zeros(n, dtype=np.int8)
-    end_X = np.zeros((n, d))
-    end_K = np.zeros(n, dtype=np.int64)
-    end_A = np.zeros(n)
-    sqh = math.sqrt(config.step)
-    for _ in range(cap_steps):
-        if row.size == 0:
-            break
-        Z, U = _draw(rngs, running, d)
-        inner_thr, outer_ok = _step_once(
-            model, cmap, X, K, A, config.step, sqh, Z, U, lam,
-            barrier=(r_inner, grid.radius),
-        )
-        hit = _row_norm(X) <= inner_thr
-        stop = hit | ~outer_ok
-        if not stop.any():
-            continue
-        done = row[stop]
-        # np.compress: a boolean index X[stop] copies the trailing axis row by row
-        end_X[done] = np.compress(stop, X, axis=0)
-        end_K[done], end_A[done] = K[stop], A[stop]
-        status[done] = np.where(hit[stop], 1, 2)
-        keep = ~stop
-        X, K, A, row = np.compress(keep, X, axis=0), K[keep], A[keep], row[keep]
-        running = np.diff(np.searchsorted(row, edges)).tolist()
-    status[row] = 3
-    end_X[row], end_A[row] = X, A
+    a list of (block, size), of every start: one group per start, stopped at
+    the annulus and cut after ``cap_steps`` steps."""
+    A, X, K, _, _, status = _step_set(model, [cmap], [(0, x, k) for x, k in starts],
+                                      config, blocks, cap_steps, lam, (r_inner, grid.radius))
     hits = np.flatnonzero(status == 1)
-    payoff = np.zeros(n)
-    payoff[hits] = np.exp(end_A[hits]) * np.maximum(
-        grid.interpolate(psi, end_X[hits], end_K[hits]), 0.0)
+    payoff = np.zeros(len(A))
+    payoff[hits] = np.exp(A[hits]) * np.maximum(grid.interpolate(psi, X[hits], K[hits]), 0.0)
     # a NaN state compares false, so it stops as a box exit: a row that stops
     # or is cut with a NaN or infinite state or exponent gets a NaN payoff
-    payoff[~(np.isfinite(end_A) & np.isfinite(end_X).all(axis=1))] = np.nan
-    # (block, start, path) rows to one (start, path) row per start
-    cuts = edges[::n_starts][1:-1]
-    return tuple(np.concatenate([v.reshape(n_starts, -1) for v in np.split(a, cuts)],
-                                axis=1) for a in (payoff, status))
+    payoff[~(np.isfinite(A) & np.isfinite(X).all(axis=1))] = np.nan
+    return tuple(_by_group(a, blocks, len(starts)) for a in (payoff, status))
 
 
 @dataclasses.dataclass

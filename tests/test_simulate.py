@@ -115,6 +115,30 @@ def test_control_and_regime_indices_checked_before_stepping(monkeypatch):
             call()
 
 
+@pytest.mark.parametrize("k0", [0.9, 1.7, np.float64(1.5), True, np.bool_(True),
+                                np.int64(1)])
+def test_start_regime_must_be_an_integer(k0, monkeypatch):
+    # int() would truncate a fractional regime and read a bool as 0 or 1
+    m = rs.make_builtin("ou2")
+    g = rs.grid_for_resolution(1, 2.0, 5)
+    cfg = PathConfig(step=0.01, horizon=1.0, seed=0, paths=4)
+    ones = rs.EigenPair(eigenvalue=0.0, eigenfunction=np.ones((2, g.num_interior)),
+                        residual=0.0, iterations=0, shift=0.0)
+    drivers = [lambda: rs.estimate_risk_sensitive_rate(m, 0, cfg, k0=k0),
+               lambda: rs.simulate_paths(m, 0, cfg, k0=k0),
+               lambda: rs.mean_position_diagnostic(m, 0, cfg, k0=k0),
+               lambda: rs.feynman_kac_annulus(m, 0, ones, g, 0.5, [(np.array([1.0]), k0)],
+                                              dataclasses.replace(cfg, horizon=0.05))]
+    if isinstance(k0, np.integer):
+        outs = [call() for call in drivers]
+        assert outs[0].details["k0"] == outs[3].results[0].regime == 1
+        return
+    monkeypatch.setattr(simulate, "_step_once", None)  # any step would fail
+    for call in drivers:
+        with pytest.raises(ValueError, match="start regime must be an integer, got "):
+            call()
+
+
 def test_policy_table_on_a_grid_of_another_dimension_refused(monkeypatch):
     # a 1-D grid would read a 2-D state at its first coordinate only
     m = rs.make_builtin("bounded2d")
@@ -784,11 +808,64 @@ def test_set_steppers_match_per_block_oracle():
                 orc.horizon_per_block(m, cmaps, cfg, blocks, x0, 1, [0, 3, 25])):
             np.testing.assert_array_equal(fused, ref)
     starts = [(np.array([1.0, 0.5]), 0), (np.array([-1.2, 1.0]), 1)]
-    fk_args = (starts, pair.eigenvalue, g, pair.eigenfunction, 0.5, 10000)
-    fk_cfg = PathConfig(step=0.01, horizon=0.5, seed=16, paths=1)
-    for fused, ref in zip(simulate._fk_block(m, cmap, fk_cfg, blocks, *fk_args),
-                          orc.fk_per_block(m, cmap, fk_cfg, blocks, *fk_args)):
-        np.testing.assert_array_equal(fused, ref)
+    # both blocks stop rows and split their draws by start; at the cap of 10
+    # steps, block 3 splits after its first stop (step 7) while block 2
+    # reaches the cap before its first (step 12), sharing its draws to the end
+    for fk_cfg, cap in ((PathConfig(step=0.01, horizon=0.5, seed=16, paths=1), 10000),
+                        (PathConfig(step=0.002, horizon=0.5, seed=17, paths=1), 10)):
+        fk_args = (starts, pair.eigenvalue, g, pair.eigenfunction, 0.5, cap)
+        payoff, status = simulate._fk_block(m, cmap, fk_cfg, blocks, *fk_args)
+        for fused, ref in zip((payoff, status),
+                              orc.fk_per_block(m, cmap, fk_cfg, blocks, *fk_args)):
+            np.testing.assert_array_equal(fused, ref)
+    assert (status[:, :300] == 3).all() and (status[:, 300:] != 3).any()
+
+
+def counting_draws(monkeypatch):
+    """Row counts of each block's normal draws, in call order, keyed by
+    block; copies of a block's generator count under its block."""
+    draws = {}
+    block_generator = simulate._block_generator
+
+    class CountingGenerator:
+        def __init__(self, seed, block):
+            self.rng, self.block = block_generator(seed, block), block
+            draws.setdefault(block, [])
+
+        def standard_normal(self, size):
+            draws[self.block].append(size[0])
+            return self.rng.standard_normal(size)
+
+        def random(self, *args):
+            return self.rng.random(*args)
+
+    monkeypatch.setattr(simulate, "_block_generator", CountingGenerator)
+    return draws
+
+
+def test_blocks_draw_once_per_step_until_their_first_stop(monkeypatch):
+    # a block's groups share its draw while all their rows run: an FK block
+    # draws once per step up to its first stop, then once per start that
+    # still has running rows, for that start's rows; rate paths never stop
+    m = rs.make_builtin("ou2")
+    g = rs.grid_for_resolution(1, 3.0, 10)
+    pair = rs.solve_semilinear(m, g).eigenpair
+    table = mixed_table(m, g)
+    starts = [(np.array([1.0]), 0), (np.array([-1.5]), 1), (np.array([2.0]), 1)]
+    cfg = PathConfig(step=4e-3, horizon=0.5, seed=3, paths=300)
+    draws = counting_draws(monkeypatch)
+    alone = []
+    for s in starts:
+        rs.feynman_kac_annulus(m, table, pair, g, 0.5, [s], cfg)
+        alone.append(draws.pop(0))
+    first = min(next(t for t, n in enumerate(a) if n < cfg.paths) for a in alone)
+    assert 1 < first < min(map(len, alone))
+    rs.feynman_kac_annulus(m, table, pair, g, 0.5, starts, cfg)
+    assert draws.pop(0) == [cfg.paths] * first + [
+        a[t] for t in range(first, max(map(len, alone))) for a in alone if t < len(a)]
+    rate_cfg = PathConfig(step=0.05, horizon=1.0, seed=4, paths=simulate.BLOCK + 123)
+    rs.estimate_risk_sensitive_rates(m, [table, 0, 1], rate_cfg, grid=g)
+    assert draws == {0: [simulate.BLOCK] * rate_cfg.n_steps, 1: [123] * rate_cfg.n_steps}
 
 
 @pytest.fixture
