@@ -95,6 +95,9 @@ class _Code:
                     value = eval(text, self.env)
                 except ArithmeticError as exc:
                     raise ExpressionError("constant subexpression fails: %s" % exc) from None
+                # abs, min and max of int literals fold to numpy integers
+                if isinstance(value, (np.integer, np.floating)):
+                    value = float(value)
                 if not isinstance(value, (int, float)):
                     raise ExpressionError("constant %r is not a real number" % (value,))
                 return self._constant(value)

@@ -89,14 +89,14 @@ class GridSpec:
         States outside the box clamp to the nearest interior node (constant
         extension of node-indexed tables).  X has shape (n, dim).
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        lo = self.axis_interior[0]
-        idx = np.rint((X - lo) / self.spacing).astype(np.int64)
+        t = np.atleast_2d(np.asarray(X, dtype=float)) - self.axis_interior[0]
+        t /= self.spacing
+        idx = np.rint(t, out=t).astype(np.int64)
         np.maximum(idx, 0, out=idx)
         np.minimum(idx, self.interior_per_axis - 1, out=idx)
-        flat = idx[:, 0] * self.strides[0]
-        for a in range(1, self.dim):
-            flat += idx[:, a] * self.strides[a]
+        flat = idx[:, -1]  # the last axis has stride 1
+        for a in range(self.dim - 1):
+            flat = flat + idx[:, a] * self.strides[a]
         return flat
 
     def interpolate(self, table, X, K):

@@ -34,8 +34,13 @@ stops, so rate groups always share.  Either way every group's numbers, and
 its results, are those of its run alone.
 
 Each step calls every model coefficient once over the set, each row at its
-own regime and control, and runs the Euler, barrier and switching arithmetic
-once over the set, summing over coordinates column by column.
+own regime and control, and runs the Euler and barrier arithmetic once over
+the set, summing over coordinates column by column.  The switching
+arithmetic (move probabilities, leave sums, cumulative thresholds) runs once
+over the rate rows: when ``rates`` returns one matrix for every row (a
+broadcast view, as for every builtin), those are its N rows, one per
+regime, and each row of the set gathers its regime's thresholds; otherwise
+they are each row's own rate row.
 
 The risk-sensitive rate estimator is max-shifted log-mean-exp with a
 delta-method standard error.  The exponential functional is heavy-tailed for
@@ -128,6 +133,8 @@ class PathConfig:
             raise ValueError("horizon must be positive and finite")
         if not self.horizon / self.step < math.inf:
             raise ValueError("horizon / step must be finite")
+        if not isinstance(self.paths, (int, np.integer)) or isinstance(self.paths, bool):
+            raise ValueError("paths must be an integer, got %r" % (self.paths,))
         if self.paths < 1:
             raise ValueError("paths must be >= 1")
         if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
@@ -368,13 +375,22 @@ def _row_norm(x):
     return np.sqrt(_column_sum(x[..., j] * x[..., j] for j in range(x.shape[-1])))
 
 
-def _refuse_rates(model, X, K, C, R, leave, step):
+def _may_draw(move, leave):
+    """Whether move probabilities ``move`` (rows, N) and their ``leave`` sums
+    pass: a min and a max catch a rate that is not finite, negative or
+    leaves too often (at a tiny negative rate :func:`_refuse_rates` decides)."""
+    return move.min() >= 0.0 and leave.max() <= MAX_LEAVE_PROBABILITY + 1e-12
+
+
+def _refuse_rates(model, cmap, X, K, R, step):
     """Refuse the rates a step draws regimes from (row K of each row's matrix
     in ``R`` (n, N, N), off its diagonal): a NaN or infinite one, which
     compares false in the draw, a negative one, or a leave probability above
-    MAX_LEAVE_PROBABILITY at the worst row of a (regime, control) group."""
+    MAX_LEAVE_PROBABILITY at the worst row of a (regime, control) group, the
+    groups read off ``cmap``."""
     rate = R[np.arange(len(K)), K]
     off = np.where(np.arange(rate.shape[1]) == K[:, None], 0.0, rate)
+    C = cmap.control_indices(X, K)
     xi = model.controls[C]
     bad = np.argwhere(~np.isfinite(off))
     if len(bad):
@@ -384,6 +400,7 @@ def _refuse_rates(model, X, K, C, R, leave, step):
         off, max(1.0, float(np.max(np.abs(off)))),
         lambda ij: "[%d, %d] (control %g at x=%s)" % (K[ij[0]], ij[1], xi[ij[0]],
                                                       X[ij[0]].tolist()))
+    leave = _column_sum((step * off).T)
     key = K * model.num_controls + C
     for kc in np.unique(key):
         rows = np.flatnonzero(key == kc)
@@ -396,8 +413,9 @@ def _step_once(model, cmap, X, K, S, step, sqh, Z, U, cost_shift, barrier=None):
     """One Euler + switching step over all rows of (X, K), in place.
 
     Each coefficient is called once, every row at its own regime and
-    control, and the Euler, barrier and switching arithmetic runs once over
-    the set.  Accumulates ``step * (cost - cost_shift)`` into S at the
+    control (``cmap`` a :class:`_PolicyStack`), the Euler and barrier
+    arithmetic runs once over the set and the switching arithmetic once over
+    the rate rows.  Accumulates ``step * (cost - cost_shift)`` into S at the
     pre-step state (left-endpoint rectangle rule).  When
     ``barrier = (r_inner, box_radius)`` is given, also returns
     barrier-corrected thresholds: the per-path inner hitting radius (shifted
@@ -406,29 +424,49 @@ def _step_once(model, cmap, X, K, S, step, sqh, Z, U, cost_shift, barrier=None):
     """
     n, d = X.shape
     N = model.num_regimes
-    C = cmap.control_indices(X, K)
-    xi = model.controls[C]
+    xi = cmap.control_values(X, K)
     b = np.asarray(model.drift(X, K, xi), dtype=float).reshape(n, d)
     sig = np.asarray(model.diffusion(X, K), dtype=float)
     cost = np.asarray(model.cost(X, K, xi), dtype=float).reshape(n)
     R = np.asarray(model.rates(X, xi), dtype=float)
     # From regime k the chain moves to j != k with probability step * rates[k, j]
-    # and stays with one minus their sum; sums run column by column.  A min and
-    # a max catch a rate that is not finite, negative or leaves too often.
-    own = np.arange(n) * N + K  # each row's own regime, in the flat order of move
-    # np.take over a flat axis: fancy indexing R[rows, K] copies the trailing
-    # axis row by row, about 10x slower
-    if R.strides[0] == 0:  # one matrix for every row (a broadcast view)
-        move = np.take(R[0], K, axis=0)
-    else:  # own indexes R's rows too; the reshape is a view when R is C-contiguous
+    # and stays with one minus their sum.  This arithmetic runs once over the
+    # rate rows: the N rows of the one matrix of a broadcast view (every
+    # builtin), else each row's own rate row, gathered by np.take over a flat
+    # axis (fancy indexing R[rows, K] copies the trailing axis row by row).
+    shared = R.strides[0] == 0
+    if shared:
+        move, own = R[0] * step, np.arange(0, N * N, N + 1)  # own: the diagonal
+    else:  # the reshape is a view when R is C-contiguous
+        own = np.arange(n) * N + K
         move = np.take(R.reshape(n * N, N), own, axis=0)
-    move *= step
+        move *= step
     move.reshape(-1)[own] = 0.0
-    leave = _column_sum(move.T)
-    if not (move.min() >= 0.0 and leave.max() <= MAX_LEAVE_PROBABILITY + 1e-12):
-        _refuse_rates(model, X, K, C, R, leave, step)
+    leave = _column_sum(move.T)  # sums run column by column
+    # a shared matrix is judged only at the regimes the rows are in
+    if not _may_draw(move, leave) and not (shared and _may_draw(
+            *(a[np.bincount(K, minlength=N) > 0] for a in (move, leave)))):
+        _refuse_rates(model, cmap, X, K, R, step)
+    # Next regime: the number of cumulative one-step probabilities below U.
+    # The sums never fall (no entry is negative, checked above), so the first
+    # N - 1 of them decide: the last regime takes every U they pass, even
+    # where the sum of all N rounds below U.
+    move.reshape(-1)[own] = 1.0 - leave
+    thr = [move[:, 0]]
+    for j in range(1, N - 1):
+        thr.append(thr[-1] + move[:, j])
+    if shared:  # each row reads its regime's thresholds
+        thr = [np.take(t, K) for t in thr]
+    np.greater(U, thr[0], out=K)
+    for t in thr[1:]:
+        K += U > t
     S += step * (cost - cost_shift)
-    xn = X + step * b + sqh * _column_sum(sig[:, :, j] * Z[:, j, None] for j in range(d))
+    # X + step * b + sqh * noise, summed in place in that order
+    xn = step * b
+    xn += X
+    noise = _column_sum(sig[:, :, j] * Z[:, j, None] for j in range(d))
+    noise *= sqh
+    xn += noise
     inner_thr = outer_ok = None
     if barrier is not None:
         r_inner, box_radius = barrier
@@ -437,41 +475,40 @@ def _step_once(model, cmap, X, K, S, step, sqh, Z, U, cost_shift, barrier=None):
         inner_thr = r_inner + BGK_BETA * sqh * s_rad
         inside = np.abs(xn) < box_radius - BGK_BETA * sqh * _row_norm(sig)
         outer_ok = functools.reduce(np.logical_and, inside.T)
-    # Next regime: the number of cumulative one-step probabilities below U.
-    # The sums never fall (no entry is negative, checked above), so the first
-    # N - 1 of them decide: the last regime takes every U they pass, even
-    # where the sum of all N rounds below U.
-    move.reshape(-1)[own] = 1.0 - leave
-    cum = move[:, 0]
-    np.greater(U, cum, out=K)
-    for j in range(1, N - 1):
-        cum = cum + move[:, j]
-        K += U > cum
     X[:] = xn
     return inner_thr, outer_ok
 
 
 class _PolicyStack:
     """The controls of several policies over a set of rows, ``policy`` the
-    index into ``cmaps`` of each row's policy: one ``control_indices`` call
-    reads each row's control from its own policy's table.  Table policies
-    share one grid; a constant stacked with them fills a table of its own."""
+    index into ``cmaps`` of each row's policy: one gather reads each row's
+    control index, or its value among ``controls``, from its own policy's
+    table.  Table policies share one grid; a constant stacked with them
+    fills a table of its own."""
 
-    def __init__(self, cmaps, policy):
+    def __init__(self, cmaps, policy, controls):
         self.grid = next((c.grid for c in cmaps if c.grid is not None), None)
         shape = next((c.table.shape for c in cmaps if c.grid is not None), (1,))
         self.table = np.concatenate([np.broadcast_to(c.table, shape).reshape(-1)
                                      for c in cmaps])
+        self.values = controls[self.table]
         self.base = policy * math.prod(shape)
 
     def compress(self, keep):
         self.base = self.base[keep]
 
-    def control_indices(self, X, K):
+    def _entries(self, X, K):
         if self.grid is None:
-            return self.table[self.base]
-        nodes = self.grid.nearest_interior_index(X)
-        return self.table[self.base + self.grid.row_index(K, nodes)]
+            return self.base
+        rows = self.grid.row_index(K, self.grid.nearest_interior_index(X))
+        rows += self.base
+        return rows
+
+    def control_indices(self, X, K):
+        return self.table[self._entries(X, K)]
+
+    def control_values(self, X, K):
+        return self.values[self._entries(X, K)]
 
 
 def _step_set(model, cmaps, groups, config, blocks, n_steps, cost_shift=0.0,
@@ -495,7 +532,8 @@ def _step_set(model, cmaps, groups, config, blocks, n_steps, cost_shift=0.0,
     edges = np.cumsum([0] + full)  # segment s holds rows edges[s]:edges[s+1]
     X = np.repeat(np.stack([x for _, x, _ in groups] * len(blocks)), full, axis=0)
     K = np.repeat(np.array([k for _, _, k in groups] * len(blocks), dtype=np.int64), full)
-    controls = _PolicyStack(cmaps, np.repeat([p for p, _, _ in groups] * len(blocks), full))
+    controls = _PolicyStack(cmaps, np.repeat([p for p, _, _ in groups] * len(blocks), full),
+                           model.controls)
     n = len(K)
     S, row, running = np.zeros(n), np.arange(n), full
     sources = [(_block_generator(config.seed, b), i * n_groups, n_groups)

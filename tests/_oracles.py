@@ -210,12 +210,13 @@ def horizon_block(model, cmap, config, block, n_paths, x0, k0, keep_steps):
     X = np.repeat(x0[None, :], n_paths, axis=0)
     K = np.full(n_paths, k0, dtype=np.int64)
     S = np.zeros(n_paths)
+    controls = simulate._PolicyStack([cmap], np.zeros(n_paths, dtype=np.int64), model.controls)
     sqh = math.sqrt(config.step)
     history = [(X.copy(), K.copy())]
     for _ in range(max([config.n_steps, *keep_steps])):
         Z = rng.standard_normal((n_paths, d))
         U = rng.random(n_paths)
-        simulate._step_once(model, cmap, X, K, S, config.step, sqh, Z, U, 0.0)
+        simulate._step_once(model, controls, X, K, S, config.step, sqh, Z, U, 0.0)
         history.append((X.copy(), K.copy()))
     keep = list(keep_steps)
     return (S, X, K, np.stack([x for x, _ in history], axis=1)[:, keep],
@@ -236,13 +237,15 @@ def fk_block(model, cmap, config, block, n_paths, starts, lam, grid, psi,
         K = np.full(n_paths, k, dtype=np.int64)
         A = np.zeros(n_paths)
         row = np.arange(n_paths)
+        controls = simulate._PolicyStack([cmap], np.zeros(n_paths, dtype=np.int64),
+                                         model.controls)
         for _ in range(cap_steps):
             if row.size == 0:
                 break
             Z = rng.standard_normal((row.size, d))
             U = rng.random(row.size)
             inner_thr, outer_ok = simulate._step_once(
-                model, cmap, X, K, A, config.step, sqh, Z, U, lam,
+                model, controls, X, K, A, config.step, sqh, Z, U, lam,
                 barrier=(r_inner, grid.radius))
             hit = np.linalg.norm(X, axis=1) <= inner_thr
             stop = hit | ~outer_ok
@@ -250,6 +253,7 @@ def fk_block(model, cmap, config, block, n_paths, starts, lam, grid, psi,
                 rgi_interpolate(grid, psi, X[hit], K[hit]), 0.0)
             status[i, row[stop]] = np.where(hit[stop], 1, 2)
             X, K, A, row = X[~stop], K[~stop], A[~stop], row[~stop]
+            controls.compress(~stop)
         status[i, row] = 3
     return payoff, status
 

@@ -102,6 +102,16 @@ def test_model_from_spec_custom():
     assert sol.converged and np.isfinite(sol.eigenpair.eigenvalue)
 
 
+@pytest.mark.parametrize("constant, value", [("abs(0)", 0.0), ("min(0, 1)", 0.0),
+                                             ("max(1, 2)", 2.0), ("abs(-3) / 2", 1.5)])
+def test_constant_functions_of_integer_literals_fold(constant, value):
+    # numpy folds abs, min and max of int literals to numpy integers
+    m = model_from_spec(dict(CUSTOM, cost="%s + x1^2" % constant))
+    X = np.array([[0.0], [2.0]])
+    assert m.cost(X, *at_rows(X, 1, 1.0)).tolist() == [value, value + 4.0]
+    assert rs.validate_model(m, 3.0, samples=64).passed
+
+
 def test_model_from_spec_builtin_form():
     m = model_from_spec({"builtin": "lq", "params": {"q": 0.1875, "controls": [1, 2]}})
     assert m.name == "lq"

@@ -60,6 +60,13 @@ def test_path_config_validation():
     assert cfg.n_steps == 3
     assert cfg.actual_horizon == pytest.approx(0.9)
     assert cfg.as_dict()["paths"] == 10
+    assert PathConfig(step=0.3, horizon=1.0, seed=0, paths=np.int64(10)).paths == 10
+
+
+@pytest.mark.parametrize("paths", [2.5, 4.0, True, "8", None])
+def test_path_config_refuses_a_non_integer_path_count(paths):
+    with pytest.raises(ValueError, match="paths must be an integer"):
+        PathConfig(step=0.1, horizon=1.0, seed=0, paths=paths)
 
 
 @pytest.mark.parametrize("step, horizon, match", [
@@ -237,6 +244,47 @@ def test_leave_probability_guard_reads_the_drawn_rates():
         rs.simulate_paths(m, 0, cfg)
     assert (exc.value.step * exc.value.rate, exc.value.rate, exc.value.regime) == (1.0, 100.0, 0)
     assert exc.value.state.tolist() == [0.0]
+
+
+# regime 2 leaves at rate 200, 2.0 per step of 0.01; regimes 0 and 1 never enter it
+SHARED_RATES = np.array([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [100.0, 100.0, -200.0]])
+
+
+def shared_rates_model(rates=SHARED_RATES):
+    """Three regimes whose rates are one matrix for every row, a broadcast view."""
+    m = rs.model_from_spec({
+        "name": "shared", "dim": 1, "num_regimes": 3, "controls": [1.0],
+        "drift": ["-x1"], "diffusion": [["1"]], "rates": [["0"] * 3] * 3, "cost": "x1^2"})
+    return dataclasses.replace(m, rates=lambda X, xi: np.broadcast_to(rates, (len(X), 3, 3)))
+
+
+def test_shared_rate_matrix_is_judged_at_visited_regimes_only(monkeypatch):
+    # the draw reads one matrix for every row; a row of it that no path
+    # visits is not refused, a visited one is, as the per-group oracle does
+    m = shared_rates_model()
+    assert m.rates(np.zeros((4, 1)), np.ones(4)).strides[0] == 0
+    cfg = PathConfig(step=0.01, horizon=1.0, seed=0, paths=64)
+    batch = rs.simulate_paths(m, 0, cfg, x0=[0.5], k0=0)
+    assert set(np.unique(batch.regimes)) == {0, 1}
+    errors = []
+    for kernel in (simulate._step_once, orc.step_once_per_group):
+        monkeypatch.setattr(simulate, "_step_once", kernel)
+        with pytest.raises(StepSizeError) as exc:
+            rs.simulate_paths(m, 0, cfg, x0=[0.5], k0=2)
+        errors.append(exc.value)
+    fused, ref = errors
+    assert (fused.rate, fused.state.tolist(), fused.regime) == \
+        (ref.rate, ref.state.tolist(), ref.regime) == (200.0, [0.5], 2)
+    assert fused.step == ref.step == 0.01
+
+
+def test_shared_rate_matrix_refuses_a_visited_nan_rate():
+    unvisited, visited = SHARED_RATES.copy(), SHARED_RATES.copy()
+    unvisited[2, 0] = visited[0, 1] = math.nan
+    cfg = PathConfig(step=0.001, horizon=1.0, seed=0, paths=64)
+    rs.simulate_paths(shared_rates_model(unvisited), 0, cfg, k0=0)
+    with pytest.raises(NonFiniteCoefficientError, match="rates"):
+        rs.simulate_paths(shared_rates_model(visited), 0, cfg, k0=0)
 
 
 # ---------------------------------------------------------------------------
