@@ -11,11 +11,10 @@ from .eigen import (EigenPair, NoConvergenceError, NotIrreducibleError,
                     SemilinearSolution, SweepResult, domain_sweep,
                     minimizing_selector, principal_eigenpair, solve_semilinear)
 from .expressions import ExpressionError, compile_expression, load_model, model_from_spec
-from .grid import GridSpec, build_grid, grid_for_resolution
+from .grid import GridSpec, grid_for_resolution
 from .model import (BUILTIN_MODELS, CertificateMode, LyapunovCertificate,
                     NonFiniteCoefficientError, SwitchingModel, ValidationReport,
-                    builtin_certificate, check_lyapunov, coefficients, make_builtin,
-                    validate_model)
+                    check_lyapunov, coefficients, make_builtin, validate_model)
 from .operator import DiscreteOperator, MonotonicityViolation, assemble, constant_policy
 from .simulate import (ControlMap, CostEstimate, Functional,
                        NonFiniteEstimateError, PathConfig, StepSizeError,
@@ -32,7 +31,7 @@ __all__ = [
     "NoConvergenceError", "NonFiniteCoefficientError", "NonFiniteEstimateError",
     "NotIrreducibleError", "PathConfig",
     "SemilinearSolution", "StepSizeError", "SweepResult", "SwitchingModel",
-    "TrajectoryBatch", "ValidationReport", "assemble", "build_grid", "builtin_certificate",
+    "TrajectoryBatch", "ValidationReport", "assemble",
     "check_lyapunov", "coefficients", "compile_expression", "constant_policy",
     "domain_sweep", "estimate_risk_sensitive_rate", "estimate_risk_sensitive_rates",
     "feynman_kac_annulus", "fit_growth_bound", "grid_for_resolution",

@@ -34,8 +34,8 @@ from .eigen import (MAX_POLICY_ITERS, NoConvergenceError, NotIrreducibleError,
                     domain_sweep, solve_semilinear)
 from .expressions import ExpressionError, load_model
 from .grid import grid_for_resolution
-from .model import (NonFiniteCoefficientError, builtin_certificate,
-                    check_lyapunov, make_builtin, validate_model)
+from .model import (NonFiniteCoefficientError, check_lyapunov, make_builtin,
+                    validate_model)
 from .operator import MonotonicityViolation
 from .simulate import (BLOCK, SET_ROWS, NonFiniteEstimateError,
                        PathConfig, StepSizeError, _usable_cpus, check_annulus_arguments,
@@ -355,25 +355,22 @@ def _default_starts(model, grid, r_inner, count=5):
     return starts
 
 
-def _hypothesis_checks(model, radius, samples, seed, cert_nodes_per_unit):
-    """(checks, failed, flagged) of ``validate_model`` on the box and of the
-    builtin certificate, if any, on a grid of radius min(radius, 4)."""
-    checks, failed, flagged = {}, [], []
+def _hypothesis_checks(model, radius, samples, seed, nodes_per_unit):
+    """(checks, failed) of ``validate_model`` on the box and of the model's
+    certificate, if any, on the grid of radius min(radius, 4) at
+    ``nodes_per_unit`` (which tiles it whenever it tiles ``radius``)."""
+    checks, failed = {}, []
     hyp = validate_model(model, box_radius=radius, samples=samples, seed=seed)
     checks["hypotheses"] = hyp.as_dict()
     if not hyp.passed:
         failed.append("hypotheses")
-    cert = builtin_certificate(model)
-    if cert is not None:
-        cert_grid = grid_for_resolution(model.dim, min(radius, 4.0),
-                                        cert_nodes_per_unit)
-        report = check_lyapunov(model, cert, cert_grid)
+    if model.certificate is not None:
+        cert_grid = grid_for_resolution(model.dim, min(radius, 4.0), nodes_per_unit)
+        report = check_lyapunov(model, model.certificate, cert_grid)
         checks["certificate"] = report.as_dict()
-        if report.status == "fail":
+        if not report.passed:
             failed.append("certificate")
-        elif report.status == "inconclusive":
-            flagged.append("certificate")
-    return checks, failed, flagged
+    return checks, failed
 
 
 def cmd_verify(args):
@@ -383,9 +380,9 @@ def cmd_verify(args):
               else _default_starts(model, grid, args.inner_radius))
     if not args.skip_simulation:  # refused before any solve
         check_annulus_arguments(model, grid.radius, args.inner_radius, starts, args.paths)
-    checks, failed, flagged = _hypothesis_checks(
-        model, grid.radius, args.samples, args.seed,
-        max(args.nodes_per_unit // 4, 8))
+    checks, failed = _hypothesis_checks(
+        model, grid.radius, args.samples, args.seed, args.nodes_per_unit)
+    flagged = []
 
     sol = _verification_solve(model, grid, max_policy_iters=args.max_policy_iters)
     if not sol.converged:
@@ -437,7 +434,7 @@ def cmd_verify(args):
 
 def cmd_validate(args):
     model = _model_from_args(args)
-    checks, failed, flagged = _hypothesis_checks(
+    checks, failed = _hypothesis_checks(
         model, args.radius, args.samples, args.seed, args.nodes_per_unit)
     if args.near_monotone:
         gate = validate_near_monotone(model, box_radius=args.radius,
@@ -449,7 +446,7 @@ def cmd_validate(args):
               "radius": args.radius, "nodes_per_unit": args.nodes_per_unit,
               "samples": args.samples, "near_monotone": args.near_monotone,
               "seed": args.seed}
-    body = {"checks": checks, "failed": failed, "flagged": flagged,
+    body = {"checks": checks, "failed": failed, "flagged": [],
             "passed": not failed}
     _emit(args.output_dir, "validate.json", config, body)
     return 0 if not failed else 1

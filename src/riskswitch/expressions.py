@@ -44,6 +44,7 @@ _BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "**
 # no leading underscore: generated names have one
 _PARAM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _VARIABLE = re.compile(r"x\d+\Z|k\Z|xi\Z")
+_COORDINATE = re.compile(r"x\d+\Z")
 # rows of the broadcast view behind a tabulated coefficient (stride 0, no memory)
 _VIEW_ROWS = 1 << 40
 
@@ -68,6 +69,74 @@ def _parameters(spec_params, num_regimes):
             raise ExpressionError("parameter %s must be a number or a list of %d numbers, "
                                   "one per regime; got %r" % (name, num_regimes, value))
     return out
+
+
+def _parse(source):
+    """The syntax tree of one expression (not yet checked against the grammar)."""
+    if not isinstance(source, str):
+        raise ExpressionError("expression must be a string, got %r" % (source,))
+    try:
+        return ast.parse(source.replace("^", "**"), mode="eval").body
+    except SyntaxError as exc:
+        raise ExpressionError("cannot parse expression %r: %s" % (source, exc)) from None
+
+
+def _is(node, value):
+    return isinstance(node, ast.Constant) and node.value == value
+
+
+def _sum(a, b, op=ast.Add):
+    """a + b (or a - b), folding a zero term."""
+    if _is(b, 0):
+        return a
+    if _is(a, 0):
+        return b if op is ast.Add else ast.UnaryOp(ast.USub(), b)
+    return ast.BinOp(a, op(), b)
+
+
+def _product(a, b):
+    """a * b, folding a factor 0 or 1."""
+    if _is(a, 0) or _is(b, 0):
+        return ast.Constant(0)
+    if _is(a, 1) or _is(b, 1):
+        return b if _is(a, 1) else a
+    return ast.BinOp(a, ast.Mult(), b)
+
+
+# d f(u) / du of each differentiable function, from the node f(u)
+_CHAIN = {"exp": lambda node: node,
+          "sqrt": lambda node: ast.BinOp(ast.Constant(0.5), ast.Div(), node),
+          "tanh": lambda node: ast.BinOp(ast.Constant(1), ast.Sub(),
+                                         ast.BinOp(node, ast.Mult(), node))}
+
+
+def _derivative(node, x):
+    """The tree of d node / d x for a coordinate name ``x``, of a tree that
+    compiled in the grammar: again a grammar tree, sharing the subtrees of
+    ``node``, with products by 0 and 1 and sums with 0 folded."""
+    if isinstance(node, ast.BinOp):
+        a, b, op = node.left, node.right, type(node.op)
+        if op in (ast.Add, ast.Sub):
+            return _sum(_derivative(a, x), _derivative(b, x), op)
+        if op is ast.Mult:
+            return _sum(_product(_derivative(a, x), b), _product(a, _derivative(b, x)))
+        if op is ast.Div:  # (a' - (a / b) b') / b
+            top = _sum(_derivative(a, x), _product(node, _derivative(b, x)), ast.Sub)
+            return top if _is(top, 0) else ast.BinOp(top, ast.Div(), b)
+        if any(isinstance(n, ast.Name) and _COORDINATE.match(n.id) for n in ast.walk(b)):
+            raise ExpressionError("cannot differentiate %s: an exponent may not depend on x"
+                                  % ast.unparse(node).replace("**", "^"))
+        power = ast.BinOp(a, ast.Pow(), ast.BinOp(b, ast.Sub(), ast.Constant(1)))
+        return _product(_product(b, power), _derivative(a, x))
+    if isinstance(node, ast.UnaryOp):
+        du = _derivative(node.operand, x)
+        return du if isinstance(node.op, ast.UAdd) or _is(du, 0) else ast.UnaryOp(ast.USub(), du)
+    if isinstance(node, ast.Call):
+        if node.func.id not in _CHAIN:
+            raise ExpressionError("cannot differentiate %s: only %s and + - * / ^ have "
+                                  "derivatives" % (node.func.id, ", ".join(_CHAIN)))
+        return _product(_CHAIN[node.func.id](node), _derivative(node.args[0], x))
+    return ast.Constant(int(isinstance(node, ast.Name) and node.id == x))
 
 
 class _Code:
@@ -161,13 +230,7 @@ class _Code:
                               % type(getattr(node, "op", node)).__name__)
 
     def entry(self, source):
-        if not isinstance(source, str):
-            raise ExpressionError("expression must be a string, got %r" % (source,))
-        try:
-            tree = ast.parse(source.replace("^", "**"), mode="eval")
-        except SyntaxError as exc:
-            raise ExpressionError("cannot parse expression %r: %s" % (source, exc)) from None
-        root = self.operand(tree.body)
+        root = self.operand(source if isinstance(source, ast.AST) else _parse(source))
         self.uses[root] += 1
         return root
 
@@ -231,9 +294,10 @@ def compile_expression(source, dim):
 def compile_model(spec, builtin=False):
     """SwitchingModel of a full spec.
 
-    A custom model records the spec as ``params["config"]``.  A builtin
-    records its named parameters and controls instead, and carries the
-    Lyapunov certificate of its spec's ``certificate`` entry, if any.
+    A custom model records the spec as ``params["config"]``; a builtin
+    records its named parameters and controls instead.  Either carries the
+    certificate of its spec's ``certificate`` entry, if any, whose ``lyap``
+    comes with its gradient and Hessian, differentiated in the grammar.
     """
     try:
         dim, num_regimes = int(spec["dim"]), int(spec["num_regimes"])
@@ -261,12 +325,22 @@ def compile_model(spec, builtin=False):
         cost=function([cost], (), "k", "xi"),
         params=({**{name: list(v) if isinstance(v, tuple) else v for name, v in params.items()},
                  "controls": controls} if builtin else {"config": dict(spec)}))
-    cert = spec.get("certificate") if builtin else None
+    cert = spec.get("certificate")
     if cert is not None:
+        try:
+            lyap, ell, beta, radius, mode = (cert[key] for key in
+                                             ("lyap", "ell", "beta", "compact_radius", "mode"))
+        except KeyError as exc:
+            raise ExpressionError("certificate is missing key %s" % exc) from None
+        lyap, x = _parse(lyap), ["x%d" % (i + 1) for i in range(dim)]
+        lyap_fn = function([lyap], (), "k")  # checks the grammar before differentiating
+        grad = [_derivative(lyap, name) for name in x]
         object.__setattr__(model, "certificate", LyapunovCertificate(
-            lyap=function([cert["lyap"]], (), "k"), ell=function([cert["ell"]], (), "k"),
-            beta=float(cert["beta"]), compact_radius=float(cert["compact_radius"]),
-            mode=CertificateMode(cert["mode"])))
+            lyap=lyap_fn, ell=function([ell], (), "k"), beta=float(beta),
+            compact_radius=float(radius), mode=CertificateMode(mode),
+            grad=function(grad, (dim,), "k"),
+            hess=function([_derivative(grad[min(i, j)], x[max(i, j)])
+                           for i in range(dim) for j in range(dim)], (dim, dim), "k")))
     return model
 
 

@@ -134,11 +134,6 @@ class GridSpec:
         )
 
 
-def build_grid(dim, radius, nodes_per_axis):
-    """Construct a :class:`GridSpec`; rejects even node counts and bad sizes."""
-    return GridSpec(dim, radius, nodes_per_axis)
-
-
 def grid_for_resolution(dim, radius, nodes_per_unit):
     """Grid with ``nodes_per_unit`` intervals per unit length (origin-aligned).
 

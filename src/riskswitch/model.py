@@ -28,7 +28,8 @@ checks the off-diagonal rates it draws regimes from, never the diagonal.
 
 The builtin models are data: specs in the grammar of
 :mod:`riskswitch.expressions` (:data:`BUILTIN_MODELS`), compiled by the same
-compiler as a JSON model file.
+compiler as a JSON model file, which also differentiates the candidate of a
+spec's Lyapunov certificate, so :func:`check_lyapunov` needs no grid stencil.
 """
 
 import dataclasses
@@ -56,7 +57,7 @@ class SwitchingModel:
     rates: Callable
     cost: Callable
     params: dict = dataclasses.field(default_factory=dict)
-    # set by make_builtin only; dataclasses.replace (and so with_cost) resets it
+    # compiled from the spec's certificate; dataclasses.replace (and with_cost) resets it
     certificate: Optional["LyapunovCertificate"] = dataclasses.field(
         default=None, init=False, repr=False, compare=False)
 
@@ -88,10 +89,12 @@ class LyapunovCertificate:
     """Candidate stability certificate.
 
     ``lyap(X, k) -> (n,)`` is the candidate function (>= 1 everywhere),
-    ``ell(X, k) -> (n,)`` the claimed decay-rate function, both row-wise in
-    the regimes ``k`` (n,) like the model's coefficients (a constant function
-    in GEOMETRIC mode), ``beta`` the slack allowed on the compact set
-    {|x| <= compact_radius} (Euclidean ball).
+    ``grad(X, k) -> (n, dim)`` and ``hess(X, k) -> (n, dim, dim)`` its
+    gradient and Hessian, ``ell(X, k) -> (n,)`` the claimed decay-rate
+    function, all row-wise in the regimes ``k`` (n,) like the model's
+    coefficients (``ell`` a constant function in GEOMETRIC mode), ``beta``
+    the slack allowed on the compact set {|x| <= compact_radius} (Euclidean
+    ball).
     """
 
     lyap: Callable
@@ -99,6 +102,8 @@ class LyapunovCertificate:
     beta: float
     compact_radius: float
     mode: CertificateMode
+    grad: Callable
+    hess: Callable
 
 
 @dataclasses.dataclass
@@ -243,6 +248,11 @@ def _refuse_negative_rates(offdiag, scale, where):
                          % (where(bad[0].tolist()), offdiag[tuple(bad[0])]))
 
 
+def _refuse_few_samples(samples):
+    if samples < 2:  # the sampling checks split them in halves
+        raise ValueError("samples must be >= 2, got %r" % (samples,))
+
+
 def validate_model(model, box_radius, samples=256, seed=0, ellipticity_floor=1e-10):
     """Sample-based check of the standing hypotheses on a box.
 
@@ -269,6 +279,7 @@ def validate_model(model, box_radius, samples=256, seed=0, ellipticity_floor=1e-
     R = float(box_radius)
     if not 0 < R < math.inf:
         raise ValueError("box_radius must be positive and finite, got %r" % (box_radius,))
+    _refuse_few_samples(samples)
     rng = np.random.default_rng(seed)
     d = model.dim
     half = samples // 2
@@ -357,15 +368,15 @@ def validate_model(model, box_radius, samples=256, seed=0, ellipticity_floor=1e-
 
 @dataclasses.dataclass
 class CertificateReport:
-    status: str                    # "pass" | "fail" | "inconclusive"
+    status: str                    # "pass" | "fail"
     margin_min: float
     argmin_state: Optional[np.ndarray]
     argmin_regime: int
     argmin_control: float
-    truncation_at_argmin: float
     side_condition_ok: bool
     side_condition_detail: str
     mode: str
+    margins: np.ndarray = dataclasses.field(repr=False)
 
     @property
     def passed(self):
@@ -378,120 +389,59 @@ class CertificateReport:
             "argmin_state": None if self.argmin_state is None else np.asarray(self.argmin_state).tolist(),
             "argmin_regime": int(self.argmin_regime),
             "argmin_control": float(self.argmin_control),
-            "truncation_at_argmin": float(self.truncation_at_argmin),
             "side_condition_ok": bool(self.side_condition_ok),
             "side_condition_detail": self.side_condition_detail,
             "mode": self.mode,
         }
 
 
-def _full_grid_values(grid, fn, k):
-    """fn evaluated on the full grid of a GridSpec, shape full_shape."""
-    mesh = np.meshgrid(*([grid.axis_full] * grid.dim), indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    return np.asarray(fn(pts, np.full(len(pts), k)), dtype=float).reshape(grid.full_shape)
-
-
-def _interior(arr, dim):
-    return arr[(slice(1, -1),) * dim]
-
-
-def _shift(arr, axis, step):
-    """Slice of the full-grid array displaced by ``step`` nodes, on the interior."""
-    return arr[tuple(slice(1 + step, n - 1 + step) if a == axis else slice(1, -1)
-                     for a, n in enumerate(arr.shape))]
-
-
-def _shift2(arr, step0, step1):
-    return arr[1 + step0: arr.shape[0] - 1 + step0, 1 + step1: arr.shape[1] - 1 + step1]
-
-
 def check_lyapunov(model, certificate, grid):
-    """Verify a Lyapunov drift inequality on the grid interior.
+    """Verify a Lyapunov drift inequality at the grid's interior nodes.
 
-    At every interior node x, regime k, and control value xi the checker
-    evaluates, with central second differences of the candidate V,
+    At every interior node x, regime k and control value xi the checker
+    evaluates, with the exact gradient and Hessian of the candidate V that
+    the compiler differentiated from its expression,
 
-        (L V)_k(x, xi) = sum_ij a_ij d2_ij V_k + b . grad V_k
+        (L V)_k(x, xi) = sum_ij a_ij d_ij V_k + b . grad V_k
                          + sum_j m_kj(x, xi) V_j(x)
 
     and requires  (L V)_k <= beta * 1{|x| <= compact_radius} - ell_k(x) V_k(x)
-    pointwise.  The verdict is
-
-    * ``fail`` when the margin (right minus left side) is negative somewhere
-      or the mode's side condition fails;
-    * ``inconclusive`` when margins are nonnegative but the second-difference
-      truncation estimate at the tightest node exceeds the margin there
-      (the grid is too coarse to trust the sign);
-    * ``pass`` otherwise.
+    pointwise.  The status is ``fail`` when that margin (right minus left
+    side) is negative somewhere or when the mode's side condition fails, and
+    ``pass`` otherwise; a margin that is not finite (L V, V or ell not
+    finite at a node) counts as -inf.  ``margins`` holds every margin, shape
+    (regime, control, interior node).  V < 1 at a node of the full grid,
+    the boundary layer included, is refused with ``ValueError``.
 
     Side conditions: INF_COMPACT requires ell - sup_xi c to grow radially
     outward on the grid (an inf-compactness proxy); GEOMETRIC requires
     min ell > max cost on the grid.  Margins are monotone in beta by
     construction.
     """
-    if grid.dim > 2:
-        raise NotImplementedError("certificate checking is implemented for dim <= 2")
-    h = grid.spacing
-    d = grid.dim
-    N = model.num_regimes
-
-    V_full = [_full_grid_values(grid, certificate.lyap, k) for k in range(N)]
-    for k, Vk in enumerate(V_full):
+    d, N = grid.dim, model.num_regimes
+    full = np.stack(np.meshgrid(*[grid.axis_full] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    V = np.array([certificate.lyap(full, np.full(len(full), k)) for k in range(N)], dtype=float)
+    for k, Vk in enumerate(V):
         if np.any(Vk < 1.0 - 1e-9):
             raise ValueError("certificate function must be >= 1 everywhere (regime %d)" % k)
+    V = V.reshape((N,) + grid.full_shape)[(slice(None),) + (slice(1, -1),) * d].reshape(N, -1)
 
     Xint = grid.interior_points()
-    n_int = grid.num_interior
-    ball = (np.linalg.norm(Xint, axis=1) <= certificate.compact_radius).astype(float)
-
-    # central differences of each V_k on the interior
-    grads = np.empty((N, n_int, d))
-    hess_diag = np.empty((N, n_int, d))
-    hess_off = np.empty((N, n_int))  # used for d == 2
-    trunc = np.empty((N, n_int))  # curvature-based truncation estimate
-    for k, Vk in enumerate(V_full):
-        for a in range(d):
-            grads[k, :, a] = ((_shift(Vk, a, 1) - _shift(Vk, a, -1)) / (2 * h)).reshape(-1)
-            hess_diag[k, :, a] = ((_shift(Vk, a, 1) - 2 * _interior(Vk, d) + _shift(Vk, a, -1)) / h**2).reshape(-1)
-        if d == 2:
-            ho = (_shift2(Vk, 1, 1) - _shift2(Vk, 1, -1) - _shift2(Vk, -1, 1) + _shift2(Vk, -1, -1)) / (4 * h**2)
-            hess_off[k] = ho.reshape(-1)
-        # fourth/third difference magnitudes as a truncation proxy; one-ring
-        # nodes fall back to the neighbor maximum
-        tr = np.zeros(grid.full_shape)
-        for a in range(d):
-            def along(lo, hi):
-                return tuple(slice(lo, hi) if aa == a else slice(None) for aa in range(d))
-            up2, up1, mid, dn1, dn2 = (Vk[along(lo, hi)] for lo, hi in
-                                       ((4, None), (3, -1), (2, -2), (1, -3), (None, -4)))
-            d4 = np.abs(up2 - 4 * up1 + 6 * mid - 4 * dn1 + dn2) / h**4
-            d3 = np.abs(up2 - 2 * up1 + 2 * dn1 - dn2) / (2 * h**3)
-            contrib = np.zeros(grid.full_shape)
-            contrib[along(2, -2)] = (h**2 / 12.0) * d4 + (h**2 / 6.0) * d3
-            tr = np.maximum(tr, contrib)
-        # propagate the estimate one node outward so one-ring nodes get a value
-        for a in range(d):
-            tr = np.maximum(tr, np.roll(tr, 1, axis=a))
-            tr = np.maximum(tr, np.roll(tr, -1, axis=a))
-        trunc[k] = _interior(tr, d).reshape(-1)
-
+    ks = [np.full(grid.num_interior, k) for k in range(N)]
+    grad = np.array([certificate.grad(Xint, k) for k in ks], dtype=float)
+    hess = np.array([certificate.hess(Xint, k) for k in ks], dtype=float)
+    ell = np.array([certificate.ell(Xint, k) for k in ks], dtype=float)
     co = coefficients(model, Xint)
-    V_int = np.stack([_interior(Vk, d).reshape(-1) for Vk in V_full])
-    ell = np.array([certificate.ell(Xint, np.full(n_int, k)) for k in range(N)], dtype=float)
-    cov = co.covariance
-    lap = np.einsum("knd,knd->kn", np.diagonal(cov, axis1=2, axis2=3), hess_diag)
-    if d == 2:
-        lap = lap + 2.0 * cov[:, :, 0, 1] * hess_off
-    trunc = trunc * (1.0 + np.max(np.abs(cov), axis=(2, 3)))
     # (L V)_k(x, xi) and its margin, shape (regime, control, node)
-    coupling = np.einsum("cnkj,jn->kcn", co.rates, V_int)
-    LV = lap[:, None] + np.einsum("kcnd,knd->kcn", co.drift, grads) + coupling
-    rhs = certificate.beta * ball - ell * V_int
+    LV = (np.einsum("knij,knij->kn", co.covariance, hess)[:, None]
+          + np.einsum("kcnd,knd->kcn", co.drift, grad)
+          + np.einsum("cnkj,jn->kcn", co.rates, V))
+    ball = (np.linalg.norm(Xint, axis=1) <= certificate.compact_radius).astype(float)
+    rhs = certificate.beta * ball - ell * V
     margin = rhs[:, None] - LV
+    margin[~np.isfinite(margin)] = -np.inf
     k_min, c_min, j_min = np.unravel_index(np.argmin(margin), margin.shape)
     margin_min = float(margin[k_min, c_min, j_min])
-    trunc_scale = float(trunc[k_min, j_min])
 
     # side conditions
     if certificate.mode is CertificateMode.GEOMETRIC:
@@ -515,22 +465,16 @@ def check_lyapunov(model, certificate, grid):
             ", ".join("%.4g" % s for s in shell_mins)
         )
 
-    if not margin_min >= 0.0 or not side_ok:  # a NaN margin fails too
-        status = "fail"
-    elif margin_min < trunc_scale:
-        status = "inconclusive"
-    else:
-        status = "pass"
     return CertificateReport(
-        status=status,
+        status="pass" if margin_min >= 0.0 and side_ok else "fail",
         margin_min=margin_min,
         argmin_state=Xint[j_min].copy(),
         argmin_regime=int(k_min),
         argmin_control=float(model.controls[c_min]),
-        truncation_at_argmin=trunc_scale,
         side_condition_ok=side_ok,
         side_condition_detail=side_detail,
         mode=certificate.mode.value,
+        margins=margin,
     )
 
 
@@ -617,12 +561,3 @@ def make_builtin(name, **params):
         raise ValueError("dip depths must lie in (0, tail]")
     return model
 
-
-def builtin_certificate(model):
-    """The Lyapunov certificate of a builtin's spec, compiled, or None.
-
-    Only :func:`make_builtin` attaches one; a model from a JSON spec (whatever
-    its name) and any model derived with ``with_cost`` or
-    ``dataclasses.replace`` carry none.
-    """
-    return model.certificate

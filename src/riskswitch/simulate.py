@@ -220,17 +220,13 @@ class ControlMap:
         return cls([int(control_index)])
 
     @classmethod
-    def from_policy(cls, policy, grid):
-        return cls(policy, grid)
-
-    @classmethod
     def coerce(cls, policy_or_control, grid=None):
         if isinstance(policy_or_control, cls):
             return policy_or_control
         if isinstance(policy_or_control, (int, np.integer)):
             return cls.constant(policy_or_control)
         if np.ndim(policy_or_control) == 2:
-            return cls.from_policy(policy_or_control, grid)
+            return cls(policy_or_control, grid)
         raise TypeError("expected ControlMap, control index, or policy table")
 
 

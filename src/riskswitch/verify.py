@@ -17,7 +17,7 @@ import numpy as np
 
 from .eigen import (LAMBDA_TOL, MAX_POLICY_ITERS, Bracket, collatz_wielandt_bounds,
                     domain_sweep, solve_semilinear, verification_tol)
-from .model import coefficients
+from .model import _refuse_few_samples, coefficients
 from .operator import assemble, constant_policy
 from .simulate import estimate_risk_sensitive_rates
 
@@ -187,6 +187,7 @@ def validate_near_monotone(model, box_radius, samples=512, seed=0):
     controls; the radial drift ratio max <b(x), x>+ / |x| must decay along a
     radius ladder.
     """
+    _refuse_few_samples(samples)
     rng = np.random.default_rng(seed)
     d = model.dim
     inner = rng.uniform(-box_radius, box_radius, size=(samples, d))

@@ -403,7 +403,7 @@ def random_instance(rng, dim=None, num_regimes=None, num_controls=None,
         npa = int(rng.choice([7, 9]))
     npa = npa if nodes_per_axis is None else nodes_per_axis
     radius = float(rng.choice([1.0, 1.5, 2.0]))
-    grid = rs.build_grid(dim, radius, npa)
+    grid = rs.GridSpec(dim, radius, npa)
     assert N * grid.num_interior <= 200
     return model, grid
 

@@ -17,8 +17,6 @@ import pytest
 import riskswitch as rs
 from riskswitch.cli import main as cli_main
 from riskswitch.eigen import LAMBDA_TOL
-from riskswitch.model import (CertificateMode, LyapunovCertificate,
-                              builtin_certificate)
 from riskswitch.verify import (near_monotone_suite, random_policies,
                                verification_eig_tol, verify_optimality)
 
@@ -131,8 +129,8 @@ def test_criterion_04_structural_properties(capsys):
     for _ in range(10):
         model, grid = orc.random_instance(rng)
         npa = grid.full_shape[0]
-        small = rs.build_grid(model.dim, grid.radius, npa)
-        big = rs.build_grid(model.dim, 2.0 * grid.radius, 2 * npa - 1)
+        small = rs.GridSpec(model.dim, grid.radius, npa)
+        big = rs.GridSpec(model.dim, 2.0 * grid.radius, 2 * npa - 1)
         lam_s = rs.principal_eigenpair(
             rs.assemble(model, small,
                         rs.constant_policy(small, model.num_regimes)),
@@ -250,12 +248,10 @@ def test_criterion_06_policy_suboptimality(capsys):
 def test_criterion_07_certificate_gate(capsys):
     model = rs.make_builtin("lq")
     grid = rs.grid_for_resolution(1, 4.0, 25)
-    good = rs.check_lyapunov(model, builtin_certificate(model), grid)
-    flat = LyapunovCertificate(
-        lyap=lambda X, k: np.ones(X.shape[0]),
-        ell=lambda X, k: X[:, 0] ** 2 / 4.0 - 1.0,
-        beta=2.0, compact_radius=2.0, mode=CertificateMode.INF_COMPACT)
-    bad = rs.check_lyapunov(model, flat, grid)
+    good = rs.check_lyapunov(model, model.certificate, grid)
+    spec = rs.BUILTIN_MODELS["lq"]
+    flat = rs.model_from_spec({**spec, "certificate": {**spec["certificate"], "lyap": "1"}})
+    bad = rs.check_lyapunov(model, flat.certificate, grid)
     ok = good.status == "pass" and bad.status == "fail"
     emit(capsys, 7, ok,
          "shipped certificate: %s (margin %.3f); constant candidate: %s "

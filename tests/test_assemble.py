@@ -29,7 +29,7 @@ def test_single_node_laplacian_row():
     # gives a = 2 exactly in floating point, so the row is exactly [-2a/h^2]
     m = scalar_model(lambda X: np.zeros_like(X), lambda X: np.zeros(X.shape[0]),
                      sigma=2.0)
-    g = rs.build_grid(1, 1.0, 3)
+    g = rs.GridSpec(1, 1.0, 3)
     op = rs.assemble(m, g, rs.constant_policy(g, 1))
     np.testing.assert_array_equal(op.matrix.toarray(), [[-4.0]])
     np.testing.assert_array_equal(op.boundary_outflow, [4.0])
@@ -43,7 +43,7 @@ def test_hand_computed_upwind_matrix():
     # all entries dyadic, so equality is exact
     q = 0.1875
     m = scalar_model(lambda X: -X, lambda X: q * X[:, 0] ** 2, sigma=2.0)
-    g = rs.build_grid(1, 1.0, 5)
+    g = rs.GridSpec(1, 1.0, 5)
     op = rs.assemble(m, g, rs.constant_policy(g, 1))
     expected = np.array([
         [-17.0 + q * 0.25, 9.0, 0.0],
@@ -86,7 +86,7 @@ def test_quadratic_exactness_interior():
     # boundary reproduce a f'' = 2 a exactly
     m = scalar_model(lambda X: np.zeros_like(X), lambda X: np.zeros(X.shape[0]),
                      sigma=1.5)
-    g = rs.build_grid(1, 2.0, 17)
+    g = rs.GridSpec(1, 2.0, 17)
     op = rs.assemble(m, g, rs.constant_policy(g, 1))
     x = g.interior_points()[:, 0]
     Af = op.matrix @ (x ** 2)
@@ -98,7 +98,7 @@ def test_quadratic_exactness_interior():
 def test_linear_exactness_upwind():
     # one-sided differences are exact on linear functions, both drift signs
     m = scalar_model(lambda X: 0.7 - X, lambda X: np.zeros(X.shape[0]))
-    g = rs.build_grid(1, 2.0, 17)
+    g = rs.GridSpec(1, 2.0, 17)
     op = rs.assemble(m, g, rs.constant_policy(g, 1))
     x = g.interior_points()[:, 0]
     Af = op.matrix @ x
@@ -121,7 +121,7 @@ def test_cross_term_corner_stencil_exact_on_bilinear():
             rates=lambda X, xi: np.zeros((X.shape[0], 1, 1)),
             cost=lambda X, k, xi: np.zeros(X.shape[0]),
         )
-        g = rs.build_grid(2, 1.0, 9)
+        g = rs.GridSpec(2, 1.0, 9)
         op = rs.assemble(m, g, rs.constant_policy(g, 1))
         pts = g.interior_points()
         f = pts[:, 0] * pts[:, 1]
@@ -143,7 +143,7 @@ def test_monotonicity_violation_refused():
         rates=lambda X, xi: np.zeros((X.shape[0], 1, 1)),
         cost=lambda X, k, xi: np.zeros(X.shape[0]),
     )
-    g = rs.build_grid(2, 1.0, 5)
+    g = rs.GridSpec(2, 1.0, 5)
     with pytest.raises(MonotonicityViolation) as exc:
         rs.assemble(m, g, rs.constant_policy(g, 1))
     assert exc.value.a_matrix[0, 1] == pytest.approx(0.75)
@@ -163,7 +163,7 @@ def test_monotonicity_boundary_case_allowed():
         rates=lambda X, xi: np.zeros((X.shape[0], 1, 1)),
         cost=lambda X, k, xi: np.zeros(X.shape[0]),
     )
-    g = rs.build_grid(2, 1.0, 5)
+    g = rs.GridSpec(2, 1.0, 5)
     op = rs.assemble(m, g, rs.constant_policy(g, 1))
     off = op.matrix.tocoo()
     assert off.data[off.row != off.col].min() >= 0.0
@@ -173,7 +173,7 @@ def test_constant_cost_shift_is_exact():
     # the cost joins the diagonal as the final separate term, so a constant
     # shift changes the diagonal by exactly kappa and nothing else
     m = rs.make_builtin("lq", controls=(1.0,))
-    g = rs.build_grid(1, 2.0, 17)
+    g = rs.GridSpec(1, 2.0, 17)
     pol = rs.constant_policy(g, 1)
     A = rs.assemble(m, g, pol).matrix
     kap = 0.75
@@ -185,7 +185,7 @@ def test_constant_cost_shift_is_exact():
 
 def test_negative_cost_rejected():
     m = scalar_model(lambda X: -X, lambda X: np.full(X.shape[0], -0.1))
-    g = rs.build_grid(1, 1.0, 5)
+    g = rs.GridSpec(1, 1.0, 5)
     with pytest.raises(ValueError, match="nonnegative"):
         rs.assemble(m, g, rs.constant_policy(g, 1))
 
@@ -195,7 +195,7 @@ def test_malformed_rates_rejected_at_assembly():
     bad = dataclasses.replace(
         m, rates=lambda X, xi: np.broadcast_to(
             np.array([[-1.0, 0.9], [1.0, -1.0]]), (X.shape[0], 2, 2)).copy())
-    g = rs.build_grid(1, 1.0, 5)
+    g = rs.GridSpec(1, 1.0, 5)
     with pytest.raises(ValueError, match="sum to zero"):
         rs.assemble(bad, g, rs.constant_policy(g, 2))
     bad2 = dataclasses.replace(
@@ -230,7 +230,7 @@ def test_regime_block_structure():
             np.array([[-rho, rho], [rho, -rho]]), (X.shape[0], 2, 2)).copy(),
         cost=cost)
 
-    g = rs.build_grid(1, 2.0, 9)
+    g = rs.GridSpec(1, 2.0, 9)
     B = rs.assemble(single, g, rs.constant_policy(g, 1)).matrix.toarray()
     A = rs.assemble(coupled, g, rs.constant_policy(g, 2)).matrix.toarray()
     M = g.num_interior
@@ -244,7 +244,7 @@ def test_regime_block_structure():
 def test_policy_controls_enter_rows():
     # rows follow their own policy entry: drift, cost, and rate row all switch
     m = rs.make_builtin("lq", q=0.1, controls=(1.0, 3.0))
-    g = rs.build_grid(1, 1.0, 5)
+    g = rs.GridSpec(1, 1.0, 5)
     pol = rs.constant_policy(g, 1, control_index=0)
     pol[0, 1] = 1  # node at the origin uses control 3
     op = rs.assemble(m, g, pol)
@@ -262,7 +262,7 @@ def test_policy_controls_enter_rows():
 
 def test_policy_validation():
     m = rs.make_builtin("ou2")
-    g = rs.build_grid(1, 1.0, 5)
+    g = rs.GridSpec(1, 1.0, 5)
     with pytest.raises(ValueError, match="shape"):
         rs.assemble(m, g, np.zeros((1, g.num_interior), dtype=int))
     bad = rs.constant_policy(g, 2, 0)
@@ -292,7 +292,7 @@ def test_policy_rows_equal_constant_policy_rows(name):
 
 def test_with_policy_validation():
     m = rs.make_builtin("ou2")
-    g = rs.build_grid(1, 1.0, 5)
+    g = rs.GridSpec(1, 1.0, 5)
     op = rs.assemble(m, g, rs.constant_policy(g, 2))
     with pytest.raises(ValueError, match="shape"):
         op.with_policy(np.zeros((1, g.num_interior), dtype=int))
@@ -310,14 +310,14 @@ def test_dim3_not_implemented():
         diffusion=lambda X, k: np.broadcast_to(
             np.eye(3), (X.shape[0], 3, 3)).copy(),
         cost=lambda X, k, xi: np.zeros(X.shape[0]))
-    g = rs.build_grid(3, 1.0, 5)
+    g = rs.GridSpec(3, 1.0, 5)
     with pytest.raises(NotImplementedError):
         rs.assemble(m, g, rs.constant_policy(g, 1))
 
 
 def test_matrix_market_roundtrip(tmp_path):
     m = rs.make_builtin("ou2")
-    g = rs.build_grid(1, 2.0, 9)
+    g = rs.GridSpec(1, 2.0, 9)
     op = rs.assemble(m, g, rs.constant_policy(g, 2))
     path = tmp_path / "op.mtx"
     op.write_matrix_market(path)

@@ -428,6 +428,20 @@ def test_verify_skip_simulation(tmp_path):
     assert max(rep["lambda"] - bracket["lower"], bracket["upper"] - rep["lambda"]) < 1e-10
 
 
+def test_verify_checks_the_certificate_on_the_commands_grid(tmp_path):
+    # the certificate grid has radius min(R, 4) at the command's own
+    # --nodes-per-unit, which tiles it whenever it tiles R
+    d = str(tmp_path)
+    code, out = run(["verify", "--builtin", "lq", "--radius", "0.7", "--nodes-per-unit", "10",
+                     "--skip-simulation", "--alt-policies", "1", "--output-dir", d])
+    assert code == 0, out
+    cert = load(d + "/verify.json")["checks"]["certificate"]
+    assert cert["status"] == "pass"
+    assert set(cert) == {"status", "margin_min", "argmin_state", "argmin_regime",
+                         "argmin_control", "side_condition_ok", "side_condition_detail",
+                         "mode"}
+
+
 @pytest.mark.parametrize("extra, message", [
     (["--paths", "1"], "the Feynman-Kac check needs at least 2 paths for a standard "
                        "error, got 1"),
@@ -445,6 +459,20 @@ def test_verify_refuses_a_feynman_kac_check_that_cannot_fail(tmp_path, capsys, e
                                "exit_code": 2}
     assert capsys.readouterr().err == ""
     assert not (d / "verify.json").exists()
+
+
+def test_verify_checks_the_certificate_on_the_commands_grid(tmp_path):
+    # the certificate grid has radius min(R, 4) at the command's own
+    # --nodes-per-unit, which tiles it whenever it tiles R
+    d = str(tmp_path)
+    code, out = run(["verify", "--builtin", "lq", "--radius", "0.7", "--nodes-per-unit", "10",
+                     "--skip-simulation", "--alt-policies", "1", "--output-dir", d])
+    assert code == 0, out
+    cert = load(d + "/verify.json")["checks"]["certificate"]
+    assert cert["status"] == "pass"
+    assert set(cert) == {"status", "margin_min", "argmin_state", "argmin_regime",
+                         "argmin_control", "side_condition_ok", "side_condition_detail",
+                         "mode"}
 
 
 @pytest.mark.parametrize("extra, message", [
@@ -721,6 +749,28 @@ def test_certificate_belongs_to_the_builtin_not_the_name(tmp_path):
     assert cert["status"] == "pass" and cert["mode"] == "inf_compact"
 
 
+OU_CERTIFICATE = {"lyap": "exp(x1^2 / 8)", "ell": "x1^2 / 8", "beta": 0.5,
+                  "compact_radius": 2.0, "mode": "inf_compact"}
+
+
+def test_json_model_certificate_is_checked(tmp_path):
+    cfg = write_spec(tmp_path, certificate=OU_CERTIFICATE)
+    for argv in (["validate"], ["verify", "--radius", "4", "--nodes-per-unit", "10",
+                                "--skip-simulation", "--alt-policies", "1"]):
+        d = str(tmp_path / argv[0])
+        code, out = run(argv + ["--model", cfg, "--output-dir", d])
+        assert code == 0, out
+        assert load("%s/%s.json" % (d, argv[0]))["checks"]["certificate"]["status"] == "pass"
+    # a candidate the compiler cannot differentiate is a configuration error
+    cfg = write_spec(tmp_path, certificate={**OU_CERTIFICATE, "lyap": "exp(abs(x1) / 8)"})
+    d = tmp_path / "abs"
+    code, out = run(["validate", "--model", cfg, "--output-dir", str(d)])
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "UsageError" and "cannot differentiate abs" in err["message"]
+    assert not (d / "validate.json").exists()
+
+
 @pytest.mark.parametrize("argv", [["--builtin", "lq", "--param", "theta=1"],
                                   ["--builtin", "ou2", "--param", "q=0.05"]])
 def test_bad_builtin_param_exits_2(tmp_path, argv):
@@ -874,6 +924,8 @@ LQ_SOLVE = ["solve", "--builtin", "lq", "--nodes-per-unit", "10"]
     LQ_SOLVE + ["--radius", "2", "--param", "q=nan"],
     OU2_VERIFY + ["--alt-policies", "-1", "--skip-simulation"],
     OU2_VERIFY + ["--rate-policies", "-1"],
+    ["validate", "--builtin", "lq", "--samples", "0"],
+    OU2_VERIFY + ["--samples", "1", "--skip-simulation"],
 ], ids=lambda argv: " ".join(argv))
 def test_non_finite_number_or_negative_count_exits_2(tmp_path, capsys, argv):
     d = tmp_path / "out"

@@ -5,9 +5,11 @@ four rules: no exception escapes ``main``; the exit code is 0, 1, 2 or 3;
 on exit 2 or 3 stdout is the JSON error and no command artifact is written;
 on exit 0 no artifact holds a NaN or an infinity.  The models have 1-2
 coordinates and 1-2 regimes, expressions of depth <= 3 over x, k and xi,
-constants up to 1e19 and degenerate diffusions, and run at small sizes
-through ``solve``, ``verify`` (with and without a 64-path simulation),
-``simulate`` and ``validate --near-monotone``.
+constants up to 1e19 and degenerate diffusions, and sometimes a Lyapunov
+certificate whose candidate is drawn from the whole grammar (so abs, min
+and max, which the compiler refuses to differentiate, come up too), and run
+at small sizes through ``solve``, ``verify`` (with and without a 64-path
+simulation), ``simulate`` and ``validate --near-monotone``.
 """
 
 import contextlib
@@ -57,12 +59,22 @@ def models(draw):
         a, b = (draw(st.one_of(st.sampled_from(CONSTANTS), expressions(x + ["xi"]).map(
             "abs(%s)".__mod__))) for _ in range(2))
         rates = [["-(%s)" % a, a], [b, "-(%s)" % b]]
-    return {"name": "generated", "dim": dim, "num_regimes": n,
+    spec = {"name": "generated", "dim": dim, "num_regimes": n,
             "controls": draw(st.sampled_from([[1.0], [1.0, 2.0], [0.5, 1.0, 2.0]])),
             "drift": draw(st.lists(expressions(x + ["k", "xi"]), min_size=dim,
                                    max_size=dim)),
             "diffusion": diffusion, "rates": rates,
             "cost": draw(st.one_of(cost, cost.map("abs(%s)".__mod__)))}
+    if draw(st.booleans()):
+        # exp of a square is >= 1, so those candidates reach the drift check
+        lyap = expressions(x + ["k"])
+        spec["certificate"] = {
+            "lyap": draw(st.one_of(lyap, lyap.map("exp((%s)^2)".__mod__))),
+            "ell": draw(expressions(x + ["k"])),
+            "beta": draw(st.sampled_from([0.0, 0.5, 1e19])),
+            "compact_radius": draw(st.sampled_from([0.5, 2.0])),
+            "mode": draw(st.sampled_from(["inf_compact", "geometric"]))}
+    return spec
 
 
 def commands(functional):

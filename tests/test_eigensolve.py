@@ -24,7 +24,7 @@ def test_dirichlet_diffusion_eigenvalue():
         rates=lambda X, xi: np.zeros((X.shape[0], 1, 1)),
         cost=lambda X, k, xi: np.zeros(X.shape[0]),
     )
-    g = rs.build_grid(1, 1.0, 201)
+    g = rs.GridSpec(1, 1.0, 201)
     pair = rs.principal_eigenpair(rs.assemble(m, g, rs.constant_policy(g, 1)))
     assert pair.eigenvalue == pytest.approx(-math.pi ** 2 / 4.0, abs=1e-3)
     x = g.interior_points()[:, 0]
@@ -98,7 +98,7 @@ def test_symmetry_collapse():
         rates=lambda X, xi: np.broadcast_to(
             np.array([[-0.7, 0.7], [0.7, -0.7]]), (X.shape[0], 2, 2)).copy(),
         cost=cost)
-    g = rs.build_grid(1, 3.0, 41)
+    g = rs.GridSpec(1, 3.0, 41)
     p1 = rs.principal_eigenpair(rs.assemble(single, g, rs.constant_policy(g, 1)), tol=1e-12)
     p2 = rs.principal_eigenpair(rs.assemble(double, g, rs.constant_policy(g, 2)), tol=1e-12)
     assert abs(p1.eigenvalue - p2.eigenvalue) <= 1e-10
@@ -137,7 +137,7 @@ def test_reducible_operator_raises():
     m = rs.make_builtin("ou2")
     nocoupling = dataclasses.replace(
         m, rates=lambda X, xi: np.zeros((X.shape[0], 2, 2)))
-    g = rs.build_grid(1, 2.0, 9)
+    g = rs.GridSpec(1, 2.0, 9)
     op = rs.assemble(nocoupling, g, rs.constant_policy(g, 2))
     with pytest.raises(NotIrreducibleError):
         rs.principal_eigenpair(op)
@@ -471,7 +471,7 @@ def test_uniqueness_check_surfaces_reducibility():
     m = rs.make_builtin("ou2")
     nocoupling = dataclasses.replace(
         m, rates=lambda X, xi: np.zeros((X.shape[0], 2, 2)))
-    g = rs.build_grid(1, 2.0, 9)
+    g = rs.GridSpec(1, 2.0, 9)
     rep = orc.uniqueness_check(nocoupling, g, trials=2,
                               policy=rs.constant_policy(g, 2))
     assert not rep.passed

@@ -252,3 +252,72 @@ def test_row_wise_evaluation_equals_per_regime_and_control(name, seed, n):
             for whole, part in zip(mixed, grouped):
                 assert whole.shape[1:] == part.shape[1:]
                 assert whole[g].tobytes() == np.asarray(part, dtype=float).tobytes()
+
+
+def certificate_of(lyap):
+    """The compiled certificate of candidate ``lyap`` on a 2-D, two-regime spec."""
+    return model_from_spec({
+        "dim": 2, "num_regimes": 2, "controls": [1.0], "drift": ["0", "0"],
+        "diffusion": [["1", "0"], ["0", "1"]], "rates": [["-1", "1"], ["1", "-1"]],
+        "cost": "0", "certificate": {"lyap": lyap, "ell": "abs(x1)", "beta": 1.0,
+                                     "compact_radius": 1.0, "mode": "geometric"}}).certificate
+
+
+def smooth(depth=3):
+    """Smooth grammar expressions over x1, x2 and k whose values and
+    derivatives stay moderate on [-1, 1]^2."""
+    leaf = st.sampled_from(["x1", "x2", "k", "0.5", "2"])
+    if depth == 0:
+        return leaf
+    sub = smooth(depth - 1)
+    return st.one_of(
+        leaf,
+        st.tuples(sub, st.sampled_from("+-*"), sub).map("(%s %s %s)".__mod__),
+        st.tuples(sub, sub).map("(%s / (1 + (%s)^2))".__mod__),
+        st.tuples(sub, st.sampled_from(["2", "3", "(2 + k)"])).map("(%s)^%s".__mod__),
+        sub.map("exp(tanh(%s))".__mod__), sub.map("sqrt(1 + (%s)^2)".__mod__),
+        sub.map("tanh(%s)".__mod__), sub.map("(-%s)".__mod__), sub.map("(+%s)".__mod__))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lyap=smooth(), seed=st.integers(0, 2 ** 32 - 1))
+def test_compiled_derivatives_match_central_differences(lyap, seed):
+    cert = certificate_of(lyap)
+    X = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(8, 2))
+    K = np.arange(8) % 2
+    h, e = 1e-6, np.eye(2) * 1e-6
+    value, grad, hess = cert.lyap(X, K), cert.grad(X, K), cert.hess(X, K)
+    assert grad.shape == (8, 2) and hess.shape == (8, 2, 2)
+    fd_grad = np.stack([(cert.lyap(X + e[i], K) - cert.lyap(X - e[i], K)) / (2 * h)
+                        for i in range(2)], axis=1)
+    fd_hess = np.stack([(cert.grad(X + e[j], K) - cert.grad(X - e[j], K)) / (2 * h)
+                        for j in range(2)], axis=2)
+    scale = 1.0 + np.abs(value) + np.abs(grad).max(axis=1) + np.abs(hess).max(axis=(1, 2))
+    assert np.all(np.abs(fd_grad - grad) <= 1e-6 * scale[:, None]), lyap
+    assert np.all(np.abs(fd_hess - hess) <= 1e-6 * scale[:, None, None]), lyap
+    np.testing.assert_array_equal(hess, hess.transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("lyap, message", [
+    ("1 + abs(x1)", "differentiate abs"),
+    ("exp(min(x1, x2))", "differentiate min"),
+    ("max(1, x1^2)", "differentiate max"),
+    ("2 ^ x1", "exponent may not depend on x"),
+    ("x1 ^ (1 + x2 * k)", "exponent may not depend on x"),
+    ("exp(x1 ^ abs(x2))", "exponent may not depend on x"),
+])
+def test_certificate_without_derivative_rejected(lyap, message):
+    with pytest.raises(ExpressionError, match=message):
+        certificate_of(lyap)
+
+
+def test_certificate_entry_errors():
+    spec = dict(CUSTOM, certificate={"lyap": "exp(x1^2)", "beta": 1.0})
+    with pytest.raises(ExpressionError, match="certificate is missing key 'ell'"):
+        model_from_spec(spec)
+    spec["certificate"] = {"lyap": "exp(x1^2)", "ell": "1", "beta": 1.0,
+                           "compact_radius": 1.0, "mode": "geometric"}
+    assert model_from_spec(spec).certificate.mode is rs.CertificateMode.GEOMETRIC
+    spec["certificate"]["lyap"] = "exp(xi * x1^2)"
+    with pytest.raises(ExpressionError, match="unknown variable 'xi'"):
+        model_from_spec(spec)

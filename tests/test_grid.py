@@ -9,7 +9,7 @@ import _oracles as orc
 
 
 def test_axis_and_spacing():
-    g = rs.build_grid(1, 2.0, 9)
+    g = rs.GridSpec(1, 2.0, 9)
     assert g.spacing == pytest.approx(0.5)
     np.testing.assert_allclose(g.axis_full, np.arange(-2.0, 2.01, 0.5))
     np.testing.assert_allclose(g.axis_interior, np.arange(-1.5, 1.51, 0.5))
@@ -19,7 +19,7 @@ def test_axis_and_spacing():
 
 def test_origin_is_exact_node():
     # linspace can leave ~1e-17 at the center; normalization anchors there
-    g = rs.build_grid(1, 3.0, 61)
+    g = rs.GridSpec(1, 3.0, 61)
     mid = (g.nodes_per_axis - 1) // 2
     assert g.axis_full[mid] == 0.0
     pts = g.interior_points()
@@ -27,24 +27,24 @@ def test_origin_is_exact_node():
 
 
 def test_origin_index_2d():
-    g = rs.build_grid(2, 1.0, 5)
+    g = rs.GridSpec(2, 1.0, 5)
     pts = g.interior_points()
     np.testing.assert_array_equal(pts[g.origin_index], [0.0, 0.0])
 
 
 def test_even_node_count_rejected():
     with pytest.raises(ValueError):
-        rs.build_grid(1, 1.0, 8)
+        rs.GridSpec(1, 1.0, 8)
     with pytest.raises(ValueError):
-        rs.build_grid(1, 1.0, 2)
+        rs.GridSpec(1, 1.0, 2)
     with pytest.raises(ValueError):
-        rs.build_grid(1, -1.0, 5)
+        rs.GridSpec(1, -1.0, 5)
     with pytest.raises(ValueError):
-        rs.build_grid(0, 1.0, 5)
+        rs.GridSpec(0, 1.0, 5)
 
 
 def test_interior_enumeration_row_major():
-    g = rs.build_grid(2, 1.0, 5)
+    g = rs.GridSpec(2, 1.0, 5)
     pts = g.interior_points()
     assert pts.shape == (9, 2)
     # last coordinate varies fastest
@@ -57,14 +57,14 @@ def test_interior_enumeration_row_major():
 
 
 def test_row_index_regime_major():
-    g = rs.build_grid(1, 1.0, 5)
+    g = rs.GridSpec(1, 1.0, 5)
     assert g.row_index(0, 2) == 2
     assert g.row_index(1, 0) == g.num_interior
     assert g.row_index(2, 1) == 2 * g.num_interior + 1
 
 
 def test_nearest_interior_index_rounds_and_clamps():
-    g = rs.build_grid(1, 2.0, 9)
+    g = rs.GridSpec(1, 2.0, 9)
     X = np.array([[0.0], [0.24], [0.26], [-5.0], [5.0]])
     idx = g.nearest_interior_index(X)
     pts = g.interior_points()[:, 0]
@@ -76,7 +76,7 @@ def test_nearest_interior_index_rounds_and_clamps():
 
 
 def test_nearest_interior_index_2d_batch():
-    g = rs.build_grid(2, 1.0, 5)
+    g = rs.GridSpec(2, 1.0, 5)
     X = np.array([[0.4, -0.6], [0.0, 0.0]])
     idx = g.nearest_interior_index(X)
     np.testing.assert_allclose(g.interior_points()[idx[0]], [0.5, -0.5])

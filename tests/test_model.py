@@ -2,14 +2,12 @@
 
 import dataclasses
 import json
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import riskswitch as rs
-from riskswitch.model import builtin_certificate, CertificateMode, LyapunovCertificate
 
 import _oracles as orc
 
@@ -147,6 +145,15 @@ def test_validate_model_refuses_a_box_radius_not_finite_and_positive(radius):
         rs.validate_model(rs.make_builtin("lq"), box_radius=radius, samples=16)
 
 
+@pytest.mark.parametrize("samples", [0, 1, -3])
+def test_sampling_checks_refuse_fewer_than_two_samples(samples):
+    # both split their samples in halves
+    m = rs.make_builtin("lq")
+    for check in (rs.validate_model, rs.validate_near_monotone):
+        with pytest.raises(ValueError, match="samples must be >= 2"):
+            check(m, 2.0, samples=samples)
+
+
 def test_validate_model_rejects_malformed_rates():
     m = rs.make_builtin("ou2")
 
@@ -168,9 +175,16 @@ def test_validate_model_rejects_malformed_rates():
 # certificates
 
 
+def certified(name, **entry):
+    """The builtin ``name`` compiled from its spec, its certificate entry
+    updated by ``entry``."""
+    spec = rs.BUILTIN_MODELS[name]
+    return rs.model_from_spec({**spec, "certificate": {**spec["certificate"], **entry}})
+
+
 def test_lq_certificate_passes():
     m = rs.make_builtin("lq")
-    rep = rs.check_lyapunov(m, builtin_certificate(m), rs.grid_for_resolution(1, 4.0, 25))
+    rep = rs.check_lyapunov(m, m.certificate, rs.grid_for_resolution(1, 4.0, 25))
     assert rep.status == "pass"
     assert rep.margin_min > 1.0  # wide margin; regression guard only
     assert rep.side_condition_ok
@@ -179,51 +193,115 @@ def test_lq_certificate_passes():
 
 def test_ou2_certificate_passes():
     m = rs.make_builtin("ou2")
-    rep = rs.check_lyapunov(m, builtin_certificate(m), rs.grid_for_resolution(1, 4.0, 25))
+    rep = rs.check_lyapunov(m, m.certificate, rs.grid_for_resolution(1, 4.0, 25))
     assert rep.status == "pass"
     assert rep.margin_min > 0.01
 
 
 def test_bounded2d_certificate_passes_geometric():
     m = rs.make_builtin("bounded2d")
-    rep = rs.check_lyapunov(m, builtin_certificate(m), rs.grid_for_resolution(2, 4.0, 4))
+    rep = rs.check_lyapunov(m, m.certificate, rs.grid_for_resolution(2, 4.0, 4))
     assert rep.status == "pass"
     assert rep.mode == "geometric"
     assert rep.side_condition_ok  # constant rate 0.15 dominates the bounded cost
 
 
+def closed_form_margins(name, m, X):
+    """(regime, control, node) margins of the shipped lq or ou2 certificate:
+    with V = exp(x^2 / c), V' = 2x/c V and V'' = (2/c + 4x^2/c^2) V, and
+    a = 1, b = -kappa_k xi x, rows of the rate matrix summing to zero."""
+    p, x = m.params, X[:, 0]
+    c, ell, kappa = (4.0, x**2 / 4 - 1, [1.0]) if name == "lq" else \
+        (8.0, x**2 / 8, p["kappa"])
+    V = np.exp(x**2 / c)
+    ball = np.abs(x) <= 2.0
+    beta = m.certificate.beta
+    return np.array([[beta * ball - ell * V - (2 / c + 4 * x**2 / c**2) * V
+                      + kappa[k] * xi * x * (2 * x / c) * V for xi in m.controls]
+                     for k in range(m.num_regimes)])
+
+
+@pytest.mark.parametrize("name", ["lq", "ou2"])
+def test_margins_equal_the_closed_forms(name):
+    m = rs.make_builtin(name, controls=(0.5, 1.0, 2.0))
+    g = rs.grid_for_resolution(1, 4.0, 25)
+    rep = rs.check_lyapunov(m, m.certificate, g)
+    expected = closed_form_margins(name, m, g.interior_points())
+    assert rep.margins.shape == expected.shape == (m.num_regimes, 3, g.num_interior)
+    np.testing.assert_allclose(rep.margins, expected, rtol=1e-12, atol=1e-12 * m.certificate.beta)
+    assert rep.margin_min == rep.margins.min()
+    if name == "ou2":  # the form of the paper's example
+        x = g.interior_points()[:, 0]
+        kx = np.array(m.params["kappa"])[:, None, None] * m.controls[:, None] * x**2
+        ou2 = 0.5 * (np.abs(x) <= 2) + np.exp(x**2 / 8) * (kx / 4 - 3 * x**2 / 16 - 0.25)
+        np.testing.assert_allclose(rep.margins, ou2, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("overrides", [{}, {
+    "diffusion": [["sqrt(2)", "0.5 * tanh(x2)"], ["0.3", "1"]],
+    "certificate": {**rs.BUILTIN_MODELS["bounded2d"]["certificate"],
+                    "lyap": "(1 + k) * exp(0.5 * sqrt(1 + (x1^2 + x2^2)))"}}])
+def test_bounded2d_margins_match_central_differences(overrides):
+    # the shipped certificate, and one whose V differs between the regimes
+    # under a diffusion with off-diagonal covariance
+    m = rs.model_from_spec({**rs.BUILTIN_MODELS["bounded2d"], **overrides})
+    g = rs.grid_for_resolution(2, 2.0, 4)
+    X, h, N = g.interior_points(), 1e-4, m.num_regimes
+    cert = m.certificate
+
+    def V(Y, k):
+        return cert.lyap(Y, np.full(len(Y), k))
+
+    e = np.eye(2) * h
+    grad = np.array([[(V(X + e[i], k) - V(X - e[i], k)) / (2 * h) for i in range(2)]
+                     for k in range(N)])                          # (N, dim, n)
+    hess = np.array([[[(V(X + e[i] + e[j], k) - V(X + e[i] - e[j], k)
+                        - V(X - e[i] + e[j], k) + V(X - e[i] - e[j], k)) / (4 * h * h)
+                       for j in range(2)] for i in range(2)] for k in range(N)])
+    co = rs.coefficients(m, X)
+    Vx = np.array([V(X, k) for k in range(N)])
+    LV = (np.einsum("knij,kijn->kn", co.covariance, hess)[:, None]
+          + np.einsum("kcnd,kdn->kcn", co.drift, grad)
+          + np.einsum("cnkj,jn->kcn", co.rates, Vx))
+    ball = np.linalg.norm(X, axis=1) <= cert.compact_radius
+    ell = np.array([cert.ell(X, np.full(len(X), k)) for k in range(N)])
+    expected = (cert.beta * ball - ell * Vx)[:, None] - LV
+    rep = rs.check_lyapunov(m, cert, g)
+    np.testing.assert_allclose(rep.margins, expected, rtol=1e-7, atol=1e-7)
+
+
 def test_constant_candidate_fails():
     # V = 1 has LV = 0, so the inequality reduces to 0 <= beta*ball - ell,
     # violated wherever ell > 0 outside the ball
-    m = rs.make_builtin("lq")
-    cert = LyapunovCertificate(
-        lyap=lambda X, k: np.ones(X.shape[0]),
-        ell=lambda X, k: X[:, 0] ** 2 / 4.0 - 1.0,
-        beta=2.0, compact_radius=2.0, mode=CertificateMode.INF_COMPACT)
-    rep = rs.check_lyapunov(m, cert, rs.grid_for_resolution(1, 4.0, 25))
+    m = certified("lq", lyap="1")
+    rep = rs.check_lyapunov(m, m.certificate, rs.grid_for_resolution(1, 4.0, 25))
     assert rep.status == "fail"
     assert rep.margin_min < 0
 
 
-def test_truncation_dominated_margin_is_inconclusive():
-    # on the npu=25 grid the origin margin is beta - 0.2500250... and the
-    # truncation estimate there is 5.4e-5, so this beta lands the minimum
-    # margin inside (0, truncation): the checker must refuse to certify
-    m = rs.make_builtin("ou2")
-    cert = dataclasses.replace(builtin_certificate(m), beta=0.25005)
-    rep = rs.check_lyapunov(m, cert, rs.grid_for_resolution(1, 4.0, 25))
-    assert rep.status == "inconclusive"
-    assert 0 <= rep.margin_min < rep.truncation_at_argmin
+def test_tight_margin_at_the_origin_is_exact():
+    # the origin's margin is beta - 1/4, the smallest on the grid; at
+    # beta = 0.25005 it is 5e-5, and exact, so the check passes
+    m = certified("ou2", beta=0.25005)
+    rep = rs.check_lyapunov(m, m.certificate, rs.grid_for_resolution(1, 4.0, 25))
+    assert rep.status == "pass"
+    assert rep.argmin_state.tolist() == [0.0]
+    assert rep.margin_min == pytest.approx(0.25005 - 0.25, rel=1e-9)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 0 / 0 at the origin
+def test_non_finite_drift_fails():
+    # V = 1 + |x1| has a kink at the origin, where L V is not finite
+    m = certified("lq", lyap="1 + sqrt(x1^2)", ell="0", beta=100.0, compact_radius=10.0)
+    rep = rs.check_lyapunov(m, m.certificate, rs.grid_for_resolution(1, 1.0, 4))
+    assert rep.status == "fail"
+    assert rep.margin_min == -np.inf and rep.argmin_state.tolist() == [0.0]
 
 
 def test_certificate_below_one_rejected():
-    m = rs.make_builtin("lq")
-    cert = LyapunovCertificate(
-        lyap=lambda X, k: np.full(X.shape[0], 0.5),
-        ell=lambda X, k: np.zeros(X.shape[0]),
-        beta=1.0, compact_radius=1.0, mode=CertificateMode.GEOMETRIC)
+    m = certified("lq", lyap="0.5", ell="0", beta=1.0, compact_radius=1.0, mode="geometric")
     with pytest.raises(ValueError, match=">= 1"):
-        rs.check_lyapunov(m, cert, rs.grid_for_resolution(1, 2.0, 10))
+        rs.check_lyapunov(m, m.certificate, rs.grid_for_resolution(1, 2.0, 10))
 
 
 @settings(max_examples=20, deadline=None)
@@ -233,26 +311,28 @@ def test_margin_monotone_in_beta(extra):
     # and the reported margin never decreases
     m = rs.make_builtin("ou2")
     g = rs.grid_for_resolution(1, 4.0, 10)
-    base = builtin_certificate(m)
+    base = m.certificate
     r0 = rs.check_lyapunov(m, base, g)
     r1 = rs.check_lyapunov(m, dataclasses.replace(base, beta=base.beta + extra), g)
     assert r1.margin_min >= r0.margin_min - 1e-12
     assert r1.status == "pass"
 
 
-def test_certificate_dim3_not_implemented():
-    m = dataclasses.replace(
-        rs.make_builtin("lq"), dim=3,
-        drift=lambda X, k, xi: -X,
-        diffusion=lambda X, k: np.broadcast_to(np.eye(3) * math.sqrt(2),
-                                               (X.shape[0], 3, 3)).copy(),
-        cost=lambda X, k, xi: np.einsum("nd,nd->n", X, X))
-    cert = LyapunovCertificate(
-        lyap=lambda X, k: np.exp(np.einsum("nd,nd->n", X, X) / 8.0),
-        ell=lambda X, k: np.zeros(X.shape[0]),
-        beta=1.0, compact_radius=1.0, mode=CertificateMode.INF_COMPACT)
-    with pytest.raises(NotImplementedError):
-        rs.check_lyapunov(m, cert, rs.build_grid(3, 1.0, 5))
+def test_certificate_dim3_is_checked():
+    r2 = "(x1^2 + x2^2 + x3^2)"
+    m = rs.model_from_spec({
+        "dim": 3, "num_regimes": 1, "controls": [1.0], "drift": ["-x1", "-x2", "-x3"],
+        "diffusion": [["sqrt(2)", "0", "0"], ["0", "sqrt(2)", "0"], ["0", "0", "sqrt(2)"]],
+        "rates": [["0"]], "cost": "0.05 * " + r2,
+        "certificate": {"lyap": "exp(%s / 8)" % r2, "ell": r2 + " / 8", "beta": 1.0,
+                        "compact_radius": 4.0, "mode": "inf_compact"}})
+    g = rs.GridSpec(3, 4.0, 9)
+    rep = rs.check_lyapunov(m, m.certificate, g)
+    # L V = (3/4 - 3 r^2 / 16) V, so the margin is beta 1{r <= 4} + (r^2/16 - 3/4) V
+    r2 = np.einsum("nd,nd->n", g.interior_points(), g.interior_points())
+    expected = 1.0 * (r2 <= 16) + (r2 / 16 - 0.75) * np.exp(r2 / 8)
+    np.testing.assert_allclose(rep.margins[0, 0], expected, rtol=1e-12, atol=1e-12)
+    assert rep.status == "pass" and rep.margin_min == pytest.approx(expected.min(), rel=1e-12)
 
 
 # the builtins are specs compiled by riskswitch.expressions; their values must
@@ -292,7 +372,7 @@ def test_builtin_specs_equal_the_closures_bitwise(name, overridden):
     assert m.params == ref.params and list(m.params) == list(ref.params)
     np.testing.assert_array_equal(m.controls, ref.controls)
     assert_same_coefficients(m, ref, np.random.default_rng(5))
-    cert, expected = builtin_certificate(m), orc.builtin_certificate(name)
+    cert, expected = m.certificate, orc.builtin_certificate(name)
     assert (cert is None) == (expected is None)
     if cert is not None:
         lyap, ell, beta, radius, mode = expected
@@ -310,16 +390,27 @@ def test_builtin_spec_round_trips_through_json(name):
     m = rs.model_from_spec(spec)
     assert m.name == name
     assert_same_coefficients(m, rs.make_builtin(name), np.random.default_rng(8))
-    # a spec read from JSON is a custom model, whatever its name
-    assert builtin_certificate(m) is None
+    # a spec read from JSON is a custom model, whatever its name, and carries
+    # the certificate of its spec
+    assert m.params == {"config": spec}
+    cert, ref = m.certificate, rs.make_builtin(name).certificate
+    assert (cert is None) == (ref is None) == ("certificate" not in spec)
+    if cert is not None:
+        X = np.random.default_rng(9).normal(scale=3.0, size=(50, m.dim))
+        for k in range(m.num_regimes):
+            (ks,) = orc.at_rows(X, k)
+            for f in ("lyap", "ell", "grad", "hess"):
+                assert getattr(cert, f)(X, ks).tobytes() == getattr(ref, f)(X, ks).tobytes()
 
 
-def test_only_make_builtin_attaches_a_certificate():
+def test_the_certificate_comes_from_the_spec():
     m = rs.make_builtin("ou2")
-    assert builtin_certificate(m) is not None
-    assert builtin_certificate(m.with_cost(lambda X, k, xi: np.zeros(len(X)))) is None
-    assert builtin_certificate(dataclasses.replace(m, name="ou2")) is None
-    assert builtin_certificate(rs.make_builtin("dip")) is None
+    assert m.certificate is not None
+    assert m.with_cost(lambda X, k, xi: np.zeros(len(X))).certificate is None
+    assert dataclasses.replace(m, name="ou2").certificate is None
+    assert rs.make_builtin("dip").certificate is None
+    spec = {key: v for key, v in rs.BUILTIN_MODELS["ou2"].items() if key != "certificate"}
+    assert rs.model_from_spec(spec).certificate is None
 
 
 def test_builtin_override_errors():

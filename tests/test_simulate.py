@@ -187,7 +187,7 @@ def test_control_map_pickles_and_steps_like_the_original(policy):
     m = rs.make_builtin("ou2")
     g = rs.grid_for_resolution(1, 3.0, 10)
     cmap = (ControlMap.constant(1) if policy == "constant"
-            else ControlMap.from_policy(mixed_table(m, g), g))
+            else ControlMap(mixed_table(m, g), g))
     loaded = pickle.loads(pickle.dumps(cmap))
     assert loaded.description == cmap.description
     np.testing.assert_array_equal(loaded.table, cmap.table)
@@ -654,7 +654,7 @@ def test_fused_step_matches_per_group_oracle(monkeypatch):
     np.testing.assert_array_equal(fused.integrated_cost, ref.integrated_cost)
     assert fk_outputs(fused_fk) == fk_outputs(ref_fk)
     assert set(np.unique(ref.regimes)) == {0, 1}
-    cmap = ControlMap.from_policy(table, g)
+    cmap = ControlMap(table, g)
     controls = cmap.control_indices(ref.positions.reshape(-1, 2), ref.regimes.reshape(-1))
     assert set(np.unique(controls)) == {0, 1}
 
@@ -745,7 +745,7 @@ def test_each_coefficient_is_called_once_per_step(monkeypatch):
     cfg = PathConfig(step=0.01, horizon=1.0, seed=4, paths=300)
     batch = rs.simulate_paths(m, table, cfg, x0=[0.5, -0.5], k0=1, grid=g, workers=1)
     assert calls == dict.fromkeys(calls, cfg.n_steps)
-    controls = ControlMap.from_policy(table, g).control_indices(
+    controls = ControlMap(table, g).control_indices(
         batch.positions.reshape(-1, 2), batch.regimes.reshape(-1))
     groups = (batch.regimes.reshape(-1) * 2 + controls).reshape(batch.regimes.shape)
     assert max(len(np.unique(groups[:, t])) for t in range(cfg.n_steps)) == 4
@@ -1134,7 +1134,7 @@ def test_stacked_policies_must_share_a_grid():
     m = rs.make_builtin("ou2")
     g, h = rs.grid_for_resolution(1, 3.0, 10), rs.grid_for_resolution(1, 4.0, 10)
     cfg = PathConfig(step=0.05, horizon=1.0, seed=0, paths=8)
-    tables = [ControlMap.from_policy(mixed_table(m, grid), grid) for grid in (g, h)]
+    tables = [ControlMap(mixed_table(m, grid), grid) for grid in (g, h)]
     with pytest.raises(ValueError, match="share one grid"):
         rs.estimate_risk_sensitive_rates(m, tables, cfg)
     with pytest.raises(ValueError, match="at least one policy"):

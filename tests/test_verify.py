@@ -10,7 +10,7 @@ import pytest
 from riskswitch.eigen import (LAMBDA_TOL, collatz_wielandt_bounds,
                               principal_eigenpair, solve_semilinear, verification_tol)
 from riskswitch.grid import grid_for_resolution
-from riskswitch.model import builtin_certificate, make_builtin
+from riskswitch.model import make_builtin
 from riskswitch.operator import assemble, constant_policy
 from riskswitch.simulate import PathConfig
 from riskswitch.verify import (GrowthBound, fit_growth_bound,
@@ -176,8 +176,7 @@ def test_growth_bound_envelope(lq_setup):
 
 def test_growth_bound_lyapunov_exponent(lq_setup):
     model, grid, solution = lq_setup
-    cert = builtin_certificate(model)
-    gb = fit_growth_bound(grid, solution.eigenpair, lyap=cert.lyap)
+    gb = fit_growth_bound(grid, solution.eigenpair, lyap=model.certificate.lyap)
     assert 0.1 < gb.theta < 0.4
     assert gb.theta == pytest.approx(0.202273, abs=1e-3)
 
