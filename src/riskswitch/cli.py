@@ -33,7 +33,7 @@ from . import __version__
 from .eigen import (MAX_POLICY_ITERS, NoConvergenceError, NotIrreducibleError,
                     domain_sweep, solve_semilinear)
 from .expressions import ExpressionError, load_model
-from .grid import grid_for_resolution
+from .grid import GridSpec, grid_for_resolution
 from .model import (NonFiniteCoefficientError, check_lyapunov, make_builtin,
                     validate_model)
 from .operator import MonotonicityViolation
@@ -358,14 +358,17 @@ def _default_starts(model, grid, r_inner, count=5):
 def _hypothesis_checks(model, radius, samples, seed, nodes_per_unit):
     """(checks, failed) of ``validate_model`` on the box and of the model's
     certificate, if any, on the grid of radius min(radius, 4) at
-    ``nodes_per_unit`` (which tiles it whenever it tiles ``radius``)."""
+    ``nodes_per_unit`` where that tiles it (it does whenever it tiles
+    ``radius``), else on the next finer odd grid (spacing <= 1/nodes_per_unit)."""
     checks, failed = {}, []
     hyp = validate_model(model, box_radius=radius, samples=samples, seed=seed)
     checks["hypotheses"] = hyp.as_dict()
     if not hyp.passed:
         failed.append("hypotheses")
     if model.certificate is not None:
-        cert_grid = grid_for_resolution(model.dim, min(radius, 4.0), nodes_per_unit)
+        r = min(radius, 4.0)
+        # grid_for_resolution's grid (same 1e-9 tolerance) wherever it tiles
+        cert_grid = GridSpec(model.dim, r, 2 * math.ceil(r * nodes_per_unit - 1e-9) + 1)
         report = check_lyapunov(model, model.certificate, cert_grid)
         checks["certificate"] = report.as_dict()
         if not report.passed:

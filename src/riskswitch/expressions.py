@@ -14,19 +14,23 @@ diffusion), and the spec's parameters: a number, or a list with one entry
 per regime that is read at regime ``k``.
 
 Each coefficient compiles once into one generated function of straight-line
-numpy code: one operation per node of its entries' expression DAG, each
-distinct subexpression computed once, and every subexpression without a
-variable folded at compile time.  The functions are row-wise (``k`` and
-``xi`` hold one value per row; a per-regime parameter is read at each row's
-regime), and evaluation order is that of the expressions as written, so the
-values are bit for bit what evaluating each entry with numpy gives.  A
-coefficient that depends on neither x nor xi is tabulated once and returns a
-gather of its per-regime table, or, without k, a read-only broadcast view.
+numpy code: one operation per node of its entries' expression DAG.  Its nodes
+are hash-consed, so each distinct subexpression is one node, computed once,
+and every subexpression without a variable is folded at compile time.  A
+certificate's gradient and Hessian are nodes of its candidate's DAG, which
+the compiler differentiates node by node.  The functions are row-wise (``k``
+and ``xi`` hold one value per row; a per-regime parameter is read at each
+row's regime), and evaluation order is that of the expressions as written,
+so the values are bit for bit what evaluating each entry with numpy gives.
+A coefficient that depends on neither x nor xi is tabulated once and returns
+a gather of its per-regime table, or, without k, a read-only broadcast view.
 """
 
 import ast
+import collections
 import json
 import keyword
+import numbers
 import re
 
 import numpy as np
@@ -44,9 +48,20 @@ _BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "**
 # no leading underscore: generated names have one
 _PARAM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _VARIABLE = re.compile(r"x\d+\Z|k\Z|xi\Z")
-_COORDINATE = re.compile(r"x\d+\Z")
 # rows of the broadcast view behind a tabulated coefficient (stride 0, no memory)
 _VIEW_ROWS = 1 << 40
+
+
+def _real(value):
+    """A number of the spec: not a bool or a string, which float() would coerce."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _count(spec, key):
+    value = spec[key]
+    if not (isinstance(value, numbers.Integral) and _real(value) and value >= 1):
+        raise ExpressionError("%s must be a positive integer, got %r" % (key, value))
+    return int(value)
 
 
 def _parameters(spec_params, num_regimes):
@@ -59,103 +74,49 @@ def _parameters(spec_params, num_regimes):
                 or _VARIABLE.match(name) or name in _FUNCTIONS:
             raise ExpressionError("parameter name %r must be an identifier that is not a "
                                   "variable (x1.., k, xi) or a function" % (name,))
-        try:
-            arr = np.asarray(value, dtype=float)
-        except (TypeError, ValueError):
-            arr = np.empty(0)
-        if arr.ndim == 0 or arr.shape == (num_regimes,):
-            out[name] = float(arr) if arr.ndim == 0 else tuple(arr.tolist())
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        if _real(value):
+            out[name] = float(value)
+        elif isinstance(value, (list, tuple)) and len(value) == num_regimes \
+                and all(map(_real, value)):
+            out[name] = tuple(float(v) for v in value)
         else:
             raise ExpressionError("parameter %s must be a number or a list of %d numbers, "
                                   "one per regime; got %r" % (name, num_regimes, value))
     return out
 
 
-def _parse(source):
-    """The syntax tree of one expression (not yet checked against the grammar)."""
-    if not isinstance(source, str):
-        raise ExpressionError("expression must be a string, got %r" % (source,))
-    try:
-        return ast.parse(source.replace("^", "**"), mode="eval").body
-    except SyntaxError as exc:
-        raise ExpressionError("cannot parse expression %r: %s" % (source, exc)) from None
-
-
-def _is(node, value):
-    return isinstance(node, ast.Constant) and node.value == value
-
-
-def _sum(a, b, op=ast.Add):
-    """a + b (or a - b), folding a zero term."""
-    if _is(b, 0):
-        return a
-    if _is(a, 0):
-        return b if op is ast.Add else ast.UnaryOp(ast.USub(), b)
-    return ast.BinOp(a, op(), b)
-
-
-def _product(a, b):
-    """a * b, folding a factor 0 or 1."""
-    if _is(a, 0) or _is(b, 0):
-        return ast.Constant(0)
-    if _is(a, 1) or _is(b, 1):
-        return b if _is(a, 1) else a
-    return ast.BinOp(a, ast.Mult(), b)
-
-
-# d f(u) / du of each differentiable function, from the node f(u)
-_CHAIN = {"exp": lambda node: node,
-          "sqrt": lambda node: ast.BinOp(ast.Constant(0.5), ast.Div(), node),
-          "tanh": lambda node: ast.BinOp(ast.Constant(1), ast.Sub(),
-                                         ast.BinOp(node, ast.Mult(), node))}
-
-
-def _derivative(node, x):
-    """The tree of d node / d x for a coordinate name ``x``, of a tree that
-    compiled in the grammar: again a grammar tree, sharing the subtrees of
-    ``node``, with products by 0 and 1 and sums with 0 folded."""
-    if isinstance(node, ast.BinOp):
-        a, b, op = node.left, node.right, type(node.op)
-        if op in (ast.Add, ast.Sub):
-            return _sum(_derivative(a, x), _derivative(b, x), op)
-        if op is ast.Mult:
-            return _sum(_product(_derivative(a, x), b), _product(a, _derivative(b, x)))
-        if op is ast.Div:  # (a' - (a / b) b') / b
-            top = _sum(_derivative(a, x), _product(node, _derivative(b, x)), ast.Sub)
-            return top if _is(top, 0) else ast.BinOp(top, ast.Div(), b)
-        if any(isinstance(n, ast.Name) and _COORDINATE.match(n.id) for n in ast.walk(b)):
-            raise ExpressionError("cannot differentiate %s: an exponent may not depend on x"
-                                  % ast.unparse(node).replace("**", "^"))
-        power = ast.BinOp(a, ast.Pow(), ast.BinOp(b, ast.Sub(), ast.Constant(1)))
-        return _product(_product(b, power), _derivative(a, x))
-    if isinstance(node, ast.UnaryOp):
-        du = _derivative(node.operand, x)
-        return du if isinstance(node.op, ast.UAdd) or _is(du, 0) else ast.UnaryOp(ast.USub(), du)
-    if isinstance(node, ast.Call):
-        if node.func.id not in _CHAIN:
-            raise ExpressionError("cannot differentiate %s: only %s and + - * / ^ have "
-                                  "derivatives" % (node.func.id, ", ".join(_CHAIN)))
-        return _product(_CHAIN[node.func.id](node), _derivative(node.args[0], x))
-    return ast.Constant(int(isinstance(node, ast.Name) and node.id == x))
+# d f(u) / du of each differentiable function, a node of the DAG of f(u)
+_CHAIN = {"exp": lambda code, f: f,
+          "sqrt": lambda code, f: code.op("/", code.constant(0.5), f),
+          "tanh": lambda code, f: code.op("-", code.constant(1), code.op("*", f, f))}
 
 
 class _Code:
-    """The expression DAG of one coefficient and the code it generates.
+    """The expression DAG of one coefficient, or of a certificate's candidate
+    with its derivatives, and the code it generates.
 
     A node is (template, args, deps), ``deps`` the subset of {"x", "k",
     "xi"} its value depends on; one without deps is folded into a constant
-    by the arithmetic the call would make.  A node used more than once gets
-    a temporary; all others are inlined, so their arrays are freed as soon
-    as their one consumer has run.
+    by the arithmetic the call would make.  A repeated (template, args)
+    pair, constant (by type and repr) or name returns the node made before.
+    A generated function computes the nodes its roots reach; one used more
+    than once there gets a temporary, all others are inlined, so their
+    arrays are freed as soon as their one consumer has run.
     """
 
-    def __init__(self, params, variables):
-        self.params, self.variables = params, variables
+    def __init__(self, params, dim, *variables):
+        self.params, self.dim = params, dim
+        self.variables = frozenset(["x%d" % (i + 1) for i in range(dim)] + list(variables))
         self.env = {"__builtins__": {}, "_empty": np.empty, "_float": float}
         self.env.update((name, fn) for name, (fn, _) in _FUNCTIONS.items())
-        self.bindings, self.nodes, self.uses, self.memo = [], [], [], {}
+        self.nodes, self.ids, self.bindings = [], {}, {}
 
     def _node(self, template, args=(), deps=None):
+        key = (template, args)
+        if key in self.ids:
+            return self.ids[key]
         if deps is None:
             deps = frozenset().union(*(self.nodes[a][2] for a in args))
             if not deps:
@@ -169,22 +130,25 @@ class _Code:
                     value = float(value)
                 if not isinstance(value, (int, float)):
                     raise ExpressionError("constant %r is not a real number" % (value,))
-                return self._constant(value)
-        for a in args:
-            self.uses[a] += 1
+                return self.ids.setdefault(key, self.constant(value))
         self.nodes.append((template, args, deps))
-        self.uses.append(0)
-        return len(self.nodes) - 1
+        return self.ids.setdefault(key, len(self.nodes) - 1)
 
-    def _constant(self, value):
-        name = "_c%d" % len(self.env)
-        self.env[name] = value
-        return self._node(name, deps=frozenset())
+    def constant(self, value):
+        key = (type(value), repr(value))  # keeps 0 and 0.0 and -0.0 apart
+        if key not in self.ids:
+            name = "_c%d" % len(self.env)
+            self.env[name] = value
+            self.ids[key] = self._node(name, deps=frozenset())
+        return self.ids[key]
+
+    def op(self, symbol, a, b):
+        return self._node("(%%s %s %%s)" % symbol, (a, b))
 
     def _name(self, name):
         value = self.params.get(name)
         if isinstance(value, float):
-            return self._constant(value)
+            return self.constant(value)
         if isinstance(value, tuple) and "k" in self.variables:
             self.env["_p_" + name] = np.array(value)
             line, dep = "%s = _p_%s[_k]" % (name, name), "k"
@@ -196,23 +160,27 @@ class _Code:
             line, dep = ("k = _k.astype(_float)" if name == "k" else None), name
         else:
             line, dep = "%s = _X[:, %d]" % (name, int(name[1:]) - 1), "x"
+        node = self._node(name, deps=frozenset([dep]))
         if line:
-            self.bindings.append(line)
-        return self._node(name, deps=frozenset([dep]))
+            self.bindings[node] = line
+        return node
 
-    def operand(self, node):
-        key = ast.dump(node)
-        if key not in self.memo:
-            self.memo[key] = self._visit(node)
-        return self.memo[key]
+    def expression(self, source):
+        """The node of one expression, checked against the grammar."""
+        if not isinstance(source, str):
+            raise ExpressionError("expression must be a string, got %r" % (source,))
+        try:
+            tree = ast.parse(source.replace("^", "**"), mode="eval").body
+        except SyntaxError as exc:
+            raise ExpressionError("cannot parse expression %r: %s" % (source, exc)) from None
+        return self._visit(tree)
 
     def _visit(self, node):
         if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-            return self._node("(%%s %s %%s)" % _BINOPS[type(node.op)],
-                              (self.operand(node.left), self.operand(node.right)))
+            return self.op(_BINOPS[type(node.op)], self._visit(node.left), self._visit(node.right))
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
             return self._node("(-%s)" if isinstance(node.op, ast.USub) else "(+%s)",
-                              (self.operand(node.operand),))
+                              (self._visit(node.operand),))
         if isinstance(node, ast.Call):
             if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
                 raise ExpressionError("only %s may be called" % ", ".join(_FUNCTIONS))
@@ -221,43 +189,82 @@ class _Code:
                 raise ExpressionError("%s takes exactly %d positional argument(s)"
                                       % (node.func.id, arity))
             return self._node("%s(%s)" % (node.func.id, ", ".join(["%s"] * arity)),
-                              tuple(self.operand(a) for a in node.args))
+                              tuple(self._visit(a) for a in node.args))
         if isinstance(node, ast.Name):
             return self._name(node.id)
         if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-            return self._constant(node.value)
+            return self.constant(node.value)
         raise ExpressionError("syntax %s is not in the grammar"
                               % type(getattr(node, "op", node)).__name__)
 
-    def entry(self, source):
-        root = self.operand(source if isinstance(source, ast.AST) else _parse(source))
-        self.uses[root] += 1
-        return root
+    def _is(self, node, value):
+        return not self.nodes[node][2] and self.env[self.nodes[node][0]] == value
 
-    def body(self, roots):
-        """Statements up to the entries, and the text of each entry."""
-        lines, names = list(self.bindings), {}
+    def _sum(self, a, b, symbol="+"):
+        """a + b (or a - b), folding a zero term."""
+        if self._is(b, 0):
+            return a
+        if self._is(a, 0):
+            return b if symbol == "+" else self._node("(-%s)", (b,))
+        return self.op(symbol, a, b)
 
-        def text(i):
-            template, args, _ = self.nodes[i]
-            return names.get(i) or template % tuple(text(a) for a in args)
+    def _product(self, a, b):
+        """a * b, folding a factor 0 or 1."""
+        if self._is(a, 0) or self._is(b, 0):
+            return self.constant(0)
+        if self._is(a, 1) or self._is(b, 1):
+            return b if self._is(a, 1) else a
+        return self.op("*", a, b)
 
-        for i, (_, args, _) in enumerate(self.nodes):
-            if args and self.uses[i] > 1:
-                lines.append("_t%d = %s" % (i, text(i)))
-                names[i] = "_t%d" % i
-        return lines, [text(r) for r in roots]
+    def derivative(self, node, x):
+        """d node / d x for a coordinate name ``x``, a node of the same DAG."""
+        template, args, _ = self.nodes[node]
+        if not args:
+            return self.constant(int(template == x))
+        d = lambda i: self.derivative(args[i], x)
+        if template in ("(%s + %s)", "(%s - %s)"):
+            return self._sum(d(0), d(1), template[4])
+        if template == "(%s * %s)":
+            return self._sum(self._product(d(0), args[1]), self._product(args[0], d(1)))
+        if template == "(%s / %s)":  # (a' - (a / b) b') / b
+            top = self._sum(d(0), self._product(node, d(1)), "-")
+            return top if self._is(top, 0) else self.op("/", top, args[1])
+        if template == "(%s ** %s)":
+            if "x" in self.nodes[args[1]][2]:
+                raise ExpressionError("cannot differentiate ^: an exponent may not depend on x")
+            power = self.op("**", args[0], self.op("-", args[1], self.constant(1)))
+            return self._product(self._product(args[1], power), d(0))
+        if template in ("(-%s)", "(+%s)"):
+            du = d(0)
+            return du if template == "(+%s)" or self._is(du, 0) else self._node("(-%s)", (du,))
+        function = template[:template.index("(")]
+        if function not in _CHAIN:
+            raise ExpressionError("cannot differentiate %s: only %s and + - * / ^ have "
+                                  "derivatives" % (function, ", ".join(_CHAIN)))
+        return self._product(_CHAIN[function](self, node), d(0))
 
 
-def _compile(sources, shape, dim, params, num_regimes, *variables):
-    """One function ``fn(X, [k,] [xi]) -> (n, *shape)`` of the entries
-    ``sources`` (row-major over ``shape``) at the states X (n, dim), with
+def _compile(code, roots, shape, num_regimes):
+    """One function ``fn(X, [k,] [xi]) -> (n, *shape)`` of the nodes
+    ``roots`` (row-major over ``shape``) at the states X (n, dim), with
     ``k`` (n,) integers and ``xi`` (n,) floats, one per row."""
-    code = _Code(params, frozenset(["x%d" % (i + 1) for i in range(dim)] + list(variables)))
-    roots = [code.entry(s) for s in sources]
+    uses = collections.Counter(roots)  # within the nodes the roots reach
+    for i in range(max(roots), -1, -1):
+        if uses[i]:
+            uses.update(code.nodes[i][1])
+    body, names = [code.bindings[i] for i in sorted(uses) if i in code.bindings], {}
+
+    def render(i):
+        template, args, _ = code.nodes[i]
+        return names.get(i) or template % tuple(render(a) for a in args)
+
+    for i in sorted(uses):
+        if code.nodes[i][1] and uses[i] > 1:
+            body.append("_t%d = %s" % (i, render(i)))
+            names[i] = "_t%d" % i
+    texts = [render(r) for r in roots]
     deps = frozenset().union(*(code.nodes[r][2] for r in roots))
-    body, texts = code.body(roots)
-    args = ", ".join(["_X"] + ["_k"] * ("k" in variables) + ["xi"] * ("xi" in variables))
+    args = ", ".join(["_X"] + ["_k"] * ("k" in code.variables) + ["xi"] * ("xi" in code.variables))
     if len(texts) == 1 and deps:
         # a bare variable is returned as a copy, never as a view of an argument
         text = "(+%s)" % texts[0] if _VARIABLE.match(texts[0]) else texts[0]
@@ -270,8 +277,8 @@ def _compile(sources, shape, dim, params, num_regimes, *variables):
     fn = _define(args, body, code.env)
     if "x" in deps or "xi" in deps:
         return fn
-    table = np.concatenate([fn(np.zeros((1, dim)), *[np.array([k])] * ("k" in variables),
-                               *[np.zeros(1)] * ("xi" in variables))
+    table = np.concatenate([fn(np.zeros((1, code.dim)), *[np.array([k])] * ("k" in code.variables),
+                               *[np.zeros(1)] * ("xi" in code.variables))
                             for k in range(num_regimes if "k" in deps else 1)])
     if "k" in deps:
         return _define(args, ["return _table[_k]"], {"_table": table})
@@ -288,7 +295,8 @@ def _define(args, body, env):
 def compile_expression(source, dim):
     """Compile one grammar expression into ``fn(X, k, xi) -> (n,)`` for
     states X of shape (n, dim), regimes k (n,) and controls xi (n,)."""
-    return _compile([source], (), dim, {}, 1, "k", "xi")
+    code = _Code({}, dim, "k", "xi")
+    return _compile(code, [code.expression(source)], (), 1)
 
 
 def compile_model(spec, builtin=False):
@@ -300,12 +308,17 @@ def compile_model(spec, builtin=False):
     comes with its gradient and Hessian, differentiated in the grammar.
     """
     try:
-        dim, num_regimes = int(spec["dim"]), int(spec["num_regimes"])
-        controls = [float(c) for c in spec["controls"]]
+        dim, num_regimes = _count(spec, "dim"), _count(spec, "num_regimes")
+        controls = spec["controls"]
         drift, diffusion, rates = spec["drift"], spec["diffusion"], spec["rates"]
         cost = spec["cost"]
     except KeyError as exc:
         raise ExpressionError("model configuration is missing key %s" % exc) from None
+    if isinstance(controls, np.ndarray):
+        controls = controls.tolist()
+    if not isinstance(controls, (list, tuple)) or not all(map(_real, controls)):
+        raise ExpressionError("controls must be a list of numbers, got %r" % (controls,))
+    controls = [float(c) for c in controls]
     if len(drift) != dim:
         raise ExpressionError("drift must list %d expressions" % dim)
     if len(diffusion) != dim or any(len(row) != dim for row in diffusion):
@@ -315,7 +328,8 @@ def compile_model(spec, builtin=False):
     params = _parameters(spec.get("params", {}), num_regimes)
 
     def function(sources, shape, *variables):
-        return _compile(sources, shape, dim, params, num_regimes, *variables)
+        code = _Code(params, dim, *variables)
+        return _compile(code, [code.expression(s) for s in sources], shape, num_regimes)
 
     model = SwitchingModel(
         name=str(spec.get("name", "custom")), dim=dim, num_regimes=num_regimes,
@@ -332,15 +346,23 @@ def compile_model(spec, builtin=False):
                                              ("lyap", "ell", "beta", "compact_radius", "mode"))
         except KeyError as exc:
             raise ExpressionError("certificate is missing key %s" % exc) from None
-        lyap, x = _parse(lyap), ["x%d" % (i + 1) for i in range(dim)]
-        lyap_fn = function([lyap], (), "k")  # checks the grammar before differentiating
-        grad = [_derivative(lyap, name) for name in x]
+        for key, value in (("beta", beta), ("compact_radius", radius)):
+            if not (_real(value) and np.isfinite(value)):
+                raise ExpressionError("certificate %s must be a finite number, got %r"
+                                      % (key, value))
+        code, x = _Code(params, dim, "k"), ["x%d" % (i + 1) for i in range(dim)]
+        root = code.expression(lyap)  # checks the grammar before differentiating
+        try:
+            grad = [code.derivative(root, name) for name in x]
+            hess = [code.derivative(grad[min(i, j)], x[max(i, j)])
+                    for i in range(dim) for j in range(dim)]
+        except ExpressionError as exc:
+            raise ExpressionError("%s (certificate lyap %r)" % (exc, lyap)) from None
         object.__setattr__(model, "certificate", LyapunovCertificate(
-            lyap=lyap_fn, ell=function([ell], (), "k"), beta=float(beta),
-            compact_radius=float(radius), mode=CertificateMode(mode),
-            grad=function(grad, (dim,), "k"),
-            hess=function([_derivative(grad[min(i, j)], x[max(i, j)])
-                           for i in range(dim) for j in range(dim)], (dim, dim), "k")))
+            lyap=_compile(code, [root], (), num_regimes), ell=function([ell], (), "k"),
+            beta=float(beta), compact_radius=float(radius), mode=CertificateMode(mode),
+            grad=_compile(code, grad, (dim,), num_regimes),
+            hess=_compile(code, hess, (dim, dim), num_regimes)))
     return model
 
 

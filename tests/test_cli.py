@@ -569,6 +569,16 @@ def test_validate_builtin_passes(tmp_path):
     assert set(rep["checks"]) == {"hypotheses", "certificate"}
 
 
+def test_validate_certificate_grid_need_not_tile_the_box(tmp_path):
+    # 0.75 * 10 cells do not tile the box: the certificate is checked on the
+    # next finer odd grid, so validate exits as it does on a model without one
+    d = str(tmp_path)
+    code, _ = run(["validate", "--builtin", "lq", "--radius", "0.75",
+                   "--nodes-per-unit", "10", "--output-dir", d])
+    assert code == 0
+    assert load(d + "/validate.json")["checks"]["certificate"]["status"] == "pass"
+
+
 def test_validate_near_monotone_rejects_growing_cost(tmp_path):
     d = str(tmp_path)
     code, _ = run(["validate", "--builtin", "lq", "--near-monotone",

@@ -300,6 +300,7 @@ def test_compiled_derivatives_match_central_differences(lyap, seed):
 
 @pytest.mark.parametrize("lyap, message", [
     ("1 + abs(x1)", "differentiate abs"),
+    ("x1^2 + abs(k)", "differentiate abs"),
     ("exp(min(x1, x2))", "differentiate min"),
     ("max(1, x1^2)", "differentiate max"),
     ("2 ^ x1", "exponent may not depend on x"),
@@ -307,8 +308,17 @@ def test_compiled_derivatives_match_central_differences(lyap, seed):
     ("exp(x1 ^ abs(x2))", "exponent may not depend on x"),
 ])
 def test_certificate_without_derivative_rejected(lyap, message):
-    with pytest.raises(ExpressionError, match=message):
+    # the refusal names the candidate, so a long lyap shows where it fails
+    with pytest.raises(ExpressionError, match=message) as err:
         certificate_of(lyap)
+    assert "(certificate lyap %r)" % lyap in str(err.value)
+
+
+def test_constant_subexpression_folds_before_differentiation():
+    # abs(2) is the constant 2 before lyap is differentiated
+    X = np.array([[0.5, -1.0], [2.0, 3.0]])
+    grad = certificate_of("abs(2) * x1^2").grad(X, np.zeros(2, dtype=int))
+    assert grad.tobytes() == np.stack([2.0 * (2 * X[:, 0] ** 1), np.zeros(2)], axis=1).tobytes()
 
 
 def test_certificate_entry_errors():
@@ -321,3 +331,61 @@ def test_certificate_entry_errors():
     spec["certificate"]["lyap"] = "exp(xi * x1^2)"
     with pytest.raises(ExpressionError, match="unknown variable 'xi'"):
         model_from_spec(spec)
+
+
+def test_derivative_rules_bitwise():
+    # grad and hess are the numpy expressions the differentiation rules
+    # build, term by term: each rule of + - * / ^, unary -, exp, sqrt and
+    # tanh, with products by 0 and 1 and sums with 0 folded
+    X = np.random.default_rng(11).normal(scale=1.5, size=(64, 2))
+    K = np.arange(64) % 2
+
+    def same(cert, grad, hess):
+        assert cert.grad(X[:, :len(grad)], K).tobytes() == np.stack(grad, axis=1).tobytes()
+        hess = np.stack([np.stack(row, axis=1) for row in hess], axis=1)
+        assert cert.hess(X[:, :len(grad)], K).tobytes() == hess.tobytes()
+
+    x1, x2 = X[:, 0], X[:, 1]
+    # lq: exp(x1^2 / 4)
+    V = np.exp(x1 ** 2 / 4)
+    D = 2 * x1 ** 1 / 4
+    same(rs.make_builtin("lq").certificate, [V * D], [[V * D * D + V * (2 * x1 ** 0 / 4)]])
+    # bounded2d: exp(0.5 * sqrt(1 + (x1^2 + x2^2)))
+    r = np.sqrt(1 + (x1 ** 2 + x2 ** 2))
+    V, q = np.exp(0.5 * r), 0.5 / r
+    dp = [2 * x1 ** 1, 2 * x2 ** 1]
+    dr = [q * d for d in dp]
+    du = [0.5 * d for d in dr]
+    g = [V * d for d in du]
+    dq = [-(q * d) / r for d in dr]
+    h01 = g[1] * du[0] + V * (0.5 * (dq[1] * dp[0]))
+    same(rs.make_builtin("bounded2d").certificate, g,
+         [[g[0] * du[0] + V * (0.5 * (dq[0] * dp[0] + q * (2 * x1 ** 0))), h01],
+          [h01, g[1] * du[1] + V * (0.5 * (dq[1] * dp[1] + q * (2 * x2 ** 0)))]])
+    # binary and unary minus and tanh; d(x1 - x2)/dx2 and d(-x2)/dx2 fold to -1
+    t, n = np.tanh(x1 - x2), -x2
+    c = 1 - t * t
+    h01 = -(c * -1 * t + t * (c * -1))
+    same(certificate_of("tanh(x1 - x2) - (-x2)^3"), [c, c * -1 - 3 * n ** 2 * -1],
+         [[-(c * t + t * c), h01], [h01, h01 * -1 - 3 * (2 * n ** 1 * -1) * -1]])
+
+
+CERTIFIED = dict(CUSTOM, certificate={"lyap": "exp(x1^2 / 8)", "ell": "x1^2 / 8", "beta": 0.5,
+                                      "compact_radius": 2.0, "mode": "inf_compact"})
+
+
+@pytest.mark.parametrize("overrides", [
+    {"dim": 1.5}, {"dim": True}, {"dim": "1"}, {"num_regimes": 0, "rates": []},
+    {"num_regimes": 1.9, "rates": [["0"]]}, {"num_regimes": True, "rates": [["0"]]},
+    {"num_regimes": "2"},
+    {"controls": "12"}, {"controls": ["1", 2.0]}, {"controls": [True]}, {"controls": 1.0},
+    {"params": {"q": "0.5"}}, {"params": {"q": True}}, {"params": {"kappa": [1.0, "2"]}},
+    {"certificate": dict(CERTIFIED["certificate"], beta="nan")},
+    {"certificate": dict(CERTIFIED["certificate"], beta=True)},
+    {"certificate": dict(CERTIFIED["certificate"], compact_radius=float("inf"))},
+    {"certificate": dict(CERTIFIED["certificate"], compact_radius=float("nan"))},
+])
+def test_spec_values_are_not_coerced(overrides):
+    # float() and int() would read each of these as a number
+    with pytest.raises(ExpressionError):
+        model_from_spec(dict(CERTIFIED, **overrides))
