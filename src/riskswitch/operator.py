@@ -55,6 +55,23 @@ def constant_policy(grid, num_regimes, control_index=0):
     return np.full((num_regimes, grid.num_interior), control_index, dtype=np.int64)
 
 
+def check_policy(policy, shape, num_controls):
+    """``policy`` as int64, once it passes the one rule for policies: an
+    integer dtype (not bool), the given ``shape`` (() for one control index,
+    (num_regimes, num_interior) for a table) and every index in [0,
+    ``num_controls``).  Raises ``ValueError`` otherwise."""
+    policy = np.asarray(policy)
+    if policy.dtype.kind not in "iu":
+        raise ValueError("a policy holds integer control indices, got dtype %s" % policy.dtype)
+    if policy.shape != shape:
+        raise ValueError("policy table must have shape (num_regimes, num_interior) = %s, "
+                         "got %s" % (shape, policy.shape))
+    bad = policy[(policy < 0) | (policy >= num_controls)]
+    if bad.size:
+        raise ValueError("control index %d is outside [0, %d)" % (bad[0], num_controls))
+    return policy.astype(np.int64, copy=False)
+
+
 @dataclasses.dataclass
 class DiscreteOperator:
     """Assembled sparse operator of one policy, with every control's rows.
@@ -83,21 +100,12 @@ class DiscreteOperator:
         """Rows of ``stacked`` that make up a table policy's operator.
 
         Row ``r`` of A_policy is row ``policy[r] * n + r`` of ``stacked``.
-        Raises ``ValueError`` for a table of the wrong shape or with control
-        indices out of range.
+        Raises ``ValueError`` for a table :func:`check_policy` refuses.
         """
-        policy = np.asarray(policy)
         n = self.stacked.shape[1]
-        num_controls = self.stacked.shape[0] // n
-        if policy.shape != (self.num_regimes, self.grid.num_interior):
-            raise ValueError(
-                "policy table must have shape (num_regimes, num_interior) = (%d, %d), got %s"
-                % (self.num_regimes, self.grid.num_interior, policy.shape)
-            )
-        if policy.min() < 0 or policy.max() >= num_controls:
-            raise ValueError("policy table contains control indices outside [0, %d)"
-                             % num_controls)
-        return policy.reshape(-1).astype(np.int64) * n + np.arange(n)
+        policy = check_policy(policy, (self.num_regimes, self.grid.num_interior),
+                              self.stacked.shape[0] // n)
+        return policy.reshape(-1) * n + np.arange(n)
 
     def with_policy(self, policy):
         """Operator of another table policy, gathered from ``stacked``.

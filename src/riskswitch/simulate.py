@@ -51,6 +51,14 @@ the error bar is trustworthy.
 
 The terminal weights and the Feynman-Kac payoffs and targets read psi off
 the grid through :meth:`GridSpec.interpolate` (multilinear, 0 outside the box).
+
+A policy is an integer control index, or a (num_regimes, num_interior)
+integer table of them on the ``grid`` the call is given, read at the
+interior node nearest each state (constant outside the box).  Each run
+stacks its policies once and checks them before any step by
+:func:`~riskswitch.operator.check_policy`, the rule operator assembly
+applies too: a bool, a float, a wrong shape or an index that names no
+control is refused.
 """
 
 import copy
@@ -63,6 +71,7 @@ import os
 import numpy as np
 
 from .model import NonFiniteCoefficientError, _refuse_negative_rates
+from .operator import check_policy
 
 BLOCK = 4096
 # most rows stepped as one working set (whole blocks; a wider block is a set
@@ -183,53 +192,6 @@ class CostEstimate:
         return out
 
 
-class ControlMap:
-    """A stationary Markov policy, as data.
-
-    ``table`` is one control index, shape (1,), used everywhere (``grid``
-    None), or a (num_regimes, num_interior) table of control indices read at
-    the interior node of ``grid`` nearest each state, with constant extension
-    outside the box.  The Monte Carlo drivers check it against the model
-    once, before the first step.
-    """
-
-    def __init__(self, table, grid=None):
-        table = np.asarray(table, dtype=np.int64)  # a function raises TypeError
-        if grid is None and table.shape != (1,):
-            raise ValueError("a policy table needs a grid for node lookup")
-        if grid is not None and (table.ndim != 2 or table.shape[1] != grid.num_interior):
-            raise ValueError(
-                "policy table must have shape (num_regimes, %d), got %s"
-                % (grid.num_interior, table.shape))
-        self.table = table
-        self.grid = grid
-
-    @property
-    def description(self):
-        return "constant:%d" % self.table[0] if self.grid is None else "table"
-
-    def control_indices(self, X, K):
-        """Control index of each state X (n, dim) in regime K (n,)."""
-        if self.grid is None:
-            return np.full(len(K), self.table[0])
-        nodes = self.grid.nearest_interior_index(X)
-        return self.table.reshape(-1)[self.grid.row_index(np.asarray(K), nodes)]
-
-    @classmethod
-    def constant(cls, control_index):
-        return cls([int(control_index)])
-
-    @classmethod
-    def coerce(cls, policy_or_control, grid=None):
-        if isinstance(policy_or_control, cls):
-            return policy_or_control
-        if isinstance(policy_or_control, (int, np.integer)):
-            return cls.constant(policy_or_control)
-        if np.ndim(policy_or_control) == 2:
-            return cls(policy_or_control, grid)
-        raise TypeError("expected ControlMap, control index, or policy table")
-
-
 def resolve_workers(workers=None):
     """``workers``, else RISKSWITCH_WORKERS, else 1, as an integer >= 1."""
     source = "worker count" if workers is not None else "RISKSWITCH_WORKERS"
@@ -333,21 +295,6 @@ def _draw(sources, running, d):
     return (z[0], u[0]) if len(z) == 1 else (np.concatenate(z), np.concatenate(u))
 
 
-def _control_map(model, policy_or_control, grid):
-    """:meth:`ControlMap.coerce`, checked against ``model`` once, before any
-    step: a table's rows and grid fit the model, and its indices name controls."""
-    cmap = ControlMap.coerce(policy_or_control, grid=grid)
-    table = cmap.table
-    if cmap.grid is not None and (len(table), cmap.grid.dim) != (model.num_regimes, model.dim):
-        raise ValueError("policy table has %d rows, one per regime needs %d; its grid is "
-                         "%d-D, the model %d-D"
-                         % (len(table), model.num_regimes, cmap.grid.dim, model.dim))
-    bad = table[(table < 0) | (table >= model.num_controls)]
-    if bad.size:
-        raise ValueError("control index %d is outside [0, %d)" % (bad[0], model.num_controls))
-    return cmap
-
-
 def _coerce_start(model, x0, k0):
     """Start state (origin when None) and start regime, checked."""
     x = np.zeros(model.dim) if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
@@ -378,15 +325,15 @@ def _may_draw(move, leave):
     return move.min() >= 0.0 and leave.max() <= MAX_LEAVE_PROBABILITY + 1e-12
 
 
-def _refuse_rates(model, cmap, X, K, R, step):
+def _refuse_rates(model, controls, X, K, R, step):
     """Refuse the rates a step draws regimes from (row K of each row's matrix
     in ``R`` (n, N, N), off its diagonal): a NaN or infinite one, which
     compares false in the draw, a negative one, or a leave probability above
     MAX_LEAVE_PROBABILITY at the worst row of a (regime, control) group, the
-    groups read off ``cmap``."""
+    groups read off ``controls``."""
     rate = R[np.arange(len(K)), K]
     off = np.where(np.arange(rate.shape[1]) == K[:, None], 0.0, rate)
-    C = cmap.control_indices(X, K)
+    C = controls.control_indices(X, K)
     xi = model.controls[C]
     bad = np.argwhere(~np.isfinite(off))
     if len(bad):
@@ -405,13 +352,13 @@ def _refuse_rates(model, cmap, X, K, R, step):
             raise StepSizeError(step, float(np.sum(off[worst])), X[worst], K[worst])
 
 
-def _step_once(model, cmap, X, K, S, step, sqh, Z, U, cost_shift, barrier=None):
+def _step_once(model, controls, X, K, S, step, sqh, Z, U, cost_shift, barrier=None):
     """One Euler + switching step over all rows of (X, K), in place.
 
     Each coefficient is called once, every row at its own regime and
-    control (``cmap`` a :class:`_PolicyStack`), the Euler and barrier
-    arithmetic runs once over the set and the switching arithmetic once over
-    the rate rows.  Accumulates ``step * (cost - cost_shift)`` into S at the
+    control (``controls`` from :meth:`_PolicyStack.at_rows`), the Euler and
+    barrier arithmetic runs once over the set and the switching arithmetic
+    once over the rate rows.  Accumulates ``step * (cost - cost_shift)`` into S at the
     pre-step state (left-endpoint rectangle rule).  When
     ``barrier = (r_inner, box_radius)`` is given, also returns
     barrier-corrected thresholds: the per-path inner hitting radius (shifted
@@ -420,7 +367,7 @@ def _step_once(model, cmap, X, K, S, step, sqh, Z, U, cost_shift, barrier=None):
     """
     n, d = X.shape
     N = model.num_regimes
-    xi = cmap.control_values(X, K)
+    xi = controls.control_values(X, K)
     b = np.asarray(model.drift(X, K, xi), dtype=float).reshape(n, d)
     sig = np.asarray(model.diffusion(X, K), dtype=float)
     cost = np.asarray(model.cost(X, K, xi), dtype=float).reshape(n)
@@ -442,7 +389,7 @@ def _step_once(model, cmap, X, K, S, step, sqh, Z, U, cost_shift, barrier=None):
     # a shared matrix is judged only at the regimes the rows are in
     if not _may_draw(move, leave) and not (shared and _may_draw(
             *(a[np.bincount(K, minlength=N) > 0] for a in (move, leave)))):
-        _refuse_rates(model, cmap, X, K, R, step)
+        _refuse_rates(model, controls, X, K, R, step)
     # Next regime: the number of cumulative one-step probabilities below U.
     # The sums never fall (no entry is negative, checked above), so the first
     # N - 1 of them decide: the last regime takes every U they pass, even
@@ -476,19 +423,39 @@ def _step_once(model, cmap, X, K, S, step, sqh, Z, U, cost_shift, barrier=None):
 
 
 class _PolicyStack:
-    """The controls of several policies over a set of rows, ``policy`` the
-    index into ``cmaps`` of each row's policy: one gather reads each row's
-    control index, or its value among ``controls``, from its own policy's
-    table.  Table policies share one grid; a constant stacked with them
-    fills a table of its own."""
+    """The policies of one run, each a control index or a table of them on
+    ``grid``, checked against ``model`` by :func:`check_policy` once, before
+    any step.  Their tables are stacked, a constant stacked with tables
+    filling a table of its own, so that one gather reads each row's control
+    index, or its value among the model's controls, from its own policy's
+    table; :meth:`at_rows` serves a set's rows."""
 
-    def __init__(self, cmaps, policy, controls):
-        self.grid = next((c.grid for c in cmaps if c.grid is not None), None)
-        shape = next((c.table.shape for c in cmaps if c.grid is not None), (1,))
-        self.table = np.concatenate([np.broadcast_to(c.table, shape).reshape(-1)
-                                     for c in cmaps])
-        self.values = controls[self.table]
-        self.base = policy * math.prod(shape)
+    def __init__(self, model, policies, grid):
+        policies = [np.asarray(p) for p in policies]
+        if not policies:
+            raise ValueError("need at least one policy")
+        tables = any(p.ndim for p in policies)
+        if tables and grid is None:
+            raise ValueError("a policy table needs a grid for node lookup")
+        if tables and grid.dim != model.dim:
+            raise ValueError("a policy table needs a grid of the model's dimension; its "
+                             "grid is %d-D, the model %d-D" % (grid.dim, model.dim))
+        shape = (model.num_regimes, grid.num_interior) if tables else ()
+        self.grid = grid if tables else None
+        self.table = np.concatenate([
+            np.broadcast_to(check_policy(p, shape if p.ndim else (), model.num_controls),
+                            shape).reshape(-1)
+            for p in policies])
+        self.values = model.controls[self.table]
+        self.size = math.prod(shape)
+        self.descriptions = ["table" if p.ndim else "constant:%d" % p for p in policies]
+
+    def at_rows(self, policy):
+        """A copy that serves a set's rows, ``policy`` the index of each
+        row's policy; it carries only their offsets into ``table``."""
+        rows = copy.copy(self)
+        rows.base = policy * self.size
+        return rows
 
     def compress(self, keep):
         self.base = self.base[keep]
@@ -507,11 +474,12 @@ class _PolicyStack:
         return self.values[self._entries(X, K)]
 
 
-def _step_set(model, cmaps, groups, config, blocks, n_steps, cost_shift=0.0,
+def _step_set(model, stack, groups, config, blocks, n_steps, cost_shift=0.0,
               barrier=None, keep_steps=()):
     """Paths of whole blocks, a list of (block, size), from each group of
-    ``groups``, a (index into ``cmaps``, start state, start regime), stepped
-    as one set of rows ordered (block, group, path) for at most ``n_steps``.
+    ``groups``, a (policy index into ``stack``, start state, start regime),
+    stepped as one set of rows ordered (block, group, path) for at most
+    ``n_steps``.
 
     Returns per row the integral of cost - ``cost_shift`` and the state and
     regime where it stopped, or after the last step; its states and regimes
@@ -528,8 +496,7 @@ def _step_set(model, cmaps, groups, config, blocks, n_steps, cost_shift=0.0,
     edges = np.cumsum([0] + full)  # segment s holds rows edges[s]:edges[s+1]
     X = np.repeat(np.stack([x for _, x, _ in groups] * len(blocks)), full, axis=0)
     K = np.repeat(np.array([k for _, _, k in groups] * len(blocks), dtype=np.int64), full)
-    controls = _PolicyStack(cmaps, np.repeat([p for p, _, _ in groups] * len(blocks), full),
-                           model.controls)
+    controls = stack.at_rows(np.repeat([p for p, _, _ in groups] * len(blocks), full))
     n = len(K)
     S, row, running = np.zeros(n), np.arange(n), full
     sources = [(_block_generator(config.seed, b), i * n_groups, n_groups)
@@ -577,14 +544,14 @@ def _by_group(a, blocks, n_groups):
     return np.concatenate([v.reshape(n_groups, -1) for v in np.split(a, cuts)], axis=1)
 
 
-def _horizon_block(model, cmaps, config, blocks, x0, k0, keep_steps=()):
+def _horizon_block(model, stack, config, blocks, x0, k0, keep_steps=()):
     """Integrated cost, state and regime per path of whole blocks, a list of
-    (block, size), under each policy of ``cmaps``, rows ordered (block,
+    (block, size), under each policy of ``stack``, rows ordered (block,
     policy, path); plus each path's states and regimes after the steps in
     ``keep_steps`` (0 is the start).  No row stops, so each block draws once
     per step for all the policies."""
-    groups = [(i, x0, k0) for i in range(len(cmaps))]
-    return _step_set(model, cmaps, groups, config, blocks,
+    groups = [(i, x0, k0) for i in range(len(stack.descriptions))]
+    return _step_set(model, stack, groups, config, blocks,
                      max([config.n_steps, *keep_steps]), keep_steps=keep_steps)[:5]
 
 
@@ -622,7 +589,7 @@ def simulate_paths(model, policy_or_control, config, x0=None, k0=0,
                    workers=None, grid=None):
     """Full trajectory recording; use the estimators for large path counts.
     A NaN or infinite state or cost raises :class:`NonFiniteEstimateError`."""
-    cmap = _control_map(model, policy_or_control, grid)
+    stack = _PolicyStack(model, [policy_or_control], grid)
     x0, k0 = _coerce_start(model, x0, k0)
     n_entries = config.paths * (config.n_steps + 1) * model.dim
     if n_entries > 5e7:
@@ -631,7 +598,7 @@ def simulate_paths(model, policy_or_control, config, x0=None, k0=0,
             "use the estimators for runs this large" % n_entries
         )
     parts = _map_sets(
-        lambda blocks: _horizon_block(model, [cmap], config, blocks, x0, k0,
+        lambda blocks: _horizon_block(model, stack, config, blocks, x0, k0,
                                       range(config.n_steps + 1)),
         workers, config.paths,
     )
@@ -681,19 +648,14 @@ def estimate_risk_sensitive_rates(model, policies, config, lambda_ref=None,
     """One :func:`estimate_risk_sensitive_rate` per policy, in order, from one
     run: every working set steps all the policies' paths, and each block's
     draws serve all of them (common random numbers).  Each estimate is
-    bitwise the one its policy's run alone gives.  Table policies must share
-    one grid.  A policy that fails raises an error of the type its run alone
-    raises; where several fail, the run raises the first error met, stepping
-    the sets in order, then the first non-finite estimate in policy order.
+    bitwise the one its policy's run alone gives.  A policy that fails
+    raises an error of the type its run alone raises; where several fail,
+    the run raises the first error met, stepping the sets in order, then the
+    first non-finite estimate in policy order.
     """
     if config.horizon < 1.0:
         raise ValueError("rate estimation needs horizon >= 1")
-    cmaps = [_control_map(model, p, grid) for p in policies]
-    if not cmaps:
-        raise ValueError("need at least one policy")
-    if len({(g.dim, g.radius, g.nodes_per_axis)
-            for g in (c.grid for c in cmaps) if g is not None}) > 1:
-        raise ValueError("policies estimated together must share one grid")
+    stack = _PolicyStack(model, policies, grid)
     x0, k0 = _coerce_start(model, x0, k0)
     if terminal_pair is not None:
         if grid is None:
@@ -704,21 +666,21 @@ def estimate_risk_sensitive_rates(model, policies, config, lambda_ref=None,
                 "not inside the box of radius %g" % (x0.tolist(), k0, grid.radius))
         psi = np.asarray(terminal_pair.eigenfunction, dtype=float)
         log_psi0 = math.log(float(grid.interpolate(psi, x0[None, :], [k0])[0]))
-    n_policies = len(cmaps)
+    n_policies = len(stack.descriptions)
 
     def set_sums(blocks):
-        S, X, K, _, _ = _horizon_block(model, cmaps, config, blocks, x0, k0)
+        S, X, K, _, _ = _horizon_block(model, stack, config, blocks, x0, k0)
         if terminal_pair is not None:
             with np.errstate(divide="ignore"):
                 S = S + np.log(grid.interpolate(psi, X, K)) - log_psi0
         return _by_group(S, blocks, n_policies)
 
     sums = np.concatenate(_map_sets(set_sums, workers, config.paths, n_policies), axis=1)
-    return [_rate_estimate(S, config, x0, k0, cmap, lambda_ref, terminal_pair)
-            for S, cmap in zip(sums, cmaps)]
+    return [_rate_estimate(S, config, x0, k0, control, lambda_ref, terminal_pair)
+            for S, control in zip(sums, stack.descriptions)]
 
 
-def _rate_estimate(S, config, x0, k0, cmap, lambda_ref, terminal_pair):
+def _rate_estimate(S, config, x0, k0, control, lambda_ref, terminal_pair):
     """The :class:`CostEstimate` of one policy's per-path exponents ``S``."""
     T = config.actual_horizon
     log_mean, w, mean_w = _logmeanexp(S)
@@ -736,7 +698,7 @@ def _rate_estimate(S, config, x0, k0, cmap, lambda_ref, terminal_pair):
     if ess < ESS_FRACTION_FLOOR * config.paths:
         flags.append("heavy_tail")
     details = {"x0": x0.tolist(), "k0": k0, "n_steps": config.n_steps,
-               "actual_horizon": T, "control": cmap.description,
+               "actual_horizon": T, "control": control,
                "log_mean_exp": log_mean,
                "terminal_weighted": terminal_pair is not None}
     if lambda_ref is not None:
@@ -748,12 +710,12 @@ def _rate_estimate(S, config, x0, k0, cmap, lambda_ref, terminal_pair):
                         details=details)
 
 
-def _fk_block(model, cmap, config, blocks, starts, lam, grid, psi,
+def _fk_block(model, stack, config, blocks, starts, lam, grid, psi,
               r_inner, cap_steps):
     """Payoff and status, each (starts, paths of the set), of whole blocks,
     a list of (block, size), of every start: one group per start, stopped at
     the annulus and cut after ``cap_steps`` steps."""
-    A, X, K, _, _, status = _step_set(model, [cmap], [(0, x, k) for x, k in starts],
+    A, X, K, _, _, status = _step_set(model, stack, [(0, x, k) for x, k in starts],
                                       config, blocks, cap_steps, lam, (r_inner, grid.radius))
     hits = np.flatnonzero(status == 1)
     payoff = np.zeros(len(A))
@@ -838,7 +800,7 @@ def feynman_kac_annulus(model, policy, eigenpair, grid, r_inner, start_points,
     """
     starts = check_annulus_arguments(model, grid.radius, r_inner, start_points,
                                      config.paths)
-    cmap = _control_map(model, policy, grid)
+    stack = _PolicyStack(model, [policy], grid)
     lam = float(eigenpair.eigenvalue)
     psi = np.asarray(eigenpair.eigenfunction, dtype=float)
     cap = 1000.0 * config.horizon / config.step
@@ -847,7 +809,7 @@ def feynman_kac_annulus(model, policy, eigenpair, grid, r_inner, start_points,
                          "at horizon %g and step %g" % (config.horizon, config.step))
     cap_steps = int(round(cap))
     parts = _map_sets(
-        lambda blocks: _fk_block(model, cmap, config, blocks, starts, lam,
+        lambda blocks: _fk_block(model, stack, config, blocks, starts, lam,
                                  grid, psi, r_inner, cap_steps),
         workers, config.paths, len(starts),
     )
@@ -910,12 +872,15 @@ def mean_position_diagnostic(model, policy, config, horizons=None, x0=None,
     log-log slope is reported as the decay exponent.
 
     Raises :class:`NonFiniteEstimateError` when the mean at some horizon is
-    NaN or infinite.
+    NaN or infinite, and ``ValueError`` for a ladder of fewer than two
+    horizons, which no slope fits.
     """
-    cmap = _control_map(model, policy, grid)
+    stack = _PolicyStack(model, [policy], grid)
     x0, k0 = _coerce_start(model, x0, k0)
     if horizons is None:
         horizons = [config.horizon / 16.0, config.horizon / 4.0, config.horizon]
+    if len(horizons) < 2:
+        raise ValueError("the decay fit needs at least two horizons, got %d" % len(horizons))
     snap_steps = []
     for T in horizons:
         s = int(round(float(T) / config.step))
@@ -925,7 +890,7 @@ def mean_position_diagnostic(model, policy, config, horizons=None, x0=None,
     if any(b <= a for a, b in zip(snap_steps, snap_steps[1:])):
         raise ValueError("horizons must be strictly increasing")
     parts = _map_sets(
-        lambda blocks: _horizon_block(model, [cmap], config, blocks, x0, k0,
+        lambda blocks: _horizon_block(model, stack, config, blocks, x0, k0,
                                       snap_steps)[3],
         workers, config.paths,
     )

@@ -23,50 +23,6 @@ from .simulate import estimate_risk_sensitive_rates
 
 
 @dataclasses.dataclass
-class GrowthBound:
-    """Exponential envelope of the eigenfunction plus a Lyapunov exponent.
-
-    kappa_hat is the smallest slope with log psi_k(x) <= log psi_k(0) +
-    kappa_hat * |x| at every grid node (max-ratio estimator, so violations
-    can only come from floating-point noise).  theta is the fitted exponent
-    in psi <= V^theta when a Lyapunov function is supplied.
-    """
-
-    kappa_hat: float
-    theta: float
-    fit_residual: float
-    violations: int
-
-    def __post_init__(self):
-        if self.kappa_hat < 0:
-            raise ValueError("kappa_hat must be >= 0")
-
-
-def fit_growth_bound(grid, eigenpair, lyap=None):
-    psi = np.asarray(eigenpair.eigenfunction, dtype=float)
-    X = grid.interior_points()
-    r = np.linalg.norm(X, axis=1)
-    log_psi = np.log(psi)
-    log0 = log_psi[:, grid.origin_index]
-    away = r > 0
-    ratios = (log_psi[:, away] - log0[:, None]) / r[away][None, :]
-    kappa = max(float(ratios.max()), 0.0)
-    bound = log0[:, None] + kappa * r[None, :]
-    violations = int(np.sum(log_psi > bound + 1e-9))
-    residual = float(np.sqrt(np.mean((bound[:, away] - log_psi[:, away]) ** 2)))
-    theta = float("nan")
-    if lyap is not None:
-        log_v = np.stack([
-            np.log(np.asarray(lyap(X, k), dtype=float)) for k in range(psi.shape[0])
-        ])
-        informative = log_v > 0.1
-        if informative.any():
-            theta = float(np.max(log_psi[informative] / log_v[informative]))
-    return GrowthBound(kappa_hat=kappa, theta=theta, fit_residual=residual,
-                       violations=violations)
-
-
-@dataclasses.dataclass
 class PolicyExcess:
     lower_bound: float
     excess_lower_bound: float
@@ -253,7 +209,6 @@ class NearMonotoneReport:
     sublevel_contained: bool
     escaping_nodes: list
     sublevel_radius: float
-    growth: GrowthBound
     passed: bool
 
     def as_dict(self):
@@ -267,8 +222,6 @@ class NearMonotoneReport:
             "sublevel_contained": self.sublevel_contained,
             "escaping_nodes": self.escaping_nodes,
             "sublevel_radius": self.sublevel_radius,
-            "kappa_hat": self.growth.kappa_hat if self.growth else None,
-            "growth_violations": self.growth.violations if self.growth else None,
             "passed": self.passed,
         }
 
@@ -280,7 +233,7 @@ def near_monotone_suite(model, radii, nodes_per_unit=20, epsilon=0.01, samples=5
     Gates on validate_near_monotone (models with growing coefficients are
     refused), sweeps the domains, then checks a posteriori that the cost's
     sub-level set at lambda_star + epsilon stays inside 0.8 times the largest
-    box, and fits the exponential growth envelope of the eigenfunction.
+    box.
     """
     gate = validate_near_monotone(model, box_radius=max(radii), samples=samples,
                                   seed=seed)
@@ -289,8 +242,7 @@ def near_monotone_suite(model, radii, nodes_per_unit=20, epsilon=0.01, samples=5
             refused=True, gate=gate, lambda_star=float("nan"),
             sweep_monotone=False, sweep_converged=False, sweep_eigenvalues=[],
             sublevel_contained=False, escaping_nodes=[],
-            sublevel_radius=float("nan"),
-            growth=None, passed=False,
+            sublevel_radius=float("nan"), passed=False,
         )
     sweep = domain_sweep(model, radii, nodes_per_unit)
     lam_star = sweep.lambda_star
@@ -305,19 +257,17 @@ def near_monotone_suite(model, radii, nodes_per_unit=20, epsilon=0.01, samples=5
     contained = not bool(escaping.any())
     escapees = X[escaping][:10].tolist()
     sub_radius = float(np.max(inf_norm[sub_level])) if sub_level.any() else 0.0
-    growth = fit_growth_bound(grid, final.eigenpair)
     converged = sweep.monotone and (
         len(sweep.increments) < 2
         or sweep.increments[-1] <= 0.9 * sweep.increments[-2] + 1e-12
     )
-    passed = bool(sweep.monotone and converged and contained
-                  and growth.violations == 0)
+    passed = bool(sweep.monotone and converged and contained)
     return NearMonotoneReport(
         refused=False, gate=gate, lambda_star=lam_star,
         sweep_monotone=sweep.monotone, sweep_converged=converged,
         sweep_eigenvalues=sweep.eigenvalues,
         sublevel_contained=contained, escaping_nodes=escapees,
-        sublevel_radius=sub_radius, growth=growth, passed=passed,
+        sublevel_radius=sub_radius, passed=passed,
     )
 
 

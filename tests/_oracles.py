@@ -138,7 +138,7 @@ def at_rows(X, *values):
 # ---------------------------------------------------------------------------
 # per-group Euler + switching step (reference for the fused step kernel)
 
-def step_once_per_group(model, cmap, X, K, S, step, sqh, Z, U, cost_shift,
+def step_once_per_group(model, controls, X, K, S, step, sqh, Z, U, cost_shift,
                         barrier=None):
     """One Euler + switching step, in place, one (regime, control) group at a time.
 
@@ -149,7 +149,7 @@ def step_once_per_group(model, cmap, X, K, S, step, sqh, Z, U, cost_shift,
     barrier-corrected inner radius and the stay-inside-the-box flag.
     """
     n = X.shape[0]
-    ci = cmap.control_indices(X, K)
+    ci = controls.control_indices(X, K)
     new_X = np.empty_like(X)
     new_K = np.empty_like(K)
     inner_thr = outer_ok = None
@@ -197,20 +197,22 @@ def step_once_per_group(model, cmap, X, K, S, step, sqh, Z, U, cost_shift,
 # ---------------------------------------------------------------------------
 # one-block Monte Carlo steppers (reference for the working-set steppers)
 #
-# Each steps one block of paths on the block's own generator.  The
-# ``*_per_block`` wrappers take a working set, a list of (block, size), run
-# its blocks one at a time and lay the results out as the package's set
-# steppers do, so a test can put them in their place.
+# Each steps one block of paths on the block's own generator, under one
+# policy of ``stack``, a ``simulate._PolicyStack``.  The ``*_per_block``
+# wrappers take a working set, a list of (block, size), run its blocks one at
+# a time and lay the results out as the package's set steppers do, so a test
+# can put them in their place.
 
-def horizon_block(model, cmap, config, block, n_paths, x0, k0, keep_steps):
+def horizon_block(model, stack, config, block, n_paths, x0, k0, keep_steps, policy):
     """Integrated cost, state and regime per path, plus the states and
-    regimes after the steps in ``keep_steps``, of one block of paths."""
+    regimes after the steps in ``keep_steps``, of one block of paths under
+    policy ``policy`` of ``stack``."""
     rng = simulate._block_generator(config.seed, block)
     d = model.dim
     X = np.repeat(x0[None, :], n_paths, axis=0)
     K = np.full(n_paths, k0, dtype=np.int64)
     S = np.zeros(n_paths)
-    controls = simulate._PolicyStack([cmap], np.zeros(n_paths, dtype=np.int64), model.controls)
+    controls = stack.at_rows(np.full(n_paths, policy))
     sqh = math.sqrt(config.step)
     history = [(X.copy(), K.copy())]
     for _ in range(max([config.n_steps, *keep_steps])):
@@ -223,7 +225,7 @@ def horizon_block(model, cmap, config, block, n_paths, x0, k0, keep_steps):
             np.stack([k for _, k in history], axis=1)[:, keep])
 
 
-def fk_block(model, cmap, config, block, n_paths, starts, lam, grid, psi,
+def fk_block(model, stack, config, block, n_paths, starts, lam, grid, psi,
              r_inner, cap_steps):
     """Payoff and status, each (starts, paths), of one block of every start,
     stepping each start's running paths on its own."""
@@ -237,8 +239,7 @@ def fk_block(model, cmap, config, block, n_paths, starts, lam, grid, psi,
         K = np.full(n_paths, k, dtype=np.int64)
         A = np.zeros(n_paths)
         row = np.arange(n_paths)
-        controls = simulate._PolicyStack([cmap], np.zeros(n_paths, dtype=np.int64),
-                                         model.controls)
+        controls = stack.at_rows(np.zeros(n_paths, dtype=np.int64))
         for _ in range(cap_steps):
             if row.size == 0:
                 break
@@ -258,15 +259,15 @@ def fk_block(model, cmap, config, block, n_paths, starts, lam, grid, psi,
     return payoff, status
 
 
-def horizon_per_block(model, cmaps, config, blocks, x0, k0, keep_steps=()):
+def horizon_per_block(model, stack, config, blocks, x0, k0, keep_steps=()):
     """Each block of each policy stepped alone, in (block, policy, path) order."""
-    parts = [horizon_block(model, cmap, config, b, n, x0, k0, keep_steps)
-             for b, n in blocks for cmap in cmaps]
+    parts = [horizon_block(model, stack, config, b, n, x0, k0, keep_steps, i)
+             for b, n in blocks for i in range(len(stack.descriptions))]
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def fk_per_block(model, cmap, config, blocks, *args):
-    parts = [fk_block(model, cmap, config, b, n, *args) for b, n in blocks]
+def fk_per_block(model, stack, config, blocks, *args):
+    parts = [fk_block(model, stack, config, b, n, *args) for b, n in blocks]
     return tuple(np.concatenate(p, axis=1) for p in zip(*parts))
 
 

@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import re
 import threading
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 import riskswitch as rs
 from riskswitch import PathConfig, StepSizeError
 from riskswitch.model import NonFiniteCoefficientError
-from riskswitch.simulate import ControlMap, resolve_workers
+from riskswitch.simulate import resolve_workers
 import riskswitch.simulate as simulate
 
 import _oracles as orc
@@ -80,23 +81,6 @@ def test_path_config_refuses_non_finite_values(step, horizon, match):
         PathConfig(step=step, horizon=horizon, seed=0, paths=10)
 
 
-def test_control_map_coercion():
-    g = rs.grid_for_resolution(1, 2.0, 5)
-    cm = ControlMap.coerce(1)
-    assert cm.description == "constant:1"
-    assert np.all(cm.control_indices(np.zeros((4, 1)), np.zeros(4, dtype=int)) == 1)
-    table = np.zeros((1, g.num_interior), dtype=np.int64)
-    table[0, g.origin_index] = 1
-    cm2 = ControlMap.coerce(table, grid=g)
-    idx = cm2.control_indices(np.array([[0.0], [1.0]]), np.zeros(2, dtype=int))
-    np.testing.assert_array_equal(idx, [1, 0])
-    with pytest.raises(ValueError):
-        ControlMap.coerce(table)  # table without a grid
-    with pytest.raises(TypeError):
-        ControlMap.coerce("nope")
-    assert ControlMap.coerce(cm2) is cm2
-
-
 def test_control_and_regime_indices_checked_before_stepping(monkeypatch):
     m = rs.make_builtin("ou2")  # two regimes, two controls
     g = rs.grid_for_resolution(1, 2.0, 5)
@@ -110,7 +94,8 @@ def test_control_and_regime_indices_checked_before_stepping(monkeypatch):
         (lambda: rs.simulate_paths(m, 2, cfg), r"control index 2 is outside \[0, 2\)"),
         (lambda: rs.estimate_risk_sensitive_rate(m, -1, cfg), "control index -1"),
         (lambda: rs.mean_position_diagnostic(m, table, cfg, grid=g), "control index 5"),
-        (lambda: rs.simulate_paths(m, table[:1], cfg, grid=g), "rows, one per regime needs 2"),
+        (lambda: rs.simulate_paths(m, table[:1], cfg, grid=g),
+         re.escape("= (2, %d), got (1, %d)" % (g.num_interior, g.num_interior))),
         (lambda: rs.simulate_paths(m, table[:, 1:], cfg, grid=g), "shape"),
         (lambda: rs.simulate_paths(m, 0, cfg, k0=2), r"start regime 2 is outside \[0, 2\)"),
         (lambda: rs.estimate_risk_sensitive_rate(m, 0, cfg, k0=-1), "start regime -1"),
@@ -120,6 +105,70 @@ def test_control_and_regime_indices_checked_before_stepping(monkeypatch):
     for call, message in cases:
         with pytest.raises(ValueError, match=message):
             call()
+
+
+def policy_callers(m, g, policy, cfg):
+    """Every caller of the policy rule, each called with ``policy``."""
+    op = rs.assemble(m, g, rs.constant_policy(g, m.num_regimes))
+    ones = rs.EigenPair(eigenvalue=0.0, eigenfunction=np.ones((2, g.num_interior)),
+                        residual=0.0, iterations=0, shift=0.0)
+    return {
+        "assemble": lambda: rs.assemble(m, g, policy),
+        "with_policy": lambda: op.with_policy(policy),
+        "rate": lambda: rs.estimate_risk_sensitive_rate(m, policy, cfg, grid=g),
+        "feynman_kac": lambda: rs.feynman_kac_annulus(m, policy, ones, g, 0.5,
+                                                      [(np.array([1.0]), 0)], cfg),
+        "mean_position": lambda: rs.mean_position_diagnostic(m, policy, cfg, grid=g),
+        "paths": lambda: rs.simulate_paths(m, policy, cfg, grid=g),
+    }
+
+
+@pytest.mark.parametrize("caller", ["assemble", "with_policy", "rate", "feynman_kac",
+                                    "mean_position", "paths"])
+@pytest.mark.parametrize("name, message", [
+    ("float table", "integer control indices, got dtype float64"),
+    ("bool table", "integer control indices, got dtype bool"),
+    ("bool constant", "integer control indices, got dtype bool"),
+    ("function", "integer control indices, got dtype object"),
+    ("wrong shape", r"must have shape \(num_regimes, num_interior\) = \(2, 19\), got \(2, 18\)"),
+    ("out of range", r"control index 2 is outside \[0, 2\)"),
+])
+def test_policy_rule_refuses_before_any_step(caller, name, message, monkeypatch):
+    # a float table was truncated (0.9 stepped control 0, 1.7 built control
+    # 1's operator) and a bool read as control 0 or 1; one rule refuses each
+    m = rs.make_builtin("ou2")  # two regimes, two controls
+    g = rs.grid_for_resolution(1, 2.0, 5)
+    cfg = PathConfig(step=0.01, horizon=1.0, seed=0, paths=4)
+    M = g.num_interior
+    policy = {"float table": np.full((2, M), 0.9), "bool table": np.ones((2, M), dtype=bool),
+              "bool constant": True, "function": lambda X, K: np.ones(len(X), dtype=np.int64),
+              "wrong shape": np.zeros((2, M - 1), dtype=np.int64),
+              "out of range": np.full((2, M), 2)}[name]
+    call = policy_callers(m, g, policy, cfg)[caller]
+    monkeypatch.setattr(simulate, "_step_once", None)  # any step would fail
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_policy_stack_reads_a_table_at_the_nearest_node():
+    m = rs.make_builtin("ou2")
+    g = rs.grid_for_resolution(1, 2.0, 5)
+    table = np.zeros((2, g.num_interior), dtype=np.int64)
+    table[0, g.origin_index] = 1
+    stack = simulate._PolicyStack(m, [table, np.int64(1), 0], g)
+    assert stack.descriptions == ["table", "constant:1", "constant:0"]
+    X = np.array([[0.05], [1.0], [0.05], [-7.0], [3.0]])
+    K = np.array([0, 0, 1, 0, 1])
+    controls = stack.at_rows(np.array([0, 0, 0, 1, 2]))
+    np.testing.assert_array_equal(controls.control_indices(X, K), [1, 0, 0, 1, 0])
+    np.testing.assert_array_equal(controls.control_values(X, K),
+                                  m.controls[[1, 0, 0, 1, 0]])
+    constants = simulate._PolicyStack(m, [1], g)  # no table: no node lookup
+    assert constants.grid is None
+    np.testing.assert_array_equal(constants.at_rows(np.zeros(2, dtype=np.int64))
+                                  .control_indices(X[:2], K[:2]), [1, 1])
+    with pytest.raises(ValueError, match="needs a grid for node lookup"):
+        simulate._PolicyStack(m, [table], None)
 
 
 @pytest.mark.parametrize("k0", [0.9, 1.7, np.float64(1.5), True, np.bool_(True),
@@ -167,42 +216,6 @@ def test_terminal_weighting_rejects_a_start_on_or_outside_the_box(monkeypatch):
         with pytest.raises(ValueError, match=r"x0=\[%s\], k0=1 .* radius 3" % x0[0]):
             rs.estimate_risk_sensitive_rate(m, 0, cfg, x0=x0, k0=1, grid=g,
                                             terminal_pair=ones)
-
-
-def test_function_control_map_refused():
-    m = rs.make_builtin("ou2")
-    cfg = PathConfig(step=0.01, horizon=1.0, seed=3, paths=64)
-
-    def fn(X, K):
-        return np.ones(len(X), dtype=np.int64)
-
-    for call in (lambda: ControlMap(fn), lambda: ControlMap.coerce(fn),
-                 lambda: rs.simulate_paths(m, fn, cfg)):
-        with pytest.raises(TypeError):
-            call()
-
-
-@pytest.mark.parametrize("policy", ["constant", "table"])
-def test_control_map_pickles_and_steps_like_the_original(policy):
-    m = rs.make_builtin("ou2")
-    g = rs.grid_for_resolution(1, 3.0, 10)
-    cmap = (ControlMap.constant(1) if policy == "constant"
-            else ControlMap(mixed_table(m, g), g))
-    loaded = pickle.loads(pickle.dumps(cmap))
-    assert loaded.description == cmap.description
-    np.testing.assert_array_equal(loaded.table, cmap.table)
-    pair = rs.solve_semilinear(m, g).eigenpair
-    rate_cfg = PathConfig(step=0.05, horizon=1.0, seed=8, paths=300)
-    fk_cfg = PathConfig(step=0.01, horizon=0.5, seed=9, paths=200)
-    starts = [(np.array([1.0]), 0), (np.array([-1.5]), 1)]
-    runs = [(rs.estimate_risk_sensitive_rate(m, c, rate_cfg, x0=[0.5], grid=g,
-                                             terminal_pair=pair),
-             rs.feynman_kac_annulus(m, c, pair, g, 0.5, starts, fk_cfg))
-            for c in (cmap, loaded)]
-    (rate, fk), (loaded_rate, loaded_fk) = runs
-    assert (rate.value, rate.std_error, rate.ess) == \
-        (loaded_rate.value, loaded_rate.std_error, loaded_rate.ess)
-    assert fk_outputs(fk) == fk_outputs(loaded_fk)
 
 
 def test_resolve_workers_env(monkeypatch):
@@ -594,6 +607,13 @@ def mixed_table(model, grid, seed=0):
                         size=(model.num_regimes, grid.num_interior))
 
 
+def table_controls(model, table, grid, X, K):
+    """Control index of each state X (n, dim) in regime K (n,) under a table
+    policy on ``grid``, read as the step kernel reads it."""
+    stack = simulate._PolicyStack(model, [table], grid)
+    return stack.at_rows(np.zeros(len(K), dtype=np.int64)).control_indices(X, K)
+
+
 @pytest.mark.parametrize("name", ["ou2", "bounded2d"])
 def test_fk_starts_independent_of_each_other(name):
     # all starts share one working set, but each keeps its own block stream:
@@ -654,8 +674,8 @@ def test_fused_step_matches_per_group_oracle(monkeypatch):
     np.testing.assert_array_equal(fused.integrated_cost, ref.integrated_cost)
     assert fk_outputs(fused_fk) == fk_outputs(ref_fk)
     assert set(np.unique(ref.regimes)) == {0, 1}
-    cmap = ControlMap(table, g)
-    controls = cmap.control_indices(ref.positions.reshape(-1, 2), ref.regimes.reshape(-1))
+    controls = table_controls(m, table, g, ref.positions.reshape(-1, 2),
+                              ref.regimes.reshape(-1))
     assert set(np.unique(controls)) == {0, 1}
 
 
@@ -745,8 +765,8 @@ def test_each_coefficient_is_called_once_per_step(monkeypatch):
     cfg = PathConfig(step=0.01, horizon=1.0, seed=4, paths=300)
     batch = rs.simulate_paths(m, table, cfg, x0=[0.5, -0.5], k0=1, grid=g, workers=1)
     assert calls == dict.fromkeys(calls, cfg.n_steps)
-    controls = ControlMap(table, g).control_indices(
-        batch.positions.reshape(-1, 2), batch.regimes.reshape(-1))
+    controls = table_controls(m, table, g, batch.positions.reshape(-1, 2),
+                              batch.regimes.reshape(-1))
     groups = (batch.regimes.reshape(-1) * 2 + controls).reshape(batch.regimes.shape)
     assert max(len(np.unique(groups[:, t])) for t in range(cfg.n_steps)) == 4
     rs.estimate_risk_sensitive_rates(m, [table, 1], cfg, x0=[0.5, -0.5], grid=g, workers=1)
@@ -843,17 +863,17 @@ def test_set_steppers_match_per_block_oracle():
     # cannot see, laid out block by block as the per-block oracle does
     m = rs.make_builtin("bounded2d")
     g = rs.grid_for_resolution(2, 3.0, 5)
-    cmap = ControlMap.coerce(mixed_table(m, g), grid=g)
+    stack = simulate._PolicyStack(m, [mixed_table(m, g)], g)
     pair = rs.solve_semilinear(m, g).eigenpair
     blocks = [(2, 300), (3, 123)]
     cfg = PathConfig(step=0.05, horizon=1.0, seed=15, paths=1)
     x0 = np.array([0.5, -0.5])
     # one policy, and three stacked (rows ordered block, policy, path)
-    for cmaps in ([cmap], [cmap, ControlMap.constant(1), ControlMap.coerce(
-            mixed_table(m, g, seed=1), grid=g)]):
+    stacked = simulate._PolicyStack(m, [mixed_table(m, g), 1, mixed_table(m, g, seed=1)], g)
+    for run in (stack, stacked):
         for fused, ref in zip(
-                simulate._horizon_block(m, cmaps, cfg, blocks, x0, 1, [0, 3, 25]),
-                orc.horizon_per_block(m, cmaps, cfg, blocks, x0, 1, [0, 3, 25])):
+                simulate._horizon_block(m, run, cfg, blocks, x0, 1, [0, 3, 25]),
+                orc.horizon_per_block(m, run, cfg, blocks, x0, 1, [0, 3, 25])):
             np.testing.assert_array_equal(fused, ref)
     starts = [(np.array([1.0, 0.5]), 0), (np.array([-1.2, 1.0]), 1)]
     # both blocks stop rows and split their draws by start; at the cap of 10
@@ -862,9 +882,9 @@ def test_set_steppers_match_per_block_oracle():
     for fk_cfg, cap in ((PathConfig(step=0.01, horizon=0.5, seed=16, paths=1), 10000),
                         (PathConfig(step=0.002, horizon=0.5, seed=17, paths=1), 10)):
         fk_args = (starts, pair.eigenvalue, g, pair.eigenfunction, 0.5, cap)
-        payoff, status = simulate._fk_block(m, cmap, fk_cfg, blocks, *fk_args)
+        payoff, status = simulate._fk_block(m, stack, fk_cfg, blocks, *fk_args)
         for fused, ref in zip((payoff, status),
-                              orc.fk_per_block(m, cmap, fk_cfg, blocks, *fk_args)):
+                              orc.fk_per_block(m, stack, fk_cfg, blocks, *fk_args)):
             np.testing.assert_array_equal(fused, ref)
     assert (status[:, :300] == 3).all() and (status[:, 300:] != 3).any()
 
@@ -1130,13 +1150,9 @@ def test_errors_of_one_stacked_policy_are_its_own(case, monkeypatch):
         assert multiprocessing.active_children() == []
 
 
-def test_stacked_policies_must_share_a_grid():
+def test_stacked_policies_need_at_least_one():
     m = rs.make_builtin("ou2")
-    g, h = rs.grid_for_resolution(1, 3.0, 10), rs.grid_for_resolution(1, 4.0, 10)
     cfg = PathConfig(step=0.05, horizon=1.0, seed=0, paths=8)
-    tables = [ControlMap(mixed_table(m, grid), grid) for grid in (g, h)]
-    with pytest.raises(ValueError, match="share one grid"):
-        rs.estimate_risk_sensitive_rates(m, tables, cfg)
     with pytest.raises(ValueError, match="at least one policy"):
         rs.estimate_risk_sensitive_rates(m, [], cfg)
 
@@ -1198,12 +1214,17 @@ def test_mean_position_fails_for_expanding_dynamics():
     assert rep.decay_exponent > 0
 
 
-def test_mean_position_horizon_validation():
+def test_mean_position_horizon_validation(monkeypatch):
     cfg = PathConfig(step=0.02, horizon=16.0, seed=0, paths=8)
-    with pytest.raises(ValueError, match="below one step"):
-        rs.mean_position_diagnostic(driftless(), 0, cfg, horizons=[0.001, 1.0])
-    with pytest.raises(ValueError, match="strictly increasing"):
-        rs.mean_position_diagnostic(driftless(), 0, cfg, horizons=[2.0, 1.0])
+    monkeypatch.setattr(simulate, "_step_once", None)  # any step would fail
+    # one rung made np.polyfit raise LinAlgError (a numeric failure) after
+    # the steps, none a TypeError
+    for horizons, message in (([0.001, 1.0], "below one step"),
+                              ([2.0, 1.0], "strictly increasing"),
+                              ([1.0], "needs at least two horizons, got 1"),
+                              ([], "needs at least two horizons, got 0")):
+        with pytest.raises(ValueError, match=message):
+            rs.mean_position_diagnostic(driftless(), 0, cfg, horizons=horizons)
 
 
 def test_start_coercion():

@@ -13,8 +13,7 @@ from riskswitch.grid import grid_for_resolution
 from riskswitch.model import make_builtin
 from riskswitch.operator import assemble, constant_policy
 from riskswitch.simulate import PathConfig
-from riskswitch.verify import (GrowthBound, fit_growth_bound,
-                               lambda_equals_optimal_value,
+from riskswitch.verify import (lambda_equals_optimal_value,
                                near_monotone_suite, random_policies,
                                validate_near_monotone, verification_eig_tol,
                                verify_optimality)
@@ -163,30 +162,6 @@ def test_verification_tol_tracks_matrix_norm():
     assert tols[1] < 1e-10
 
 
-# -------------------------------------------------------------- growth bound
-
-def test_growth_bound_envelope(lq_setup):
-    model, grid, solution = lq_setup
-    gb = fit_growth_bound(grid, solution.eigenpair)
-    assert gb.violations == 0
-    assert 0.1 < gb.kappa_hat < 0.5
-    assert 0.0 < gb.fit_residual < 1.0
-    assert math.isnan(gb.theta)
-
-
-def test_growth_bound_lyapunov_exponent(lq_setup):
-    model, grid, solution = lq_setup
-    gb = fit_growth_bound(grid, solution.eigenpair, lyap=model.certificate.lyap)
-    assert 0.1 < gb.theta < 0.4
-    assert gb.theta == pytest.approx(0.202273, abs=1e-3)
-
-
-def test_growth_bound_rejects_negative_slope():
-    with pytest.raises(ValueError, match="kappa_hat"):
-        GrowthBound(kappa_hat=-0.1, theta=float("nan"), fit_residual=0.0,
-                    violations=0)
-
-
 # ---------------------------------------------------------- bounded-mode gate
 
 def test_gate_accepts_bounded_builtins():
@@ -245,8 +220,6 @@ def test_suite_accepts_dip():
     assert rep.escaping_nodes == []
     # low-cost dip around the origin: the sub-level set hugs the center
     assert rep.sublevel_radius == pytest.approx(0.8, abs=1e-6)
-    assert rep.growth.violations == 0
-    assert 0.1 < rep.growth.kappa_hat < 0.4
 
 
 def test_suite_refuses_growing_cost():
@@ -255,7 +228,6 @@ def test_suite_refuses_growing_cost():
     assert rep.refused
     assert not rep.passed
     assert math.isnan(rep.lambda_star)
-    assert rep.growth is None
     failing = [c.name for c in rep.gate.checks if not c.passed]
     assert failing == ["bounded_coefficients"]
 
@@ -265,8 +237,6 @@ def test_suite_as_dict():
                               nodes_per_unit=10)
     d = rep.as_dict()
     assert d["passed"] is True
-    assert d["kappa_hat"] == rep.growth.kappa_hat
-    assert d["growth_violations"] == 0
     assert len(d["sweep_eigenvalues"]) == 2
 
 
