@@ -31,7 +31,7 @@ import scipy
 
 from . import __version__
 from .eigen import (MAX_POLICY_ITERS, NoConvergenceError, NotIrreducibleError,
-                    domain_sweep, solve_semilinear)
+                    domain_sweep, solve_semilinear, verification_tol)
 from .expressions import ExpressionError, load_model
 from .grid import GridSpec, grid_for_resolution
 from .model import (NonFiniteCoefficientError, check_lyapunov, make_builtin,
@@ -41,8 +41,8 @@ from .simulate import (BLOCK, SET_ROWS, NonFiniteEstimateError,
                        PathConfig, StepSizeError, _usable_cpus, check_annulus_arguments,
                        estimate_risk_sensitive_rate, feynman_kac_annulus,
                        mean_position_diagnostic, resolve_workers, simulate_paths)
-from .verify import (_verification_solve, lambda_equals_optimal_value,
-                     random_policies, validate_near_monotone, verify_optimality)
+from .verify import (lambda_equals_optimal_value, random_policies,
+                     validate_near_monotone, verify_optimality)
 
 NUMERIC_ERRORS = (NonFiniteCoefficientError, MonotonicityViolation,
                   NotIrreducibleError, NoConvergenceError,
@@ -259,15 +259,14 @@ def cmd_solve(args):
 def cmd_sweep(args):
     model = _model_from_args(args)
     radii = _parse_floats(args.radii)
-    if any(b <= a for a, b in zip(radii, radii[1:])) or not radii:
-        raise UsageError("--radii must be strictly increasing")
     sweep = domain_sweep(model, radii, args.nodes_per_unit)
     config = {"command": "sweep", "model": _model_config(args, model),
               "radii": radii, "nodes_per_unit": args.nodes_per_unit}
     body = {
         "entries": [
-            {"radius": e.radius, "lambda": e.eigenvalue, "bracket": e.bracket,
-             "iterations": e.iterations, "converged": e.converged,
+            {"radius": e.operator.grid.radius, "lambda": e.eigenpair.eigenvalue,
+             "bracket": e.bracket, "iterations": e.policy_iterations,
+             "converged": e.converged,
              "policy_histogram": _policy_histogram(e.policy, model.num_controls),
              "residual": e.eigenpair.residual}
             for e in sweep.entries
@@ -387,11 +386,12 @@ def cmd_verify(args):
         model, grid.radius, args.samples, args.seed, args.nodes_per_unit)
     flagged = []
 
-    sol = _verification_solve(model, grid, max_policy_iters=args.max_policy_iters)
+    sol = solve_semilinear(model, grid, max_policy_iters=args.max_policy_iters,
+                           eig_tol=verification_tol)
     if not sol.converged:
         failed.append("policy_iteration")
     alt = random_policies(model, grid, args.alt_policies, seed=args.seed)
-    opt = verify_optimality(model, grid, alt, solution=sol)
+    opt = verify_optimality(sol, alt)
     checks["optimality"] = opt.as_dict()
     if not opt.passed:
         failed.append("optimality")
@@ -400,8 +400,7 @@ def cmd_verify(args):
         sim = PathConfig(step=args.step, horizon=args.horizon, seed=args.seed,
                          paths=args.paths)
         match = lambda_equals_optimal_value(
-            model, grid, args.rate_policies, sim, seed=args.seed,
-            workers=args.workers, solution=sol)
+            model, sol, args.rate_policies, sim, seed=args.seed, workers=args.workers)
         checks["lambda_match"] = match.as_dict()
         if not match.passed:
             failed.append("lambda_match")

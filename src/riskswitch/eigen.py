@@ -22,7 +22,12 @@ same product gives each iterate's Collatz-Wielandt bracket
 eigenvalue from below; iteration stops when the policy repeats or the
 bracket certifies the current eigenvalue optimal to ``LAMBDA_TOL``.  The
 eigenvalue trace is non-increasing; on a policy cycle or an exhausted budget
-the evaluated policy with the smallest eigenvalue is returned.
+the evaluated policy with the smallest eigenvalue is returned.  Every
+evaluation runs at one residual tolerance, :func:`solve_semilinear`'s
+``eig_tol``: a number, None for :func:`principal_eigenpair`'s default, or a
+rule ``op -> tol`` such as :func:`verification_tol`, applied to the start
+operator.  The returned :class:`SemilinearSolution` is what every check in
+:mod:`riskswitch.verify` and the CLI reads.
 
 Domains are nested boxes: a domain sweep over strictly increasing radii at a
 fixed node density yields strictly increasing eigenvalues (a proper principal
@@ -37,7 +42,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from .grid import GridSpec, grid_for_resolution
+from .grid import grid_for_resolution
 from .operator import DiscreteOperator, assemble, constant_policy
 
 DEFAULT_RESIDUAL_TOL = 1e-10
@@ -307,34 +312,31 @@ class SemilinearSolution:
     bracket: Bracket
 
 
-def _improve(op, psi):
-    """The next policy against ``psi`` and the bracket of ``op``'s policy,
-    from one product; the bounds' arrays go with the call."""
-    bounds = collatz_wielandt_bounds(op, psi)
-    return bounds.selector(), bounds.bracket(op.policy)
-
-
-def solve_semilinear(model, grid, max_policy_iters=MAX_POLICY_ITERS, eig_tol=None,
-                     operator=None):
+def solve_semilinear(model, grid, max_policy_iters=MAX_POLICY_ITERS, eig_tol=None):
     """Howard policy iteration for the minimal principal eigenvalue.
 
     Starts from the constant lowest-index policy; alternates policy evaluation
     (principal eigenpair of the frozen-policy operator) with the minimizing
-    selector, gathering each policy's rows from one assembled stack:
-    ``operator``, an operator of ``assemble(model, grid, ...)`` for any
-    policy, or a fresh assembly when it is None.  One product gives each
-    iterate's next policy and :func:`collatz_wielandt_bounds` bracket.  It
-    converges when the policy repeats or the bracket certifies the eigenvalue
-    optimal, ``bracket.gap(lambda) <= LAMBDA_TOL``, the rule
+    selector, gathering each policy's rows from one assembled stack.  One
+    product gives each iterate's next policy and
+    :func:`collatz_wielandt_bounds` bracket.  It converges when the policy
+    repeats or the bracket certifies the eigenvalue optimal,
+    ``bracket.gap(lambda) <= LAMBDA_TOL``, the rule
     :func:`~riskswitch.verify.verify_optimality` passes on.  On a cycle
     (``oscillated=True``, counted as converged) or an exhausted budget
     (``converged=False``) the evaluated policy with the smallest eigenvalue
     is returned with its eigenpair, operator and bracket.
+
+    ``eig_tol`` is every evaluation's residual tolerance: a number, None
+    for :func:`principal_eigenpair`'s default, or a rule ``op -> tol``
+    applied once to the start policy's operator, such as
+    :func:`verification_tol` for verification-grade solves.
     """
     if max_policy_iters < 1:
         raise ValueError("max_policy_iters must be >= 1")
-    start = constant_policy(grid, model.num_regimes, 0)
-    op = assemble(model, grid, start) if operator is None else operator.with_policy(start)
+    op = assemble(model, grid, constant_policy(grid, model.num_regimes, 0))
+    if callable(eig_tol):
+        eig_tol = eig_tol(op)
     seen = set()
     trace = []
     warm = None
@@ -344,7 +346,9 @@ def solve_semilinear(model, grid, max_policy_iters=MAX_POLICY_ITERS, eig_tol=Non
         pair = principal_eigenpair(op, tol=eig_tol, x0=warm)
         warm = pair.flat()
         trace.append(pair.eigenvalue)
-        nxt, bracket = _improve(op, pair.eigenfunction)
+        bounds = collatz_wielandt_bounds(op, pair.eigenfunction)
+        nxt, bracket = bounds.selector(), bounds.bracket(op.policy)
+        del bounds  # its three (controls x rows) arrays would outlive the next evaluation
         if best is None or pair.eigenvalue < best[1].eigenvalue:
             best = (op, pair, bracket)
         if np.array_equal(nxt, op.policy) or bracket.gap(pair.eigenvalue) <= LAMBDA_TOL:
@@ -365,19 +369,9 @@ def solve_semilinear(model, grid, max_policy_iters=MAX_POLICY_ITERS, eig_tol=Non
 
 
 @dataclasses.dataclass
-class SweepEntry:
-    radius: float
-    eigenvalue: float
-    policy: np.ndarray
-    iterations: int
-    converged: bool
-    eigenpair: EigenPair
-    grid: GridSpec
-    bracket: Bracket
-
-
-@dataclasses.dataclass
 class SweepResult:
+    """``entries`` holds each radius's :class:`SemilinearSolution`, in order."""
+
     entries: list
     monotone: bool
     extrapolated: float
@@ -386,14 +380,15 @@ class SweepResult:
 
     @property
     def eigenvalues(self):
-        return [e.eigenvalue for e in self.entries]
+        return [e.eigenpair.eigenvalue for e in self.entries]
 
 
 def domain_sweep(model, radii, nodes_per_unit):
     """Solve on a strictly increasing ladder of box radii at fixed node density.
 
-    Returns per-radius eigenvalues/policies, a strict-monotonicity certificate,
-    and a geometric extrapolation of the eigenvalue limit: when the last two
+    Returns each radius's :class:`SemilinearSolution` (its grid is
+    ``operator.grid``), a strict-monotonicity certificate, and a geometric
+    extrapolation of the eigenvalue limit: when the last two
     increments decay with ratio r in (0, 1), the tail sum d * r / (1 - r) is
     added to the final eigenvalue.  ``lambda_star`` is never below the
     largest-radius eigenvalue.
@@ -403,16 +398,9 @@ def domain_sweep(model, radii, nodes_per_unit):
         raise ValueError("radii must be non-empty")
     if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing, got %s" % (radii,))
-    entries = []
-    for r in radii:
-        grid = grid_for_resolution(model.dim, r, nodes_per_unit)
-        sol = solve_semilinear(model, grid)
-        entries.append(SweepEntry(
-            radius=r, eigenvalue=sol.eigenpair.eigenvalue, policy=sol.policy,
-            iterations=sol.policy_iterations, converged=sol.converged,
-            eigenpair=sol.eigenpair, grid=grid, bracket=sol.bracket,
-        ))
-    lams = [e.eigenvalue for e in entries]
+    entries = [solve_semilinear(model, grid_for_resolution(model.dim, r, nodes_per_unit))
+               for r in radii]
+    lams = [e.eigenpair.eigenvalue for e in entries]
     increments = [b - a for a, b in zip(lams, lams[1:])]
     monotone = all(d > 0 for d in increments)
     extrapolated = lams[-1]

@@ -9,17 +9,24 @@ bracket), and the near-monotone mode (bounded coefficients, uniform
 switching floor, vanishing radial drift) where no Lyapunov certificate is
 needed and the cost's sub-level set at the computed value must stay inside
 a strict sub-box.
+
+The first two take one :class:`~riskswitch.eigen.SemilinearSolution`, read
+its grid from ``operator.grid`` and run no eigensolve; they recompute the
+bracket from its operator and eigenfunction rather than trust its own.
+Their ``LAMBDA_TOL`` comparisons need it solved at
+``solve_semilinear(..., eig_tol=verification_tol)``: the solver's default
+tolerance leaves ~1e-10 of noise in lambda.
 """
 
 import dataclasses
 
 import numpy as np
 
-from .eigen import (LAMBDA_TOL, MAX_POLICY_ITERS, Bracket, collatz_wielandt_bounds,
-                    domain_sweep, solve_semilinear, verification_tol)
+from .eigen import LAMBDA_TOL, Bracket, collatz_wielandt_bounds, domain_sweep
 from .model import _refuse_few_samples, coefficients
-from .operator import assemble, constant_policy
 from .simulate import estimate_risk_sensitive_rates
+
+SUBLEVEL_EPSILON = 0.01  # near_monotone_suite's sub-level set is {cost <= lambda* + this}
 
 
 @dataclasses.dataclass
@@ -52,49 +59,30 @@ class OptimalityReport:
         }
 
 
-def verification_eig_tol(op):
-    """:func:`verification_tol` of the constant lowest-index policy's operator,
-    gathered from the stack of ``op``, an operator of any policy.
-
-    The solver's default tolerance leaves ~1e-10 of noise in lambda, which
-    would swamp comparisons against ``LAMBDA_TOL``.
-    """
-    return verification_tol(op.with_policy(np.zeros_like(op.policy)))
-
-
-def _verification_solve(model, grid, max_policy_iters=MAX_POLICY_ITERS):
-    """Policy iteration at :func:`verification_eig_tol`, from one assembly."""
-    op = assemble(model, grid, constant_policy(grid, model.num_regimes))
-    return solve_semilinear(model, grid, max_policy_iters=max_policy_iters,
-                            eig_tol=verification_eig_tol(op), operator=op)
-
-
-def verify_optimality(model, grid, alt_policies=(), solution=None):
+def verify_optimality(solution, alt_policies=()):
     """The solved policy is optimal over every table policy, by one product.
 
-    The solved eigenfunction's :func:`collatz_wielandt_bounds` bracket [L, U]
-    passes when max(lambda* - L, U - lambda*) <= ``LAMBDA_TOL``, which proves
-    |lambda* - min_pi lambda_pi| <= ``LAMBDA_TOL`` over all table policies.
-    Each supplied policy gets its certified lower bound, the minimum of the
-    same ratios over its rows, which must not fall below lambda* -
-    ``LAMBDA_TOL``.  The minimizing selector applied to the solved
-    eigenfunction must map back to the solved policy, or (ties can flip
-    nodes) to one whose bracket passes too.  No eigensolve runs unless
-    ``solution`` is None; then the problem is solved at
-    :func:`verification_eig_tol`.
+    The :func:`collatz_wielandt_bounds` bracket [L, U] of ``solution``'s
+    eigenfunction, recomputed from its operator, passes when max(lambda* -
+    L, U - lambda*) <= ``LAMBDA_TOL``, which proves |lambda* - min_pi
+    lambda_pi| <= ``LAMBDA_TOL`` over all table policies.  Each supplied
+    policy gets its certified lower bound, the minimum of the same ratios
+    over its rows, which must not fall below lambda* - ``LAMBDA_TOL``.  The
+    minimizing selector applied to the solved eigenfunction must map back to
+    the solved policy, or (ties can flip nodes) to one whose bracket passes
+    too.  No eigensolve runs.
     """
-    sol = solution if solution is not None else _verification_solve(model, grid)
-    lam_star = sol.eigenpair.eigenvalue
-    psi = sol.eigenpair.eigenfunction
-    bounds = collatz_wielandt_bounds(sol.operator, psi)
-    bracket = bounds.bracket(sol.policy)
+    lam_star = solution.eigenpair.eigenvalue
+    psi = solution.eigenpair.eigenfunction
+    bounds = collatz_wielandt_bounds(solution.operator, psi)
+    bracket = bounds.bracket(solution.policy)
     excesses = []
     for p in alt_policies:
         lower = bounds.lower(p)
         excesses.append(PolicyExcess(lower_bound=lower, excess_lower_bound=lower - lam_star,
                                      ok=bool(lower >= lam_star - LAMBDA_TOL)))
     reselected = bounds.selector()
-    fixed_point_ok = bool(np.array_equal(reselected, sol.policy)
+    fixed_point_ok = bool(np.array_equal(reselected, solution.policy)
                           or bounds.bracket(reselected).gap(lam_star) <= LAMBDA_TOL)
     passed = bool(bracket.gap(lam_star) <= LAMBDA_TOL and fixed_point_ok
                   and all(e.ok for e in excesses))
@@ -226,14 +214,13 @@ class NearMonotoneReport:
         }
 
 
-def near_monotone_suite(model, radii, nodes_per_unit=20, epsilon=0.01, samples=512,
-                        seed=0):
+def near_monotone_suite(model, radii, nodes_per_unit=20, samples=512, seed=0):
     """Certificate-free pipeline for bounded-coefficient models.
 
     Gates on validate_near_monotone (models with growing coefficients are
     refused), sweeps the domains, then checks a posteriori that the cost's
-    sub-level set at lambda_star + epsilon stays inside 0.8 times the largest
-    box.
+    sub-level set at lambda_star + ``SUBLEVEL_EPSILON`` stays inside 0.8
+    times the largest box.
     """
     gate = validate_near_monotone(model, box_radius=max(radii), samples=samples,
                                   seed=seed)
@@ -246,11 +233,10 @@ def near_monotone_suite(model, radii, nodes_per_unit=20, epsilon=0.01, samples=5
         )
     sweep = domain_sweep(model, radii, nodes_per_unit)
     lam_star = sweep.lambda_star
-    final = sweep.entries[-1]
-    grid = final.grid
+    grid = sweep.entries[-1].operator.grid
     X = grid.interior_points()
     min_cost = coefficients(model, X).cost.min(axis=(0, 1))
-    sub_level = min_cost <= lam_star + epsilon
+    sub_level = min_cost <= lam_star + SUBLEVEL_EPSILON
     inf_norm = np.max(np.abs(X), axis=1)
     threshold = 0.8 * grid.radius
     escaping = sub_level & (inf_norm > threshold)
@@ -302,8 +288,8 @@ class LambdaMatchReport:
         }
 
 
-def lambda_equals_optimal_value(model, grid, policy_sample_count, config,
-                                seed=0, workers=None, solution=None):
+def lambda_equals_optimal_value(model, solution, policy_sample_count, config,
+                                seed=0, workers=None):
     """Monte Carlo rates agree with the solved eigenvalue.
 
     Estimates carry the terminal psi weighting, which makes the weighted
@@ -316,10 +302,9 @@ def lambda_equals_optimal_value(model, grid, policy_sample_count, config,
     fall more than three standard errors below lambda_star.  That their
     frozen-policy eigenvalues stay above lambda_star (within ``LAMBDA_TOL``)
     is read from the solved eigenfunction's :func:`collatz_wielandt_bounds`:
-    ``eig_ok`` holds when the policy's certified lower bound does, so a
-    supplied ``solution`` must be solved as tightly as
-    :func:`verify_optimality` needs.  No eigensolve runs unless ``solution``
-    is None; then the problem is solved at :func:`verification_eig_tol`.
+    ``eig_ok`` holds when the policy's certified lower bound does, so
+    ``solution`` must be solved as tightly as :func:`verify_optimality`
+    needs, at ``eig_tol=verification_tol``.  No eigensolve runs.
 
     The solved policy and the random ones are estimated in one run of
     :func:`estimate_risk_sensitive_rates`, sharing each block's draws, and
@@ -329,13 +314,13 @@ def lambda_equals_optimal_value(model, grid, policy_sample_count, config,
     lambda to within the Monte Carlo standard error; the discretization
     error scales like the squared spacing.
     """
-    sol = solution if solution is not None else _verification_solve(model, grid)
-    lam_star = sol.eigenpair.eigenvalue
-    bounds = collatz_wielandt_bounds(sol.operator, sol.eigenpair.eigenfunction)
+    grid = solution.operator.grid
+    lam_star = solution.eigenpair.eigenvalue
+    bounds = collatz_wielandt_bounds(solution.operator, solution.eigenpair.eigenfunction)
     policies = random_policies(model, grid, policy_sample_count, seed=seed)
     opt_est, *estimates = estimate_risk_sensitive_rates(
-        model, [sol.policy, *policies], config, lambda_ref=lam_star, workers=workers,
-        grid=grid, terminal_pair=sol.eigenpair)
+        model, [solution.policy, *policies], config, lambda_ref=lam_star, workers=workers,
+        grid=grid, terminal_pair=solution.eigenpair)
     opt_dev = abs(opt_est.value - lam_star)
     opt_ok = bool(opt_est.unreliable or opt_dev <= 3.0 * opt_est.std_error)
     entries = []

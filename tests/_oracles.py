@@ -24,7 +24,7 @@ from scipy.interpolate import RegularGridInterpolator
 
 import riskswitch as rs
 import riskswitch.simulate as simulate
-from riskswitch.eigen import LAMBDA_TOL
+from riskswitch.eigen import LAMBDA_TOL, verification_tol
 from riskswitch.simulate import (BGK_BETA, MAX_LEAVE_PROBABILITY,
                                  StepSizeError)
 
@@ -48,6 +48,13 @@ def rightmost_dense(A):
     v = vecs[:, i].real
     v = v / v[np.argmax(np.abs(v))]
     return float(lam.real), v
+
+
+def verification_eig_tol(op):
+    """The residual tolerance of a verification solve on ``op``'s grid:
+    :func:`verification_tol` of the constant lowest-index policy's operator,
+    gathered from the stack of ``op``, an operator of any policy."""
+    return verification_tol(op.with_policy(np.zeros_like(op.policy)))
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,7 @@ def test_sweep_rejects_non_increasing_radii(tmp_path):
                      "--nodes-per-unit", "10", "--output-dir", str(tmp_path)])
     assert code == 2
     err = json.loads(out)["error"]
-    assert err["type"] == "UsageError"
+    assert err["type"] == "ValueError"
     assert "increasing" in err["message"]
 
 
@@ -492,7 +492,7 @@ def test_verify_refuses_feynman_kac_arguments_before_solving(tmp_path, monkeypat
     def solve(*args, **kwargs):
         raise AssertionError("the verification solve ran")
 
-    monkeypatch.setattr(riskswitch.cli, "_verification_solve", solve)
+    monkeypatch.setattr(riskswitch.cli, "solve_semilinear", solve)
     d = tmp_path / "out"
     code, out = run(["verify", "--builtin", "ou2", "--radius", "3", "--nodes-per-unit", "10",
                      "--step", "0.01", "--horizon", "1", "--output-dir", str(d)] + extra)

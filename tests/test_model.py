@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +94,17 @@ def test_coefficients_name_a_non_finite_entry():
     assert "rates is not finite at x=[1.5] (regime 1, control 2): inf" == str(err)
 
 
+@pytest.mark.parametrize("name, grid_dim", [("bounded2d", 1), ("ou2", 2)])
+def test_a_grid_of_the_wrong_dimension_is_refused(name, grid_dim):
+    m = rs.make_builtin(name)
+    g = rs.grid_for_resolution(grid_dim, 2.0, 3)
+    message = "states of width %d do not fit model %r of dim %d" % (grid_dim, name, m.dim)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        rs.assemble(m, g, rs.constant_policy(g, m.num_regimes))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        rs.check_lyapunov(m, m.certificate, g)
+
+
 def test_with_cost_replaces_and_renames():
     m = rs.make_builtin("lq")
     m2 = m.with_cost(lambda X, k, xi: np.full(X.shape[0], 0.3), suffix="flat")
@@ -109,7 +121,7 @@ def test_validate_model_passes_on_builtins(name):
     assert rep.passed, {k: (r.passed, r.detail) for k, r in rep.results.items()}
     d = rep.as_dict()
     assert set(d["hypotheses"]) == {
-        "local_lipschitz", "affine_growth", "nondegeneracy", "switching_irreducible"}
+        "affine_growth", "nondegeneracy", "switching_irreducible"}
     assert d["passed"] is True
 
 

@@ -15,8 +15,7 @@ from riskswitch.operator import assemble, constant_policy
 from riskswitch.simulate import PathConfig
 from riskswitch.verify import (lambda_equals_optimal_value,
                                near_monotone_suite, random_policies,
-                               validate_near_monotone, verification_eig_tol,
-                               verify_optimality)
+                               validate_near_monotone, verify_optimality)
 
 import _oracles as orc
 
@@ -34,7 +33,7 @@ def lq_setup():
 def test_optimality_on_extracted_policy(lq_setup):
     model, grid, solution = lq_setup
     alts = random_policies(model, grid, 5, seed=3)
-    rep = verify_optimality(model, grid, alt_policies=alts, solution=solution)
+    rep = verify_optimality(solution, alt_policies=alts)
     assert rep.passed
     assert rep.fixed_point_ok
     assert len(rep.excesses) == 5
@@ -45,7 +44,7 @@ def test_optimality_on_extracted_policy(lq_setup):
     # eigensolves as the oracle: random two-control policies sit a
     # macroscopic distance above the optimum, and every certified lower
     # bound lies below the true excess
-    tol = verification_eig_tol(solution.operator)
+    tol = orc.verification_eig_tol(solution.operator)
     true = [principal_eigenpair(solution.operator.with_policy(p), tol=tol).eigenvalue - lam
             for p in alts]
     assert min(true) > 0.01
@@ -56,7 +55,7 @@ def test_optimality_on_extracted_policy(lq_setup):
 
 def test_optimality_internal_solve_matches(lq_setup):
     model, grid, solution = lq_setup
-    rep = verify_optimality(model, grid)
+    rep = verify_optimality(solve_semilinear(model, grid, eig_tol=verification_tol))
     assert rep.passed
     assert rep.lambda_star == pytest.approx(solution.eigenpair.eigenvalue,
                                             abs=1e-10)
@@ -66,9 +65,7 @@ def test_optimality_internal_solve_matches(lq_setup):
 
 def test_optimality_as_dict_round_trips(lq_setup):
     model, grid, solution = lq_setup
-    rep = verify_optimality(model, grid,
-                            alt_policies=random_policies(model, grid, 2),
-                            solution=solution)
+    rep = verify_optimality(solution, alt_policies=random_policies(model, grid, 2))
     d = rep.as_dict()
     assert d["passed"] is True
     assert len(d["alt_policies"]) == 2
@@ -103,7 +100,7 @@ def test_perturbed_psi_fails_certificate(lq_setup):
     pair = solution.eigenpair
     nodes = np.arange(pair.eigenfunction.size).reshape(pair.eigenfunction.shape)
     psi = pair.eigenfunction * (1.0 + 1e-6 * np.sin(nodes))
-    rep = verify_optimality(model, grid, solution=dataclasses.replace(
+    rep = verify_optimality(dataclasses.replace(
         solution, eigenpair=dataclasses.replace(pair, eigenfunction=psi)))
     assert rep.bracket.gap(rep.lambda_star) > LAMBDA_TOL
     assert not rep.passed
@@ -114,7 +111,7 @@ def test_non_optimal_pair_fails_certificate(lq_setup):
     op = solution.operator.with_policy(constant_policy(grid, model.num_regimes, 0))
     assert not np.array_equal(op.policy, solution.policy)
     pair = principal_eigenpair(op, tol=1e-12)
-    rep = verify_optimality(model, grid, solution=dataclasses.replace(
+    rep = verify_optimality(dataclasses.replace(
         solution, eigenpair=pair, policy=op.policy, operator=op))
     assert pair.eigenvalue > solution.eigenpair.eigenvalue + 1e-3
     assert rep.bracket.gap(rep.lambda_star) > LAMBDA_TOL
@@ -126,7 +123,7 @@ def test_optimality_rejects_malformed_policy(lq_setup):
     model, grid, solution = lq_setup
     bad = np.zeros((model.num_regimes, grid.num_interior + 1), dtype=int)
     with pytest.raises(ValueError):
-        verify_optimality(model, grid, alt_policies=[bad], solution=solution)
+        verify_optimality(solution, alt_policies=[bad])
 
 
 def test_random_policies_seeded_and_in_range(lq_setup):
@@ -252,7 +249,8 @@ def ou2_match_setup():
 def test_lambda_match_brackets_eigenvalue(ou2_match_setup):
     model, grid = ou2_match_setup
     cfg = PathConfig(step=0.0025, horizon=3.0, seed=21, paths=8000)
-    rep = lambda_equals_optimal_value(model, grid, 2, cfg, seed=5, workers=4)
+    sol = solve_semilinear(model, grid, eig_tol=verification_tol)
+    rep = lambda_equals_optimal_value(model, sol, 2, cfg, seed=5, workers=4)
     assert rep.passed
     assert not rep.flagged
     assert rep.optimal_ok and not rep.optimal_flagged
@@ -265,7 +263,7 @@ def test_lambda_match_brackets_eigenvalue(ou2_match_setup):
         # eigensolves as the oracle: suboptimal frozen policies sit strictly
         # above the optimum
         op = assemble(model, grid, p)
-        assert principal_eigenpair(op, tol=verification_eig_tol(op)).eigenvalue > \
+        assert principal_eigenpair(op, tol=orc.verification_eig_tol(op)).eigenvalue > \
             rep.lambda_star + 1e-3
         assert e.rate > rep.lambda_star
     d = rep.as_dict()
@@ -283,8 +281,7 @@ def test_lambda_match_flags_wrong_eigenvalue(ou2_match_setup):
         sol, eigenpair=dataclasses.replace(
             sol.eigenpair, eigenvalue=sol.eigenpair.eigenvalue + 0.05))
     cfg = PathConfig(step=0.005, horizon=3.0, seed=21, paths=4000)
-    rep = lambda_equals_optimal_value(model, grid, 0, cfg, solution=wrong,
-                                      workers=4)
+    rep = lambda_equals_optimal_value(model, wrong, 0, cfg, workers=4)
     assert not rep.passed
     assert not rep.optimal_ok
     assert abs(rep.optimal_rate.value - rep.lambda_star) > \
@@ -310,7 +307,7 @@ def test_lambda_match_runs_no_eigensolve(monkeypatch):
     assert len(factored) == sol.policy_iterations
     factored.clear()
     cfg = PathConfig(step=0.05, horizon=1.0, seed=6, paths=512)
-    rep = lambda_equals_optimal_value(model, grid, 3, cfg, workers=1, solution=sol)
+    rep = lambda_equals_optimal_value(model, sol, 3, cfg, workers=1)
     assert factored == []
     assert len(rep.random_entries) == 3
     assert all(e.eig_ok for e in rep.random_entries)
@@ -326,7 +323,7 @@ def test_lambda_match_fails_on_perturbed_psi(lq_setup):
     perturbed = dataclasses.replace(
         solution, eigenpair=dataclasses.replace(pair, eigenfunction=psi))
     cfg = PathConfig(step=0.01, horizon=1.0, seed=3, paths=512)
-    rep = lambda_equals_optimal_value(model, grid, 3, cfg, workers=1, solution=perturbed)
+    rep = lambda_equals_optimal_value(model, perturbed, 3, cfg, workers=1)
     assert len(rep.random_entries) == 3
     assert not any(e.eig_ok for e in rep.random_entries)
     assert not rep.passed
@@ -367,10 +364,10 @@ def test_lambda_match_steps_its_rate_policies_together(monkeypatch):
     grid = grid_for_resolution(1, 3.0, 10)
     cfg = PathConfig(step=0.05, horizon=1.0, seed=6, paths=2 * simulate.BLOCK)
     sol = solve_semilinear(model, grid)
-    reps = [lambda_equals_optimal_value(model, grid, 2, cfg, workers=2, solution=sol)]
+    reps = [lambda_equals_optimal_value(model, sol, 2, cfg, workers=2)]
     assert pools == [2]
     monkeypatch.setattr(simulate, "_block_generator", CountingGenerator)
-    reps.append(lambda_equals_optimal_value(model, grid, 2, cfg, workers=1, solution=sol))
+    reps.append(lambda_equals_optimal_value(model, sol, 2, cfg, workers=1))
     assert pools == [2]
     assert draws == {0: cfg.n_steps, 1: cfg.n_steps}
     assert reps[0].as_dict() == reps[1].as_dict()
