@@ -87,9 +87,12 @@ class GridSpec:
         """Flat interior indices of the nodes nearest to the states ``X``.
 
         States outside the box clamp to the nearest interior node (constant
-        extension of node-indexed tables).  X has shape (n, dim).
+        extension of node-indexed tables); a NaN state maps to the first.  X
+        has shape (n, dim); a float array of that shape is read as it is.
         """
-        t = np.atleast_2d(np.asarray(X, dtype=float)) - self.axis_interior[0]
+        if not (type(X) is np.ndarray and X.ndim == 2 and X.dtype == np.float64):
+            X = np.atleast_2d(np.asarray(X, dtype=float))
+        t = X - self.axis_interior[0]
         t /= self.spacing
         idx = np.rint(t, out=t).astype(np.int64)
         np.maximum(idx, 0, out=idx)

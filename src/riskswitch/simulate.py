@@ -40,7 +40,11 @@ arithmetic (move probabilities, leave sums, cumulative thresholds) runs once
 over the rate rows: when ``rates`` returns one matrix for every row (a
 broadcast view, as for every builtin), those are its N rows, one per
 regime, and each row of the set gathers its regime's thresholds; otherwise
-they are each row's own rate row.
+they are each row's own rate row.  A run keeps what such a shared matrix
+implies while its bytes stay the same: the thresholds of a rate matrix that
+passes at every regime, and the barrier's shifted box for a diffusion
+matrix.  The coefficients are still called at every step.  The barrier's
+radial direction reads |X| as the previous step's hit test computed it.
 
 The risk-sensitive rate estimator is max-shifted log-mean-exp with a
 delta-method standard error.  The exponential functional is heavy-tailed for
@@ -64,7 +68,6 @@ control is refused.
 import copy
 import dataclasses
 import enum
-import functools
 import math
 import os
 
@@ -286,13 +289,21 @@ def _map_sets(fn, workers, paths, width=1):
 def _draw(sources, running, d):
     """Normals, then uniforms, from each source, (generator, first segment,
     segments), for its first segment's running rows, read by each of its
-    segments, concatenated in row order."""
-    z, u = [], []
+    segments: each source fills its rows of one (rows, d) and one (rows,)
+    array in row order."""
+    n = sum(running)
+    Z, U = np.empty((n, d)), np.empty(n)
+    lo = 0
     for rng, s, m in sources:
-        if running[s]:
-            z += [rng.standard_normal((running[s], d))] * m
-            u += [rng.random(running[s])] * m
-    return (z[0], u[0]) if len(z) == 1 else (np.concatenate(z), np.concatenate(u))
+        r = running[s]
+        if r:
+            rng.standard_normal(out=Z[lo:lo + r])
+            rng.random(out=U[lo:lo + r])
+            if m > 1:  # the segments of a shared draw are whole blocks, r rows each
+                Z[lo + r:lo + m * r].reshape(m - 1, r, d)[:] = Z[lo:lo + r]
+                U[lo + r:lo + m * r].reshape(m - 1, r)[:] = U[lo:lo + r]
+            lo += m * r
+    return Z, U
 
 
 def _coerce_start(model, x0, k0):
@@ -308,14 +319,23 @@ def _coerce_start(model, x0, k0):
     return x, k
 
 
-def _column_sum(terms):
-    """Left-to-right sum of ``terms``; of two, bitwise numpy's sum over an axis."""
-    return functools.reduce(np.add, terms)
+def _column_sum(a):
+    """Sum of the columns of ``a`` (n, m), left to right; of two, bitwise
+    numpy's sum over axis 1."""
+    total = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        total += a[:, j]
+    return total
 
 
 def _row_norm(x):
-    """Euclidean norm over the last axis."""
-    return np.sqrt(_column_sum(x[..., j] * x[..., j] for j in range(x.shape[-1])))
+    """Euclidean norm over the last axis, the squares summed left to right."""
+    col = x[..., 0]
+    total = col * col
+    for j in range(1, x.shape[-1]):
+        col = x[..., j]
+        total += col * col
+    return np.sqrt(total, out=total)
 
 
 def _may_draw(move, leave):
@@ -343,7 +363,7 @@ def _refuse_rates(model, controls, X, K, R, step):
         off, max(1.0, float(np.max(np.abs(off)))),
         lambda ij: "[%d, %d] (control %g at x=%s)" % (K[ij[0]], ij[1], xi[ij[0]],
                                                       X[ij[0]].tolist()))
-    leave = _column_sum((step * off).T)
+    leave = _column_sum(step * off)
     key = K * model.num_controls + C
     for kc in np.unique(key):
         rows = np.flatnonzero(key == kc)
@@ -352,45 +372,38 @@ def _refuse_rates(model, controls, X, K, R, step):
             raise StepSizeError(step, float(np.sum(off[worst])), X[worst], K[worst])
 
 
-def _step_once(model, controls, X, K, S, step, sqh, Z, U, cost_shift, barrier=None):
-    """One Euler + switching step over all rows of (X, K), in place.
+def _thresholds(model, controls, X, K, R, step, cache):
+    """The cumulative one-step probabilities each row's next regime is drawn
+    against, N - 1 arrays over the rows, from the rates ``R`` (n, N, N) the
+    step reads, refused by :func:`_refuse_rates` where they do not pass.
 
-    Each coefficient is called once, every row at its own regime and
-    control (``controls`` from :meth:`_PolicyStack.at_rows`), the Euler and
-    barrier arithmetic runs once over the set and the switching arithmetic
-    once over the rate rows.  Accumulates ``step * (cost - cost_shift)`` into S at the
-    pre-step state (left-endpoint rectangle rule).  When
-    ``barrier = (r_inner, box_radius)`` is given, also returns
-    barrier-corrected thresholds: the per-path inner hitting radius (shifted
-    outward by the radial noise scale) and a flag for staying inside the
-    shifted box.
-    """
-    n, d = X.shape
+    From regime k the chain moves to j != k with probability step * rates[k, j]
+    and stays with one minus their sum.  This arithmetic runs once over the
+    rate rows: the N rows of the one matrix of a broadcast view (every
+    builtin), each row then gathering its regime's thresholds, else each
+    row's own rate row, gathered by np.take over a flat axis (fancy indexing
+    R[rows, K] copies the trailing axis row by row).  A broadcast matrix
+    that passes at every regime keeps its thresholds in ``cache`` under its
+    bytes and the step."""
     N = model.num_regimes
-    xi = controls.control_values(X, K)
-    b = np.asarray(model.drift(X, K, xi), dtype=float).reshape(n, d)
-    sig = np.asarray(model.diffusion(X, K), dtype=float)
-    cost = np.asarray(model.cost(X, K, xi), dtype=float).reshape(n)
-    R = np.asarray(model.rates(X, xi), dtype=float)
-    # From regime k the chain moves to j != k with probability step * rates[k, j]
-    # and stays with one minus their sum.  This arithmetic runs once over the
-    # rate rows: the N rows of the one matrix of a broadcast view (every
-    # builtin), else each row's own rate row, gathered by np.take over a flat
-    # axis (fancy indexing R[rows, K] copies the trailing axis row by row).
     shared = R.strides[0] == 0
     if shared:
+        key = R[0].tobytes(), step
+        kept = cache.get("rates")
+        if kept is not None and kept[0] == key:
+            return [t[K] for t in kept[1]]
         move, own = R[0] * step, np.arange(0, N * N, N + 1)  # own: the diagonal
     else:  # the reshape is a view when R is C-contiguous
-        own = np.arange(n) * N + K
-        move = np.take(R.reshape(n * N, N), own, axis=0)
+        own = np.arange(len(K)) * N + K
+        move = np.take(R.reshape(len(K) * N, N), own, axis=0)
         move *= step
     move.reshape(-1)[own] = 0.0
-    leave = _column_sum(move.T)  # sums run column by column
+    leave = _column_sum(move)
+    whole = _may_draw(move, leave)
     # a shared matrix is judged only at the regimes the rows are in
-    if not _may_draw(move, leave) and not (shared and _may_draw(
+    if not whole and not (shared and _may_draw(
             *(a[np.bincount(K, minlength=N) > 0] for a in (move, leave)))):
         _refuse_rates(model, controls, X, K, R, step)
-    # Next regime: the number of cumulative one-step probabilities below U.
     # The sums never fall (no entry is negative, checked above), so the first
     # N - 1 of them decide: the last regime takes every U they pass, even
     # where the sum of all N rounds below U.
@@ -398,27 +411,77 @@ def _step_once(model, controls, X, K, S, step, sqh, Z, U, cost_shift, barrier=No
     thr = [move[:, 0]]
     for j in range(1, N - 1):
         thr.append(thr[-1] + move[:, j])
-    if shared:  # each row reads its regime's thresholds
-        thr = [np.take(t, K) for t in thr]
+    if not shared:
+        return thr
+    if whole:
+        cache["rates"] = key, thr
+    return [t[K] for t in thr]
+
+
+def _step_once(model, controls, X, K, S, step, sqh, Z, U, cost_shift, barrier=None,
+               cache=None):
+    """One Euler + switching step over all rows of (X, K), in place.
+
+    Each coefficient is called once, every row at its own regime and
+    control (``controls`` from :meth:`_PolicyStack.at_rows`), the Euler and
+    barrier arithmetic runs once over the set and the switching arithmetic
+    once over the rate rows (:func:`_thresholds`).  Accumulates
+    ``step * (cost - cost_shift)`` into S at the pre-step state
+    (left-endpoint rectangle rule).  When ``barrier = (r_inner, box_radius,
+    norm)`` is given, ``norm`` the rows' |X| before the step, also returns
+    barrier-corrected thresholds: the per-path inner hitting radius (shifted
+    outward by the radial noise scale) and a flag for staying inside the
+    shifted box.
+
+    ``cache``, a dict the run keeps across its steps, holds the draw
+    thresholds of a broadcast rate matrix (:func:`_thresholds`) and the
+    shifted box of a broadcast diffusion matrix, each under its matrix's
+    bytes.
+    """
+    n, d = X.shape
+    cache = {} if cache is None else cache
+    xi = controls.control_values(X, K)
+    b = np.asarray(model.drift(X, K, xi), dtype=float).reshape(n, d)
+    sig = np.asarray(model.diffusion(X, K), dtype=float)
+    cost = np.asarray(model.cost(X, K, xi), dtype=float).reshape(n)
+    R = np.asarray(model.rates(X, xi), dtype=float)
+    # Next regime: the number of cumulative one-step probabilities below U.
+    thr = _thresholds(model, controls, X, K, R, step, cache)
     np.greater(U, thr[0], out=K)
     for t in thr[1:]:
         K += U > t
     S += step * (cost - cost_shift)
-    # X + step * b + sqh * noise, summed in place in that order
-    xn = step * b
-    xn += X
-    noise = _column_sum(sig[:, :, j] * Z[:, j, None] for j in range(d))
-    noise *= sqh
-    xn += noise
+    if sig.strides[0] == 0:
+        sig = sig[0]  # sig[..., i, :] is row i of every row's matrix either way
     inner_thr = outer_ok = None
     if barrier is not None:
-        r_inner, box_radius = barrier
-        rdir = X / _row_norm(X)[:, None]
-        s_rad = _row_norm(_column_sum(rdir[:, i, None] * sig[:, i] for i in range(d)))
-        inner_thr = r_inner + BGK_BETA * sqh * s_rad
-        inside = np.abs(xn) < box_radius - BGK_BETA * sqh * _row_norm(sig)
-        outer_ok = functools.reduce(np.logical_and, inside.T)
-    X[:] = xn
+        r_inner, box_radius, norm = barrier
+        c = BGK_BETA * sqh
+        rdir = X / norm[:, None]
+        radial = rdir[:, 0, None] * sig[..., 0, :]
+        for i in range(1, d):
+            radial += rdir[:, i, None] * sig[..., i, :]
+        inner_thr = r_inner + c * _row_norm(radial)
+        if sig.ndim == 2:
+            key = sig.tobytes(), c, box_radius
+            kept = cache.get("box")
+            if kept is None or kept[0] != key:
+                kept = cache["box"] = key, box_radius - c * _row_norm(sig)
+            box = kept[1]
+        else:
+            box = box_radius - c * _row_norm(sig)
+    # X + step * b + sqh * noise, summed in place in that order
+    X += step * b
+    noise = sig[..., 0] * Z[:, 0, None]
+    for j in range(1, d):
+        noise += sig[..., j] * Z[:, j, None]
+    noise *= sqh
+    X += noise
+    if barrier is not None:
+        inside = np.abs(X) < box
+        outer_ok = inside[:, 0]
+        for j in range(1, d):
+            outer_ok = outer_ok & inside[:, j]
     return inner_thr, outer_ok
 
 
@@ -484,12 +547,13 @@ def _step_set(model, stack, groups, config, blocks, n_steps, cost_shift=0.0,
     Returns per row the integral of cost - ``cost_shift`` and the state and
     regime where it stopped, or after the last step; its states and regimes
     after the steps in ``keep_steps`` (0 is the start; no ``barrier`` then);
-    and its status: with ``barrier`` (see :func:`_step_once`) a row stops on
-    hitting the inner ball (1) or leaving the box (2), and the set is
-    compacted; else it runs all the steps (3).  A block's groups share its
+    and its status: with ``barrier = (r_inner, box_radius)`` (see
+    :func:`_step_once`, which also gets the |X| the hit test computed) a row
+    stops on hitting the inner ball (1) or leaving the box (2), and the set
+    is compacted; else it runs all the steps (3).  A block's groups share its
     draw while all of their rows run; after the step of its first stop, each
-    group draws from its own copy of the block's generator for its running
-    rows.
+    group draws for its running rows from its own copy of the block's
+    generator, the last group from the generator itself.
     """
     d, n_groups = model.dim, len(groups)
     full = [n for _, n in blocks for _ in groups]  # rows of each (block, group) segment
@@ -507,32 +571,38 @@ def _step_set(model, stack, groups, config, blocks, n_steps, cost_shift=0.0,
     kept_X = np.empty((n, len(keep_steps), d))
     kept_K = np.empty((n, len(keep_steps)), dtype=np.int64)
     sqh = math.sqrt(config.step)
+    cache = {}  # what the run's shared matrices imply (see _step_once)
+    norm = None if barrier is None else _row_norm(X)  # |X|, carried from the hit test
     for t in range(n_steps + 1):
         if t in keep_at:
             kept_X[:, keep_at[t]], kept_K[:, keep_at[t]] = X, K
         if t == n_steps or row.size == 0:
             break
         Z, U = _draw(sources, running, d)
-        inner_thr, outer_ok = _step_once(model, controls, X, K, S, config.step, sqh,
-                                         Z, U, cost_shift, barrier)
+        inner_thr, outer_ok = _step_once(
+            model, controls, X, K, S, config.step, sqh, Z, U, cost_shift,
+            None if barrier is None else (*barrier, norm), cache)
         if barrier is None:
             continue
-        hit = _row_norm(X) <= inner_thr
-        stop = hit | ~outer_ok
-        if not stop.any():
+        norm = _row_norm(X)
+        hit = norm <= inner_thr
+        keep = outer_ok > hit  # inside the shifted box and off the inner ball
+        if np.count_nonzero(keep) == len(keep):  # cheaper than keep.all() on a few rows
             continue
+        stop = ~keep
         done = row[stop]
         # np.compress: a boolean index X[stop] copies the trailing axis row by row
         end_X[done] = np.compress(stop, X, axis=0)
         end_K[done], end_S[done] = K[stop], S[stop]
         status[done] = np.where(hit[stop], 1, 2)
-        keep = ~stop
         X, K, S, row = np.compress(keep, X, axis=0), K[keep], S[keep], row[keep]
+        norm = norm[keep]
         controls.compress(keep)
-        running = np.diff(np.searchsorted(row, edges)).tolist()
+        ends = np.searchsorted(row, edges)
+        running = (ends[1:] - ends[:-1]).tolist()
         sources = [split for rng, s, m in sources for split in (
             [(rng, s, m)] if m == 1 or running[s:s + m] == full[s:s + m]
-            else [(copy.deepcopy(rng), s + i, 1) for i in range(m)])]
+            else [(copy.deepcopy(rng), s + i, 1) for i in range(m - 1)] + [(rng, s + m - 1, 1)])]
     status[row] = 3
     end_X[row], end_K[row], end_S[row] = X, K, S
     return end_S, end_X, end_K, kept_X, kept_K, status

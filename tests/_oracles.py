@@ -146,14 +146,16 @@ def at_rows(X, *values):
 # per-group Euler + switching step (reference for the fused step kernel)
 
 def step_once_per_group(model, controls, X, K, S, step, sqh, Z, U, cost_shift,
-                        barrier=None):
+                        barrier=None, cache=None):
     """One Euler + switching step, in place, one (regime, control) group at a time.
 
     Same contract as ``riskswitch.simulate._step_once``: gathers each group's
     rows, evaluates the model there, steps them and scatters the results back.
     Accumulates ``step * (cost - cost_shift)`` into S at the pre-step state;
-    with ``barrier = (r_inner, box_radius)`` also returns the per-path
-    barrier-corrected inner radius and the stay-inside-the-box flag.
+    with ``barrier = (r_inner, box_radius, norm)`` also returns the per-path
+    barrier-corrected inner radius and the stay-inside-the-box flag.  It
+    works every coefficient out afresh at every step: the carried ``norm`` is
+    not read (|X| is taken again here) and ``cache`` is not used.
     """
     n = X.shape[0]
     ci = controls.control_indices(X, K)
@@ -161,7 +163,7 @@ def step_once_per_group(model, controls, X, K, S, step, sqh, Z, U, cost_shift,
     new_K = np.empty_like(K)
     inner_thr = outer_ok = None
     if barrier is not None:
-        r_inner, box_radius = barrier
+        r_inner, box_radius, _ = barrier
         inner_thr = np.empty(n)
         outer_ok = np.empty(n, dtype=bool)
     for k in np.unique(K):
@@ -254,7 +256,7 @@ def fk_block(model, stack, config, block, n_paths, starts, lam, grid, psi,
             U = rng.random(row.size)
             inner_thr, outer_ok = simulate._step_once(
                 model, controls, X, K, A, config.step, sqh, Z, U, lam,
-                barrier=(r_inner, grid.radius))
+                barrier=(r_inner, grid.radius, np.linalg.norm(X, axis=1)))
             hit = np.linalg.norm(X, axis=1) <= inner_thr
             stop = hit | ~outer_ok
             payoff[i, row[hit]] = np.exp(A[hit]) * np.maximum(

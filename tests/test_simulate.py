@@ -802,6 +802,81 @@ def test_step_size_error_names_state_inside_fk(monkeypatch):
     assert "at state" in str(fused)
 
 
+def test_run_cache_follows_shared_matrices_and_the_step(monkeypatch):
+    # rates and diffusion return broadcast views of one array each.  First
+    # the arrays are rewritten in place every 5 steps; then they stay fixed
+    # while one model runs at two step sizes in one process.  What a run
+    # keeps of a shared matrix (draw thresholds, shifted box) must follow its
+    # bytes and the step, as the per-group oracle, which keeps nothing, does
+    rate_cycle = [np.array([[-1.0, 1.0], [2.0, -2.0]]) * s for s in (1.0, 3.0, 0.5)]
+    sig_cycle = [np.array([[1.5, 0.0], [0.3, 1.0]]) * s for s in (1.0, 2.5)]
+    R, sig, steps = np.empty((2, 2)), np.empty((2, 2)), [0]
+    m = dataclasses.replace(rs.make_builtin("bounded2d"),
+                            rates=lambda X, xi: np.broadcast_to(R, (len(X), 2, 2)),
+                            diffusion=lambda X, k: np.broadcast_to(sig, (len(X), 2, 2)))
+    g = rs.grid_for_resolution(2, 3.0, 5)
+    table = mixed_table(m, g)
+    pair = rs.EigenPair(eigenvalue=0.05, eigenfunction=np.ones((2, g.num_interior)),
+                        residual=0.0, iterations=0, shift=0.0)
+    starts = [(np.array([1.0, 0.5]), 0), (np.array([-1.2, 1.0]), 1)]
+
+    def run(kernel):
+        def step(*args, **kwargs):
+            t = steps[0] // 5 if rewrite else 0
+            R[:], sig[:] = rate_cycle[t % 3], sig_cycle[t % 2]
+            steps[0] += 1
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "_step_once", step)
+        outs = []
+        for h, rewrite in ((0.01, True), (0.01, False), (0.004, False)):
+            steps[0] = 0
+            fk = rs.feynman_kac_annulus(m, table, pair, g, 0.5, starts,
+                                        PathConfig(step=h, horizon=0.5, seed=5, paths=200))
+            batch = rs.simulate_paths(m, table, PathConfig(step=h, horizon=0.5, seed=4, paths=200),
+                                      x0=[0.5, -0.5], k0=1, grid=g)
+            outs.append((batch.positions, batch.regimes, batch.integrated_cost,
+                         fk_outputs(fk)))
+        return outs
+
+    fused = run(simulate._step_once)
+    ref = run(orc.step_once_per_group)
+    for (*paths, fk), (*ref_paths, ref_fk) in zip(fused, ref):
+        for a, b in zip(paths, ref_paths):
+            np.testing.assert_array_equal(a, b)
+        assert fk == ref_fk
+    assert set(np.unique(ref[0][1])) == {0, 1}
+
+
+def test_fk_tail_of_criterion_05_starts_matches_per_group_oracle(monkeypatch):
+    # criterion 05's five starts share one set, which parts at its first stop
+    # and runs down to a tail of fewer than 10 alive rows: the |X| each hit
+    # test hands to the next step, compacted at every stop, gives the
+    # oracle's report, which takes |X| afresh
+    m = rs.make_builtin("ou2")
+    g = rs.grid_for_resolution(1, 4.0, 40)
+    sol = rs.solve_semilinear(m, g)
+    starts = [(np.array([x]), k) for x, k in ((1.0, 0), (-1.0, 1), (1.5, 0), (-1.5, 1), (2.0, 0))]
+    cfg = PathConfig(step=2e-3, horizon=1.0, seed=11, paths=64)
+
+    def run(kernel):
+        alive = []
+
+        def step(model, controls, X, *args):
+            alive.append(len(X))
+            return kernel(model, controls, X, *args)
+
+        monkeypatch.setattr(simulate, "_step_once", step)
+        report = rs.feynman_kac_annulus(m, sol.policy, sol.eigenpair, g, 0.5, starts, cfg)
+        return report, alive
+
+    (fused, alive), (ref, ref_alive) = run(simulate._step_once), run(orc.step_once_per_group)
+    assert fused.as_dict() == ref.as_dict()
+    assert alive == ref_alive
+    assert alive[0] == len(starts) * cfg.paths and 0 < min(alive) < 10
+    assert fused.capped_fraction == 0.0
+
+
 # ---------------------------------------------------------------------------
 # working sets
 
@@ -900,12 +975,12 @@ def counting_draws(monkeypatch):
             self.rng, self.block = block_generator(seed, block), block
             draws.setdefault(block, [])
 
-        def standard_normal(self, size):
-            draws[self.block].append(size[0])
-            return self.rng.standard_normal(size)
+        def standard_normal(self, size=None, out=None):
+            draws[self.block].append(len(out) if size is None else size[0])
+            return self.rng.standard_normal(size, out=out)
 
-        def random(self, *args):
-            return self.rng.random(*args)
+        def random(self, size=None, out=None):
+            return self.rng.random(size, out=out)
 
     monkeypatch.setattr(simulate, "_block_generator", CountingGenerator)
     return draws

@@ -353,12 +353,12 @@ def test_lambda_match_steps_its_rate_policies_together(monkeypatch):
             self.rng, self.block = block_generator(seed, block), block
             draws.setdefault(block, 0)
 
-        def standard_normal(self, *args):
+        def standard_normal(self, size=None, out=None):
             draws[self.block] += 1
-            return self.rng.standard_normal(*args)
+            return self.rng.standard_normal(size, out=out)
 
-        def random(self, *args):
-            return self.rng.random(*args)
+        def random(self, size=None, out=None):
+            return self.rng.random(size, out=out)
 
     model = make_builtin("ou2")
     grid = grid_for_resolution(1, 3.0, 10)
